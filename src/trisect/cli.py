@@ -33,9 +33,15 @@ def resolve_body(spec, parser):
     if spec in PRESETS:
         return PRESETS[spec]()
     if spec.startswith("h_eps:"):
-        return make_h_eps(float(spec.split(":", 1)[1]))
+        try:
+            return make_h_eps(float(spec.split(":", 1)[1]))
+        except ValueError as exc:
+            parser.error(f"bad body {spec!r}: {exc}")
     if spec.startswith("regular:"):
-        m = int(spec.split(":", 1)[1])
+        try:
+            m = int(spec.split(":", 1)[1])
+        except ValueError:
+            parser.error(f"regular:<m> needs an integer, got {spec!r}")
         if m % 3 != 0 or m < 3:
             parser.error(f"regular:<m> needs a positive multiple of 3, got {m}")
         return make_regular_polygon(m // 3)

@@ -35,19 +35,26 @@ def cross2(o, a, b):
 def convex_hull(points):
     """Counterclockwise convex hull of a point set (monotone chain).
 
-    Collinear points on the hull boundary are dropped.  Raises
-    DegenerateGeometryError if the input is all collinear.
+    A point is popped only when the turn into the next point is not
+    strictly left (cross product <= 0).  After the x-then-y sort a point
+    collinear with its chain neighbours lies between them, so popping it
+    loses no extreme point; rounding may keep a few nearly collinear ones,
+    which changes no diameter.  A positive threshold is not safe: on an
+    edge whose x values differ only in the last bits the sort does not
+    follow the edge, and a true corner's left turn can have a tiny cross
+    product.  Raises DegenerateGeometryError if the input is all collinear.
     """
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
     if len(pts) < 3:
         raise DegenerateGeometryError("need at least 3 distinct points")
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
+    # Python floats: the same double arithmetic as numpy scalars, faster
+    pts = pts[order].tolist()
 
     def half_hull(seq):
         chain = []
         for p in seq:
-            while len(chain) > 1 and cross2(chain[-2], chain[-1], p) <= 1e-12:
+            while len(chain) > 1 and cross2(chain[-2], chain[-1], p) <= 0.0:
                 chain.pop()
             chain.append(p)
         return chain
@@ -93,9 +100,44 @@ def polygon_diameter(poly):
     return best
 
 
+# Fixed support directions of points_diameter's pruning bound, one per
+# row: any vector lies within pi/_K of one of them.
+_K = 64
+_DIRS = np.column_stack((np.cos(np.arange(_K) * 2.0 * math.pi / _K),
+                         np.sin(np.arange(_K) * 2.0 * math.pi / _K)))
+_COS = math.cos(math.pi / _K)
+
+
 def points_diameter(points):
-    """Max pairwise distance of a point set, vectorized all-pairs."""
+    """Max pairwise distance of a point set; exact, equal bit for bit to
+    the all-pairs maximum of dx*dx + dy*dy.
+
+    All pairs are run only on the points that can reach the diameter.
+    With support values h_k = max_q q.u_k over the unit directions u_k,
+    every q - p lies within pi/K of some u_k, so
+    |q - p| cos(pi/K) <= (q - p).u_k <= h_k - p.u_k, and
+    ub(p) = max_k (h_k - p.u_k) / cos(pi/K) bounds p's farthest distance.
+    The pairs of points extreme in opposite directions give a distance L
+    that the diameter reaches, so both ends of a diameter pair have
+    ub >= L; a point with ub < L cannot be one.  The test keeps a slack of
+    1e-9 of L plus the coordinate scale for rounding.  The survivors'
+    all-pairs maximum evaluates the same expression on the same winning
+    pair, so the result does not depend on the pruning.  Sets of at most
+    K points skip the bound; all pairs is cheaper there.
+    """
     p = np.asarray(points, dtype=float)
+    if len(p) > _K:
+        proj = _DIRS @ p.T
+        ext = np.argmax(proj, axis=1)
+        h = proj[np.arange(_K), ext]
+        a, b = p[ext[:_K // 2]], p[ext[_K // 2:]]
+        dx, dy = a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]
+        low = math.sqrt(float(np.max(dx * dx + dy * dy)))
+        # non-finite input or overflow: plain all pairs, as before
+        if math.isfinite(low) and np.all(np.isfinite(h)):
+            slack = 1e-9 * (low + float(np.max(np.abs(p))))
+            reach = np.max(h[:, None] - proj, axis=0)
+            p = p[reach >= (low - slack) * _COS]
     d2 = 0.0
     # chunk rows so the distance matrix never exceeds a few MB
     step = max(1, 2_000_000 // max(len(p), 1))

@@ -222,7 +222,8 @@ def equal_area_segment_trisection(body, c, theta1, boundary=None):
     t3 = walk.solve_position(lambda t: walk.swept_area(t) - f1 - 2.0 * A / 3.0,
                              t2, t1 + walk.n)
     third = A - (walk.swept_area(t3 if t3 >= t1 else t3 + walk.n) - f1)
-    assert abs(third - A / 3.0) <= 2e-6 * max(A, 1.0), "area additivity broken"
+    if abs(third - A / 3.0) > 2e-6 * max(A, 1.0):
+        raise InfeasibleConfigurationError("area additivity broken")
     return _assemble(walk, [t1 % walk.n, t2 % walk.n, t3 % walk.n])
 
 
@@ -276,7 +277,7 @@ def _sweep_cells(body, boundary, cells, curve_mode, magnitude, seed):
             else:
                 tri = perturbed_polyline_trisection(body, c, theta1, rng,
                                                     magnitude, boundary=boundary)
-        except (InfeasibleConfigurationError, AssertionError):
+        except InfeasibleConfigurationError:
             out.append(None)
             continue
         out.append((trisection_dm(tri), tri))

@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bodies import H_EPS_A_MAX, SECTOR
+from .bodies import H_EPS_A_MAX, SECTOR, regular_polygon_apothem
 from .geom import region_diameter, rotate
 
 AREA_TOL = 1e-4  # relative area slack for a trisection to count as valid
@@ -170,7 +170,7 @@ def dm_regular_closed_form(m):
     """d_M of the standard trisection of the unit-area regular m-gon."""
     if m % 3 != 0 or m < 3:
         raise ValueError("m must be a positive multiple of 3")
-    apothem = m ** -0.5 * (1.0 / math.tan(math.pi / m)) ** 0.5
+    apothem = regular_polygon_apothem(m)
     if m == 3:
         return apothem / math.cos(math.pi / 3.0)
     return math.sqrt(3.0) * apothem

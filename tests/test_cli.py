@@ -60,6 +60,14 @@ def test_unknown_body_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("spec", ["h_eps:5", "h_eps:abc", "regular:abc"])
+def test_malformed_selector_exits_2(spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dm", "--body", spec])
+    assert exc.value.code == 2
+    assert spec in capsys.readouterr().err
+
+
 def test_bad_grid_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--body", "hexagon", "--grid-theta", "0"])

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trisect.cli import PRESETS
 from trisect.geom import (DegenerateGeometryError, convex_hull, is_ccw_convex,
                           points_diameter, polygon_area, polygon_diameter,
                           region_diameter, resample_boundary, rotate)
+from trisect.search import (equal_area_segment_trisection,
+                            perturbed_polyline_trisection)
+from trisect.trisection import standard_trisection
 
 
 def naive_hull_vertices(points, tol=1e-12):
@@ -27,10 +31,14 @@ def naive_hull_vertices(points, tol=1e-12):
 
 
 def all_pairs_diameter(points):
+    """Plain all-pairs oracle, rows in chunks to bound the memory."""
     p = np.asarray(points, dtype=float)
-    dx = p[:, None, 0] - p[None, :, 0]
-    dy = p[:, None, 1] - p[None, :, 1]
-    return math.sqrt(np.max(dx * dx + dy * dy))
+    best = 0.0
+    for i in range(0, len(p), 500):
+        dx = p[i:i + 500, None, 0] - p[None, :, 0]
+        dy = p[i:i + 500, None, 1] - p[None, :, 1]
+        best = max(best, float(np.max(dx * dx + dy * dy)))
+    return math.sqrt(best)
 
 
 def test_hull_drops_interior_point():
@@ -143,6 +151,73 @@ def test_region_diameter_monotone_in_samples():
 def test_region_diameter_rejects_degenerate():
     with pytest.raises(DegenerateGeometryError):
         region_diameter(np.array([(0, 0), (1, 0), (2, 0)], dtype=float), 64)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_region_diameter_of_each_standard_region_matches_oracle(name):
+    # each region on its own: the maximum over three can hide a wrong one
+    for region in standard_trisection(PRESETS[name]()).regions:
+        assert region_diameter(region) == pytest.approx(
+            all_pairs_diameter(region), rel=0, abs=1e-12)
+
+
+def test_hull_keeps_corners_of_ulp_jittered_vertical_edge():
+    # a vertical edge whose x values differ only in the last bits, as on
+    # the triangle's standard region 1: the x-then-y sort does not follow
+    # the edge, and its lower corner must stay on the hull
+    rng = np.random.default_rng(2)
+    x0 = -0.4386913376508308
+    edge = np.column_stack((x0 + rng.integers(0, 8, 513) * np.spacing(x0),
+                            np.linspace(0.0, -0.7598, 513)))
+    region = np.vstack([(0.0, 0.0), edge, (0.2193, -0.3799)])
+    assert np.any(convex_hull(region)[:, 1] == -0.7598)
+    assert region_diameter(region) == pytest.approx(
+        all_pairs_diameter(region), rel=0, abs=1e-12)
+
+
+def test_points_diameter_equals_oracle_on_preset_regions():
+    # standard, off-centre segment and perturbed-polyline trisections
+    rng = np.random.default_rng(11)
+    c = np.array([0.07, -0.04])
+    for name, make in PRESETS.items():
+        body = make()
+        for tri in (standard_trisection(body),
+                    equal_area_segment_trisection(body, c, 0.4),
+                    perturbed_polyline_trisection(body, c, 2.1, rng, 0.02)):
+            for region in tri.regions:
+                assert points_diameter(region) == \
+                    all_pairs_diameter(region), name
+
+
+def test_points_diameter_equals_oracle_when_every_point_survives():
+    th = np.linspace(0, 2 * math.pi, 12_000, endpoint=False)
+    circle = np.column_stack((np.cos(th), np.sin(th)))
+    assert points_diameter(circle) == all_pairs_diameter(circle)
+
+
+def test_points_diameter_with_duplicates_offset_and_overflow():
+    region = standard_trisection(PRESETS["h_tilde"]()).regions[0]
+    for pts in (np.repeat(region, 3, axis=0), region + 1e6,
+                np.repeat([[0.3, -0.2]], 200, axis=0)):
+        assert points_diameter(pts) == all_pairs_diameter(pts)
+    # squared distances overflow: the bound is skipped, not trusted
+    far = np.array([(1e200, 0.0)] + [(-1e200, 0.0)] * 100)
+    with np.errstate(over="ignore"):
+        assert points_diameter(far) == math.inf
+
+
+def test_points_diameter_tiny_inputs():
+    assert points_diameter(np.empty((0, 2))) == 0.0
+    assert points_diameter([(0.5, 0.25)]) == 0.0
+    assert points_diameter([(0.0, 0.0), (3.0, 4.0)]) == 5.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                min_size=0, max_size=300))
+def test_points_diameter_equals_oracle_on_random_sets(coords):
+    pts = np.asarray(coords, dtype=float).reshape(-1, 2)
+    assert points_diameter(pts) == all_pairs_diameter(pts)
 
 
 def test_resample_keeps_vertices():

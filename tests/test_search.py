@@ -52,6 +52,20 @@ def test_segment_trisection_rejects_exterior_point(hexagon):
         equal_area_segment_trisection(hexagon, np.array([5.0, 0.0]), 0.0)
 
 
+def test_broken_area_additivity_raises_and_skips_the_cell(hexagon,
+                                                          monkeypatch):
+    # a solve that returns its lower bracket leaves the third region with
+    # the whole area; the check must raise a typed error, also under -O
+    import trisect.search as search
+    monkeypatch.setattr(search._BoundaryWalk, "solve_position",
+                        lambda self, area_fn, t_lo, t_hi: t_lo)
+    with pytest.raises(InfeasibleConfigurationError, match="additivity"):
+        equal_area_segment_trisection(hexagon, np.zeros(2), 0.3)
+    cells = [(np.zeros(2), 0.3)]
+    assert search._sweep_cells(hexagon, hexagon.boundary, cells, "segments",
+                               0.0, 0) == [None]
+
+
 def test_moving_endpoint_off_optimum_increases_dm(hexagon):
     std = standard_trisection(hexagon)
     w0 = std.endpoints[0]
