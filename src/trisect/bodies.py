@@ -63,36 +63,32 @@ class SymmetricBody:
         The boundary between profile samples is the straight chord, so
         this is exact for polygonal bodies whose corners are samples.
         """
-        theta = np.mod(np.asarray(theta, dtype=float), 2.0 * math.pi)
-        scalar = theta.ndim == 0
-        theta = np.atleast_1d(theta)
-        ang = self.boundary_angles
-        pts = self.boundary
-        n = len(pts)
-        idx = np.searchsorted(ang, theta)
-        i1 = (idx - 1) % n
-        i2 = idx % n
-        p1, p2 = pts[i1], pts[i2]
-        d = np.column_stack((np.cos(theta), np.sin(theta)))
-        num = p1[:, 0] * p2[:, 1] - p1[:, 1] * p2[:, 0]
-        den = (d[:, 0] * (p2[:, 1] - p1[:, 1]) - d[:, 1] * (p2[:, 0] - p1[:, 0]))
-        exact = np.abs(den) < 1e-14
-        r = np.where(exact, np.hypot(*p1.T), num / np.where(exact, 1.0, den))
-        return float(r[0]) if scalar else r
+        theta = np.asarray(theta, dtype=float)
+        r = _ray_chord_radius(self.boundary, self.boundary_angles, theta)
+        return float(r[0]) if theta.ndim == 0 else r
 
     def max_radius(self):
         """Max distance from the center to the boundary (attained at a sample)."""
         return float(np.max(self.sector_r))
 
-    def min_radius(self):
-        """Min distance from the center to the boundary, exact over chords."""
+    @cached_property
+    def nearest_point(self):
+        """Boundary point closest to the center and its distance rho,
+        exact over chords.
+
+        Ties (threefold copies, flat arcs) are broken by smallest polar angle.
+        """
         pts = self.boundary
         nxt = np.roll(pts, -1, axis=0)
         e = nxt - pts
         t = np.clip(-np.einsum("ij,ij->i", pts, e)
                     / np.maximum(np.einsum("ij,ij->i", e, e), 1e-30), 0.0, 1.0)
         feet = pts + t[:, None] * e
-        return float(np.min(np.hypot(feet[:, 0], feet[:, 1])))
+        dist = np.hypot(feet[:, 0], feet[:, 1])
+        rho = float(np.min(dist))
+        tied = np.nonzero(dist <= rho + 1e-12)[0]
+        angles = np.mod(np.arctan2(feet[tied, 1], feet[tied, 0]), 2 * math.pi)
+        return feet[tied[np.argmin(angles)]].copy(), rho
 
     def scaled(self, factor, label=None):
         """Uniform dilation about the center."""
@@ -147,25 +143,28 @@ def _sector_angles(corner_thetas=(), samples=DEFAULT_SECTOR_SAMPLES):
     return np.union1d(grid, corners)
 
 
+def _ray_chord_radius(pts, ang, theta):
+    """Distance from the origin along direction(s) theta to the closed
+    polygon pts, whose vertices sit at increasing polar angles ang in
+    [0, 2pi): the ray meets the chord between the vertices either side."""
+    theta = np.mod(np.atleast_1d(np.asarray(theta, dtype=float)), 2.0 * math.pi)
+    n = len(pts)
+    idx = np.searchsorted(ang, theta)
+    p1, p2 = pts[(idx - 1) % n], pts[idx % n]
+    d = np.column_stack((np.cos(theta), np.sin(theta)))
+    num = p1[:, 0] * p2[:, 1] - p1[:, 1] * p2[:, 0]
+    den = d[:, 0] * (p2[:, 1] - p1[:, 1]) - d[:, 1] * (p2[:, 0] - p1[:, 0])
+    exact = np.abs(den) < 1e-14
+    return np.where(exact, np.hypot(*p1.T), num / np.where(exact, 1.0, den))
+
+
 def _radius_on_polygon(vertices):
     """Radius function of a convex polygon (CCW, origin interior)."""
     pts = np.asarray(vertices, dtype=float)
     ang = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
     order = np.argsort(ang)
     pts, ang = pts[order], ang[order]
-    n = len(pts)
-
-    def r_fn(theta):
-        theta = np.mod(np.atleast_1d(np.asarray(theta, dtype=float)), 2.0 * math.pi)
-        idx = np.searchsorted(ang, theta)
-        p1, p2 = pts[(idx - 1) % n], pts[idx % n]
-        d = np.column_stack((np.cos(theta), np.sin(theta)))
-        num = p1[:, 0] * p2[:, 1] - p1[:, 1] * p2[:, 0]
-        den = d[:, 0] * (p2[:, 1] - p1[:, 1]) - d[:, 1] * (p2[:, 0] - p1[:, 0])
-        exact = np.abs(den) < 1e-14
-        return np.where(exact, np.hypot(*p1.T), num / np.where(exact, 1.0, den))
-
-    return r_fn
+    return lambda theta: _ray_chord_radius(pts, ang, theta)
 
 
 def _polygon_outline_hint(vertices):
@@ -374,6 +373,9 @@ def load_body(source):
             with open(text) as fh:
                 doc = json.load(fh)
     profile = np.asarray(doc["sector_profile"], dtype=float)
+    if profile.ndim != 2 or profile.shape[0] == 0 or profile.shape[1] != 2:
+        raise ValueError("sector_profile must be a non-empty list of "
+                         "[theta, r] pairs")
     return SymmetricBody(sector_theta=profile[:, 0], sector_r=profile[:, 1],
                          label=str(doc.get("label", "custom")))
 

@@ -48,9 +48,20 @@ def resolve_body(spec, parser):
     if spec.endswith(".json"):
         try:
             return load_body(spec)
-        except (OSError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             parser.error(f"cannot load body file {spec}: {exc}")
     parser.error(f"unknown body preset {spec!r}")
+
+
+def _checked_body(spec, parser):
+    """resolve_body for the commands that compute with the body: a custom
+    body that fails validate is a usage error, not a number."""
+    body = resolve_body(spec, parser)
+    if spec.endswith(".json"):
+        report = validate(body)
+        if not report.clean:
+            parser.error(f"invalid body {spec}: " + "; ".join(report.messages))
+    return body
 
 
 def dumps(doc):
@@ -67,7 +78,7 @@ def _write(text, out_path):
 
 
 def cmd_dm(args, parser):
-    body = resolve_body(args.body, parser)
+    body = _checked_body(args.body, parser)
     rho = inscribed_ball_radius(body)
     big_r = body.max_radius()
     dm_closed = closed_form_dm_standard(body)
@@ -92,10 +103,14 @@ def cmd_dm(args, parser):
     return 0
 
 
+def _check_grid(args, parser):
+    if args.grid_c < 1 or args.grid_theta < 8:
+        parser.error("--grid-c must be at least 1 and --grid-theta at least 8")
+
+
 def cmd_sweep(args, parser):
-    if args.grid_theta < 8:
-        parser.error("--grid-theta must be at least 8")
-    body = resolve_body(args.body, parser)
+    _check_grid(args, parser)
+    body = _checked_body(args.body, parser)
     rng = np.random.default_rng(args.seed)
     grid = SweepGrid(c_points=default_c_points(body, args.grid_c, rng),
                      theta1_count=args.grid_theta,
@@ -124,11 +139,12 @@ def cmd_heps(args, parser):
 
 
 def cmd_render(args, parser):
-    body = resolve_body(args.body, parser)
+    body = _checked_body(args.body, parser)
     tri = None
     if args.what == "standard":
         tri = standard_trisection(body)
     elif args.what == "sweep_argmin":
+        _check_grid(args, parser)
         rng = np.random.default_rng(args.seed)
         grid = SweepGrid(c_points=default_c_points(body, args.grid_c, rng),
                          theta1_count=args.grid_theta)

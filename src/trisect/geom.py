@@ -123,9 +123,13 @@ def points_diameter(points):
     1e-9 of L plus the coordinate scale for rounding.  The survivors'
     all-pairs maximum evaluates the same expression on the same winning
     pair, so the result does not depend on the pruning.  Sets of at most
-    K points skip the bound; all pairs is cheaper there.
+    K points skip the bound; all pairs is cheaper there.  Raises
+    DegenerateGeometryError on NaN or infinite coordinates; squared
+    distances that overflow give inf.
     """
     p = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise DegenerateGeometryError("point set has NaN or infinite coordinates")
     if len(p) > _K:
         proj = _DIRS @ p.T
         ext = np.argmax(proj, axis=1)
@@ -133,7 +137,7 @@ def points_diameter(points):
         a, b = p[ext[:_K // 2]], p[ext[_K // 2:]]
         dx, dy = a[:, 0] - b[:, 0], a[:, 1] - b[:, 1]
         low = math.sqrt(float(np.max(dx * dx + dy * dy)))
-        # non-finite input or overflow: plain all pairs, as before
+        # projections or squared distances overflow: plain all pairs
         if math.isfinite(low) and np.all(np.isfinite(h)):
             slack = 1e-9 * (low + float(np.max(np.abs(p))))
             reach = np.max(h[:, None] - proj, axis=0)

@@ -1,8 +1,6 @@
 """Brute-force sweeps and probes verifying the trisection minimality results."""
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,8 +8,9 @@ import numpy as np
 from . import bodies as _bodies
 from .bodies import H_EPS_A_MAX, SECTOR
 from .geom import points_diameter, rotate
-from .trisection import (AREA_TOL, Trisection, closed_form_dm_standard,
-                         h_eps_dpx, h_eps_dv12, inscribed_ball_radius,
+from .trisection import (AREA_TOL, Trisection, boundary_arc,
+                         closed_form_dm_standard, h_eps_dpx, h_eps_dv12,
+                         inscribed_ball_radius, smallest_enclosing_triangle,
                          standard_trisection)
 
 VIOLATION_TOL = 1e-3  # slack below the closed form before a sweep cell counts
@@ -104,10 +103,10 @@ def default_c_points(body, count, rng):
     return np.array(pts[:count])
 
 
-def _dense_boundary(body, per_sector=256):
-    """Boundary rebuilt at a working resolution, hint corners kept exact."""
+def _dense_boundary(body):
+    """Boundary rebuilt at 256 samples per sector, hint corners kept exact."""
     corner_angles = [math.atan2(y, x) for x, y in body.vertices_hint]
-    sector = _bodies._sector_angles(corner_angles, per_sector)
+    sector = _bodies._sector_angles(corner_angles, 256)
     thetas = np.concatenate([sector + k * SECTOR for k in range(3)])
     r = body.radius_at(thetas)
     return np.column_stack((r * np.cos(thetas), r * np.sin(thetas)))
@@ -119,6 +118,7 @@ class _BoundaryWalk:
     Positions t live in [0, M) (index plus fraction along the chord);
     swept_area(t) is the signed area of the fan from position 0 to t
     about c, piecewise linear and strictly increasing for interior c.
+    point_at and swept_area take a position or an array of positions.
     """
 
     def __init__(self, boundary, c):
@@ -151,14 +151,14 @@ class _BoundaryWalk:
         return i + min(max(u, 0.0), 1.0 - 1e-12)
 
     def point_at(self, t):
-        t = t % self.n
-        i = int(t)
-        u = t - i
+        t = np.asarray(t) % self.n
+        i = t.astype(int)
+        u = (t - i)[..., None]
         return self.pts[i] + u * (self.pts[(i + 1) % self.n] - self.pts[i])
 
     def swept_area(self, t):
-        wraps, tm = divmod(t, self.n)
-        i = int(tm)
+        wraps, tm = np.divmod(t, self.n)
+        i = tm.astype(int)
         u = tm - i
         val = self.prefix[i] + u * (self.prefix[i + 1] - self.prefix[i])
         return val + wraps * self.total_area
@@ -171,29 +171,36 @@ class _BoundaryWalk:
                                                    - int(math.floor(ta)) - 1)) % self.n
         return self.pts[idx]
 
-    def solve_position(self, area_fn, t_lo, t_hi, iters=60):
-        """Bisection for area_fn(t) == 0 with a sign change on [t_lo, t_hi]."""
-        f_lo, f_hi = area_fn(t_lo), area_fn(t_hi)
-        if f_lo > 0.0 or f_hi < 0.0:
+    def solve_position(self, area_fn, t_lo, t_hi):
+        """Root of area_fn on [t_lo, t_hi], given a sign change there.
+
+        area_fn takes an array of positions and is linear between integer
+        positions, so one vectorised evaluation at t_lo, every integer in
+        between and t_hi, then a linear solve inside the first segment
+        that reaches 0, gives the root exactly (up to rounding).
+        """
+        ts = np.concatenate(([t_lo], np.arange(math.floor(t_lo) + 1,
+                                               math.ceil(t_hi)), [t_hi]))
+        f = area_fn(ts)
+        if f[0] > 0.0 or f[-1] < 0.0:
             raise InfeasibleConfigurationError("no sign change for area target")
-        for _ in range(iters):
-            mid = 0.5 * (t_lo + t_hi)
-            if area_fn(mid) <= 0.0:
-                t_lo = mid
-            else:
-                t_hi = mid
-        return 0.5 * (t_lo + t_hi)
+        k = int(np.argmax(f >= 0.0))
+        if k == 0:
+            return float(t_lo)
+        return float(ts[k - 1] - f[k - 1] * (ts[k] - ts[k - 1])
+                     / (f[k] - f[k - 1]))
 
 
 def _tri_area(c, a, b):
-    return 0.5 * ((a[0] - c[0]) * (b[1] - c[1]) - (a[1] - c[1]) * (b[0] - c[0]))
+    return 0.5 * ((a[..., 0] - c[0]) * (b[..., 1] - c[1])
+                  - (a[..., 1] - c[1]) * (b[..., 0] - c[0]))
 
 
 def _assemble(walk, ts, mids=None):
     """Build a Trisection from three boundary positions (and optional
     fixed curve mid-vertices)."""
     c = walk.c
-    ws = np.array([walk.point_at(t) for t in ts])
+    ws = walk.point_at(np.array(ts))
     curves, regions = [], []
     for k in range(3):
         w0, w1 = ws[k], ws[(k + 1) % 3]
@@ -208,12 +215,15 @@ def _assemble(walk, ts, mids=None):
                       endpoints=ws, regions=tuple(regions))
 
 
-def equal_area_segment_trisection(body, c, theta1, boundary=None):
+def equal_area_segment_trisection(body, c, theta1):
     """Trisection by three segments from c, first endpoint at polar angle
-    theta1 as seen from c; the other endpoints are solved by bisection on
-    boundary arc-position so every region encloses a third of the area."""
-    B = body.boundary if boundary is None else boundary
-    walk = _BoundaryWalk(B, c)
+    theta1 as seen from c; the other endpoints are solved exactly on
+    boundary arc-position (the swept area is piecewise linear in it) so
+    every region encloses a third of the area."""
+    return _segment_trisection(_BoundaryWalk(body.boundary, c), theta1)
+
+
+def _segment_trisection(walk, theta1):
     A = walk.total_area
     t1 = walk.ray_position(theta1)
     f1 = walk.swept_area(t1)
@@ -227,13 +237,16 @@ def equal_area_segment_trisection(body, c, theta1, boundary=None):
     return _assemble(walk, [t1 % walk.n, t2 % walk.n, t3 % walk.n])
 
 
-def perturbed_polyline_trisection(body, c, theta1, rng, magnitude,
-                                  boundary=None):
+def perturbed_polyline_trisection(body, c, theta1, rng, magnitude):
     """Segment trisection with curve mid-vertices jittered, areas restored
     by re-solving the second and third endpoints only."""
-    B = body.boundary if boundary is None else boundary
-    base = equal_area_segment_trisection(body, c, theta1, boundary=B)
-    walk = _BoundaryWalk(B, c)
+    return _perturbed_trisection(_BoundaryWalk(body.boundary, c), theta1, rng,
+                                 magnitude)
+
+
+def _perturbed_trisection(walk, theta1, rng, magnitude):
+    c = walk.c
+    base = _segment_trisection(walk, theta1)
     A = walk.total_area
     mids = []
     for w in base.endpoints:
@@ -266,67 +279,52 @@ def trisection_dm(tri):
     return max(points_diameter(r) for r in tri.regions)
 
 
-def _sweep_cells(body, boundary, cells, curve_mode, magnitude, seed):
-    rng = np.random.default_rng(seed)
-    out = []
-    for c, theta1 in cells:
-        try:
-            if curve_mode == "segments":
-                tri = equal_area_segment_trisection(body, c, theta1,
-                                                    boundary=boundary)
-            else:
-                tri = perturbed_polyline_trisection(body, c, theta1, rng,
-                                                    magnitude, boundary=boundary)
-        except InfeasibleConfigurationError:
-            out.append(None)
-            continue
-        out.append((trisection_dm(tri), tri))
-    return out
-
-
-def sweep_segment_trisections(body, grid, per_sector=256, seed=42):
+def sweep_segment_trisections(body, grid, seed=42):
     """Evaluate d_M over the (c, theta1) grid and report the minimum plus
-    any cells falling below the closed-form standard value."""
-    boundary = _dense_boundary(body, per_sector)
-    dm_standard = closed_form_dm_standard(body)
-    rho = inscribed_ball_radius(body)
-    floor = max(body.max_radius(), math.sqrt(3.0) * rho)
-    thetas = np.arange(grid.theta1_count) * 2.0 * math.pi / grid.theta1_count
-    cells = [(c, th) for c in grid.c_points for th in thetas]
+    any cells falling below the closed-form standard value.
 
-    threads = int(os.environ.get("TRISECT_THREADS", "1"))
-    if threads > 1 and len(cells) > threads:
-        chunks = np.array_split(np.arange(len(cells)), threads)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(_sweep_cells, body, boundary,
-                                [cells[i] for i in ch], grid.curve_mode,
-                                grid.perturbation_magnitude, seed + w)
-                    for w, ch in enumerate(chunks)]
-            results = [r for f in futs for r in f.result()]
-    else:
-        results = _sweep_cells(body, boundary, cells, grid.curve_mode,
-                               grid.perturbation_magnitude, seed)
+    One boundary walk per common point serves all its theta1 cells; the
+    cells run in grid order on one random stream, so a report depends
+    only on the body, the grid and the seed.
+    """
+    boundary = _dense_boundary(body)
+    dm_standard = closed_form_dm_standard(body)
+    thetas = np.arange(grid.theta1_count) * 2.0 * math.pi / grid.theta1_count
+    rng = np.random.default_rng(seed)
 
     min_dm, argmin = math.inf, None
     violations = []
     floor_margin = math.inf
     skipped = 0
-    for res in results:
-        if res is None:
-            skipped += 1
+    for c in grid.c_points:
+        try:
+            walk = _BoundaryWalk(boundary, c)
+        except InfeasibleConfigurationError:
+            skipped += len(thetas)
             continue
-        dm, tri = res
-        floor_margin = min(floor_margin, dm - floor)
-        if dm < min_dm:
-            min_dm, argmin = dm, tri
-        if dm < dm_standard - VIOLATION_TOL:
-            violations.append((tri.to_dict(dm=dm), dm_standard - dm))
+        for theta1 in thetas:
+            try:
+                if grid.curve_mode == "segments":
+                    tri = _segment_trisection(walk, theta1)
+                else:
+                    tri = _perturbed_trisection(walk, theta1, rng,
+                                                grid.perturbation_magnitude)
+            except InfeasibleConfigurationError:
+                skipped += 1
+                continue
+            dm = trisection_dm(tri)
+            # the lemma floor max(R, sqrt(3) rho) is dm_standard itself
+            floor_margin = min(floor_margin, dm - dm_standard)
+            if dm < min_dm:
+                min_dm, argmin = dm, tri
+            if dm < dm_standard - VIOLATION_TOL:
+                violations.append((tri.to_dict(dm=dm), dm_standard - dm))
     if argmin is None:
         raise InfeasibleConfigurationError("every grid cell was infeasible")
     return SweepReport(body_label=body.label, grid=grid, min_dm=min_dm,
                        argmin=argmin, dm_standard=dm_standard,
                        violations=tuple(violations), floor_margin=floor_margin,
-                       cells_evaluated=len(cells) - skipped,
+                       cells_evaluated=len(grid.c_points) * len(thetas) - skipped,
                        cells_skipped=skipped)
 
 
@@ -435,8 +433,6 @@ def uniqueness_probe(body, samples=10, seed=42, magnitude=None, tol=1e-4):
 
 def rotate_trisection(body, delta):
     """Standard trisection with its three segments rotated by delta."""
-    from .trisection import boundary_arc, smallest_enclosing_triangle
-
     tri = smallest_enclosing_triangle(body)
     origin = np.zeros(2)
     angles = tri.orientation + delta + SECTOR * np.arange(3)

@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bodies import H_EPS_A_MAX, SECTOR, regular_polygon_apothem
-from .geom import region_diameter, rotate
+from .geom import region_diameter
 
 AREA_TOL = 1e-4  # relative area slack for a trisection to count as valid
 
@@ -81,18 +81,9 @@ def nearest_boundary_point(body):
     """Boundary point closest to the center, and its distance rho.
 
     Ties (threefold copies, flat arcs) are broken by smallest polar angle.
+    Computed once per body; the point is a copy the caller may modify.
     """
-    pts = body.boundary
-    nxt = np.roll(pts, -1, axis=0)
-    e = nxt - pts
-    t = np.clip(-np.einsum("ij,ij->i", pts, e)
-                / np.maximum(np.einsum("ij,ij->i", e, e), 1e-30), 0.0, 1.0)
-    feet = pts + t[:, None] * e
-    dist = np.hypot(feet[:, 0], feet[:, 1])
-    rho = float(np.min(dist))
-    tied = np.nonzero(dist <= rho + 1e-12)[0]
-    angles = np.mod(np.arctan2(feet[tied, 1], feet[tied, 0]), 2 * math.pi)
-    m = feet[tied[np.argmin(angles)]]
+    m, rho = body.nearest_point
     return m.copy(), rho
 
 
@@ -107,7 +98,7 @@ def smallest_enclosing_triangle(body):
 
 def inscribed_ball_radius(body):
     """Radius of the inscribed ball (apothem of the enclosing triangle)."""
-    return nearest_boundary_point(body)[1]
+    return body.nearest_point[1]
 
 
 def boundary_arc(body, theta_a, theta_b):
@@ -211,14 +202,3 @@ def solve_a0():
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def rotated(body, angle, label=None):
-    """Body rotated about its center (for orientation-invariance checks)."""
-    from .bodies import SymmetricBody
-
-    thetas = np.mod(body.sector_theta + angle, SECTOR)
-    order = np.argsort(thetas)
-    hints = tuple(tuple(rotate(np.asarray(v), angle)) for v in body.vertices_hint)
-    return SymmetricBody(sector_theta=thetas[order], sector_r=body.sector_r[order],
-                         label=body.label if label is None else label,
-                         vertices_hint=hints)

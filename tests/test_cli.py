@@ -68,10 +68,50 @@ def test_malformed_selector_exits_2(spec, capsys):
     assert spec in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("profile", [[0.0, 0.6], [], [[0.0, 0.6, 1.0]],
+                                     "abc", {"a": 1}])
+@pytest.mark.parametrize("command", [
+    ["dm"], ["sweep"], ["render"],
+    ["verify", "--heps-samples", "2", "--random", "0"]])
+def test_malformed_profile_exits_2(tmp_path, capsys, command, profile):
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"sector_profile": profile}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--body", str(path)])
+    assert exc.value.code == 2
+    assert "cannot load body file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("profile", [
+    [[0.0, 0.6]],                                   # one point
+    [[0.0, 0.6], [1.0, float("nan")]],              # NaN radius
+])
+@pytest.mark.parametrize("command", ["dm", "sweep", "render"])
+def test_unclean_body_exits_2(tmp_path, capsys, command, profile):
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"sector_profile": profile}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--body", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid body" in err and "deviates from 1" in err
+
+
 def test_bad_grid_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--body", "hexagon", "--grid-theta", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--grid-c", "0"],
+    ["render", "--what", "sweep_argmin", "--grid-c", "-1"],
+    ["render", "--what", "sweep_argmin", "--grid-theta", "3"]])
+def test_bad_grid_size_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--body", "hexagon"])
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
 
 
 def test_heps_table(capsys):

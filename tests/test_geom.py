@@ -206,6 +206,14 @@ def test_points_diameter_with_duplicates_offset_and_overflow():
         assert points_diameter(far) == math.inf
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_points_diameter_rejects_non_finite_coordinates(bad):
+    line = np.column_stack((np.linspace(0.0, 1.0, 100), np.zeros(100)))
+    for pts in (np.vstack([line, [(bad, 0.0)]]), [(0.0, 0.0), (0.0, bad)]):
+        with pytest.raises(DegenerateGeometryError):
+            points_diameter(pts)
+
+
 def test_points_diameter_tiny_inputs():
     assert points_diameter(np.empty((0, 2))) == 0.0
     assert points_diameter([(0.5, 0.25)]) == 0.0

@@ -6,6 +6,7 @@ import pytest
 
 from trisect.bodies import (H_EPS_A_MAX, SECTOR, make_h_eps,
                             make_regular_polygon, random_body)
+from trisect.cli import PRESETS
 from trisect.search import (FLOOR_TOL, VIOLATION_TOL,
                             InfeasibleConfigurationError, OptimalityReport,
                             SweepGrid, SweepReport, antipodal_gap,
@@ -61,9 +62,60 @@ def test_broken_area_additivity_raises_and_skips_the_cell(hexagon,
                         lambda self, area_fn, t_lo, t_hi: t_lo)
     with pytest.raises(InfeasibleConfigurationError, match="additivity"):
         equal_area_segment_trisection(hexagon, np.zeros(2), 0.3)
-    cells = [(np.zeros(2), 0.3)]
-    assert search._sweep_cells(hexagon, hexagon.boundary, cells, "segments",
-                               0.0, 0) == [None]
+    # the sweep skips each such cell instead of crashing
+    grid = SweepGrid(c_points=np.zeros((1, 2)), theta1_count=8)
+    with pytest.raises(InfeasibleConfigurationError,
+                       match="every grid cell was infeasible"):
+        sweep_segment_trisections(hexagon, grid)
+
+
+def test_equal_area_solve_is_exact():
+    # the swept area is piecewise linear in arc position, so the solved
+    # regions hit A/3 up to rounding, in both curve modes
+    rng = np.random.default_rng(23)
+    for make in PRESETS.values():
+        body = make()
+        A = body.area
+        rho = inscribed_ball_radius(body)
+        for _ in range(4):
+            r = 0.8 * rho * math.sqrt(rng.uniform())
+            phi = rng.uniform(0, 2 * math.pi)
+            c = np.array([r * math.cos(phi), r * math.sin(phi)])
+            theta1 = rng.uniform(0, 2 * math.pi)
+            for tri in (equal_area_segment_trisection(body, c, theta1),
+                        perturbed_polyline_trisection(body, c, theta1, rng,
+                                                      0.02)):
+                assert np.all(np.abs(tri.region_areas() - A / 3.0)
+                              <= 1e-12 * A), body.label
+
+
+def test_exact_solve_matches_bisection(h_tilde):
+    from trisect.search import _BoundaryWalk
+    walk = _BoundaryWalk(h_tilde.boundary, np.array([0.05, -0.1]))
+    t_lo, t_hi = 0.3, 0.3 + walk.n
+    start = walk.swept_area(t_lo)
+    for share in (0.1, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.9):
+        def gap(t):
+            return walk.swept_area(t) - start - share * walk.total_area
+        lo, hi = t_lo, t_hi
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gap(mid) <= 0.0 else (lo, mid)
+        assert walk.solve_position(gap, t_lo, t_hi) == pytest.approx(lo, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["segments", "perturbed_polylines"])
+def test_sweep_does_not_depend_on_the_environment(hexagon, monkeypatch, mode):
+    rng = np.random.default_rng(8)
+    grid = SweepGrid(c_points=default_c_points(hexagon, 6, rng),
+                     theta1_count=8, curve_mode=mode,
+                     perturbation_magnitude=0.02)
+    monkeypatch.delenv("TRISECT_THREADS", raising=False)
+    base = sweep_segment_trisections(hexagon, grid, seed=3).to_dict()
+    for value in ("2", "abc"):
+        monkeypatch.setenv("TRISECT_THREADS", value)
+        assert sweep_segment_trisections(hexagon, grid,
+                                         seed=3).to_dict() == base
 
 
 def test_moving_endpoint_off_optimum_increases_dm(hexagon):

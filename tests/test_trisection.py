@@ -5,16 +5,26 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import directed_hausdorff
 
-from trisect.bodies import H_EPS_A_MAX, SECTOR, make_h_eps, make_regular_polygon
+from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody, make_h_eps,
+                            make_regular_polygon)
 from trisect.geom import polygon_area, rotate
 from trisect.trisection import (InvalidTrisectionError, Trisection,
                                 closed_form_dm_standard, dm_regular_closed_form,
                                 h_eps_dpx, h_eps_dv12, inscribed_ball_radius,
                                 max_relative_diameter, nearest_boundary_point,
-                                rotated, smallest_enclosing_triangle, solve_a0,
+                                smallest_enclosing_triangle, solve_a0,
                                 standard_trisection)
 
 SQRT3 = math.sqrt(3.0)
+
+
+def rotated(body, angle):
+    """Body rotated about its center (for orientation-invariance checks)."""
+    thetas = np.mod(body.sector_theta + angle, SECTOR)
+    order = np.argsort(thetas)
+    hints = tuple(tuple(rotate(np.asarray(v), angle)) for v in body.vertices_hint)
+    return SymmetricBody(sector_theta=thetas[order], sector_r=body.sector_r[order],
+                         label=body.label, vertices_hint=hints)
 
 
 def hausdorff(a, b):
@@ -43,6 +53,16 @@ def test_nearest_point_lies_on_boundary(hexagon):
     theta = math.atan2(m[1], m[0])
     assert np.hypot(*m) == pytest.approx(rho, abs=1e-12)
     assert hexagon.radius_at(theta) == pytest.approx(rho, abs=1e-9)
+
+
+def test_nearest_point_is_cached_and_copied():
+    body = make_regular_polygon(2)
+    m, rho = nearest_boundary_point(body)
+    m[:] = 0.0  # the caller's copy; the body's cached point is untouched
+    again, rho_again = nearest_boundary_point(body)
+    assert np.hypot(*again) == pytest.approx(rho, abs=1e-12)
+    assert rho_again == rho == inscribed_ball_radius(body)
+    assert body.nearest_point[0] is not again
 
 
 def test_enclosing_triangle_of_triangle_is_itself(triangle):
