@@ -82,8 +82,7 @@ def cmd_dm(args, parser):
     rho = inscribed_ball_radius(body)
     big_r = body.max_radius()
     dm_closed = closed_form_dm_standard(body)
-    dm_geom = max_relative_diameter(body, standard_trisection(body),
-                                    sample_count=args.samples)
+    dm_geom = max_relative_diameter(body, standard_trisection(body))
     doc = {
         "body": body.label,
         "rho": rho,
@@ -110,6 +109,8 @@ def _check_grid(args, parser):
 
 def cmd_sweep(args, parser):
     _check_grid(args, parser)
+    if not (math.isfinite(args.magnitude) and args.magnitude >= 0.0):
+        parser.error("--magnitude must be a finite non-negative number")
     body = _checked_body(args.body, parser)
     rng = np.random.default_rng(args.seed)
     grid = SweepGrid(c_points=default_c_points(body, args.grid_c, rng),
@@ -171,6 +172,10 @@ def _verify_pool(args, parser):
 
 
 def cmd_verify(args, parser):
+    if args.samples < 64:
+        parser.error("--samples must be at least 64")
+    if args.heps_samples < 0 or args.random < 0:
+        parser.error("--heps-samples and --random must be non-negative")
     pool = _verify_pool(args, parser)
     lines = []
     ok = True
@@ -181,10 +186,12 @@ def cmd_verify(args, parser):
         lines.append(f"{'PASS' if passed else 'FAIL'} {name}"
                      + (f" ({detail})" if detail else ""))
 
+    valid_pool = []
     for body in pool:
         report = validate(body)
         check(f"validate[{body.label}]", report.clean, "; ".join(report.messages))
-    valid_pool = [b for b in pool if validate(b).clean]
+        if report.clean:
+            valid_pool.append(body)
 
     opt = verify_h_tilde_optimal(valid_pool)
     check("quotient-bound", opt.all_pass,
@@ -231,7 +238,6 @@ def build_parser():
 
     p = sub.add_parser("dm", help="evaluate d_M for one body")
     common(p)
-    p.add_argument("--samples", type=int, default=4096)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=cmd_dm)
 

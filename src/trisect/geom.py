@@ -169,17 +169,19 @@ def resample_boundary(boundary, sample_count):
     return np.concatenate(out)
 
 
-def region_diameter(region, sample_count=4096):
+def region_diameter(region):
     """Diameter of a region given by its closed boundary polyline.
 
-    Samples the boundary (all stored vertices kept), takes the convex
-    hull and measures it with rotating calipers; valid for non-convex
-    regions because the diameter is hull-invariant.
+    Samples the boundary at 4096 points (all stored vertices kept), takes
+    the convex hull and measures it with rotating calipers; valid for
+    non-convex regions because the diameter is hull-invariant.  The
+    samples lie on the polygon's edges, so they cannot change its
+    diameter.
     """
     b = np.asarray(region, dtype=float)
     if polygon_area(b) <= EPS:
         raise DegenerateGeometryError("region has zero area")
-    samples = resample_boundary(b, sample_count)
+    samples = resample_boundary(b, 4096)
     return polygon_diameter(convex_hull(samples))
 
 

@@ -8,17 +8,13 @@ import numpy as np
 from . import bodies as _bodies
 from .bodies import H_EPS_A_MAX, SECTOR
 from .geom import points_diameter, rotate
-from .trisection import (AREA_TOL, Trisection, boundary_arc,
+from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
+                         _assemble, _BoundaryWalk, _centre_fan, _tri_area,
                          closed_form_dm_standard, h_eps_dpx, h_eps_dv12,
-                         inscribed_ball_radius, smallest_enclosing_triangle,
-                         standard_trisection)
+                         inscribed_ball_radius, rotate_trisection)
 
 VIOLATION_TOL = 1e-3  # slack below the closed form before a sweep cell counts
 FLOOR_TOL = 1e-6
-
-
-class InfeasibleConfigurationError(ValueError):
-    """No equal-area trisection exists for the requested configuration."""
 
 
 @dataclass(frozen=True)
@@ -110,109 +106,6 @@ def _dense_boundary(body):
     thetas = np.concatenate([sector + k * SECTOR for k in range(3)])
     r = body.radius_at(thetas)
     return np.column_stack((r * np.cos(thetas), r * np.sin(thetas)))
-
-
-class _BoundaryWalk:
-    """Arc-position parameterization of a closed boundary as seen from c.
-
-    Positions t live in [0, M) (index plus fraction along the chord);
-    swept_area(t) is the signed area of the fan from position 0 to t
-    about c, piecewise linear and strictly increasing for interior c.
-    point_at and swept_area take a position or an array of positions.
-    """
-
-    def __init__(self, boundary, c):
-        self.pts = np.asarray(boundary, dtype=float)
-        self.c = np.asarray(c, dtype=float)
-        self.n = len(self.pts)
-        rel = self.pts - self.c
-        nxt = np.roll(rel, -1, axis=0)
-        cr = rel[:, 0] * nxt[:, 1] - rel[:, 1] * nxt[:, 0]
-        if np.any(cr <= 0.0):
-            raise InfeasibleConfigurationError("common point is not interior")
-        self.prefix = np.concatenate(([0.0], 0.5 * np.cumsum(cr)))
-        self.total_area = float(self.prefix[-1])
-        phi = np.arctan2(rel[:, 1], rel[:, 0])
-        self.phi = np.unwrap(phi)
-
-    def ray_position(self, theta):
-        """Arc position where the ray from c at angle theta hits the boundary."""
-        q = self.phi[0] + (theta - self.phi[0]) % (2.0 * math.pi)
-        phi_ext = np.append(self.phi, self.phi[0] + 2.0 * math.pi)
-        i = int(np.searchsorted(phi_ext, q, side="right") - 1)
-        i = min(max(i, 0), self.n - 1)
-        p1 = self.pts[i] - self.c
-        p2 = self.pts[(i + 1) % self.n] - self.c
-        d = np.array([math.cos(theta), math.sin(theta)])
-        denom = d[0] * (p2[1] - p1[1]) - d[1] * (p2[0] - p1[0])
-        if abs(denom) < 1e-15:
-            return float(i)
-        u = (d[1] * p1[0] - d[0] * p1[1]) / denom
-        return i + min(max(u, 0.0), 1.0 - 1e-12)
-
-    def point_at(self, t):
-        t = np.asarray(t) % self.n
-        i = t.astype(int)
-        u = (t - i)[..., None]
-        return self.pts[i] + u * (self.pts[(i + 1) % self.n] - self.pts[i])
-
-    def swept_area(self, t):
-        wraps, tm = np.divmod(t, self.n)
-        i = tm.astype(int)
-        u = tm - i
-        val = self.prefix[i] + u * (self.prefix[i + 1] - self.prefix[i])
-        return val + wraps * self.total_area
-
-    def arc_points(self, t_a, t_b):
-        """Boundary points strictly between positions t_a < t_b (mod n)."""
-        ta = t_a % self.n
-        span = (t_b - t_a) % self.n
-        idx = (int(math.floor(ta)) + 1 + np.arange(int(math.ceil(ta + span))
-                                                   - int(math.floor(ta)) - 1)) % self.n
-        return self.pts[idx]
-
-    def solve_position(self, area_fn, t_lo, t_hi):
-        """Root of area_fn on [t_lo, t_hi], given a sign change there.
-
-        area_fn takes an array of positions and is linear between integer
-        positions, so one vectorised evaluation at t_lo, every integer in
-        between and t_hi, then a linear solve inside the first segment
-        that reaches 0, gives the root exactly (up to rounding).
-        """
-        ts = np.concatenate(([t_lo], np.arange(math.floor(t_lo) + 1,
-                                               math.ceil(t_hi)), [t_hi]))
-        f = area_fn(ts)
-        if f[0] > 0.0 or f[-1] < 0.0:
-            raise InfeasibleConfigurationError("no sign change for area target")
-        k = int(np.argmax(f >= 0.0))
-        if k == 0:
-            return float(t_lo)
-        return float(ts[k - 1] - f[k - 1] * (ts[k] - ts[k - 1])
-                     / (f[k] - f[k - 1]))
-
-
-def _tri_area(c, a, b):
-    return 0.5 * ((a[..., 0] - c[0]) * (b[..., 1] - c[1])
-                  - (a[..., 1] - c[1]) * (b[..., 0] - c[0]))
-
-
-def _assemble(walk, ts, mids=None):
-    """Build a Trisection from three boundary positions (and optional
-    fixed curve mid-vertices)."""
-    c = walk.c
-    ws = walk.point_at(np.array(ts))
-    curves, regions = [], []
-    for k in range(3):
-        w0, w1 = ws[k], ws[(k + 1) % 3]
-        arc = walk.arc_points(ts[k], ts[(k + 1) % 3])
-        if mids is None:
-            curves.append(np.array([c, w0]))
-            regions.append(np.vstack([c, w0, arc, w1]))
-        else:
-            curves.append(np.array([c, mids[k], w0]))
-            regions.append(np.vstack([c, mids[k], w0, arc, w1, mids[(k + 1) % 3]]))
-    return Trisection(common_point=c.copy(), curves=tuple(curves),
-                      endpoints=ws, regions=tuple(regions))
 
 
 def equal_area_segment_trisection(body, c, theta1):
@@ -399,29 +292,20 @@ def uniqueness_probe(body, samples=10, seed=42, magnitude=None, tol=1e-4):
     rng = np.random.default_rng(seed)
     rho = inscribed_ball_radius(body)
     dm_std = closed_form_dm_standard(body)
-    base = standard_trisection(body)
     endpoint_driven = math.sqrt(3.0) * rho >= body.max_radius()
     if magnitude is None:
         magnitude = 0.05 * rho if endpoint_driven else 0.05
+    if endpoint_driven:
+        walk, ts = _centre_fan(body, 0.0)
+        ws = walk.point_at(np.array(ts))
 
     minimizers = []
-    origin = np.zeros(2)
     for _ in range(samples):
         if endpoint_driven:
             # same jitter replicated by the symmetry keeps areas exactly equal
             jitter = rng.uniform(-magnitude, magnitude, 2)
-            mids, curves, regions = [], [], []
-            for k in range(3):
-                w = base.endpoints[k]
-                mids.append(0.5 * w + rotate(jitter, k * SECTOR))
-            for k in range(3):
-                w0, w1 = base.endpoints[k], base.endpoints[(k + 1) % 3]
-                curves.append(np.array([origin, mids[k], w0]))
-                arc = base.regions[k][1:]  # boundary arc incl. both endpoints
-                regions.append(np.vstack([origin, mids[k], arc,
-                                          mids[(k + 1) % 3]]))
-            tri = Trisection(common_point=origin, curves=tuple(curves),
-                             endpoints=base.endpoints, regions=tuple(regions))
+            mids = [0.5 * ws[k] + rotate(jitter, k * SECTOR) for k in range(3)]
+            tri = _assemble(walk, ts, mids)
         else:
             delta = rng.uniform(-magnitude, magnitude)
             tri = rotate_trisection(body, delta)
@@ -429,19 +313,3 @@ def uniqueness_probe(body, samples=10, seed=42, magnitude=None, tol=1e-4):
         if abs(dm - dm_std) <= tol:
             minimizers.append(tri)
     return minimizers
-
-
-def rotate_trisection(body, delta):
-    """Standard trisection with its three segments rotated by delta."""
-    tri = smallest_enclosing_triangle(body)
-    origin = np.zeros(2)
-    angles = tri.orientation + delta + SECTOR * np.arange(3)
-    radii = body.radius_at(angles)
-    ws = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-    curves, regions = [], []
-    for k in range(3):
-        curves.append(np.array([origin, ws[k]]))
-        arc = boundary_arc(body, angles[k], angles[(k + 1) % 3])
-        regions.append(np.vstack([origin, arc]))
-    return Trisection(common_point=origin, curves=tuple(curves),
-                      endpoints=ws, regions=tuple(regions))

@@ -1,4 +1,5 @@
-"""Standard trisection, enclosing triangle, and the d_M functional."""
+"""Trisections built on one boundary walk, the enclosing triangle, and the
+d_M functional."""
 
 import math
 from dataclasses import dataclass
@@ -16,6 +17,10 @@ class InvalidTrisectionError(ValueError):
     """Trisection violates the equal-area or interior-point invariants."""
 
 
+class InfeasibleConfigurationError(ValueError):
+    """No equal-area trisection exists for the requested configuration."""
+
+
 @dataclass(frozen=True)
 class EquiTriangle:
     """Equilateral triangle: center, apothem, and the direction from the
@@ -28,11 +33,6 @@ class EquiTriangle:
     @property
     def side(self):
         return 2.0 * math.sqrt(3.0) * self.apothem
-
-    def edge_midpoints(self):
-        angles = self.orientation + SECTOR * np.arange(3)
-        return self.center + self.apothem * np.column_stack(
-            (np.cos(angles), np.sin(angles)))
 
     def corners(self):
         angles = self.orientation + math.pi / 3.0 + SECTOR * np.arange(3)
@@ -101,39 +101,129 @@ def inscribed_ball_radius(body):
     return body.nearest_point[1]
 
 
-def boundary_arc(body, theta_a, theta_b):
-    """Boundary points CCW from angle theta_a to theta_b, endpoints included."""
-    ang = body.boundary_angles
-    pts = body.boundary
-    ta = theta_a % (2 * math.pi)
-    tb = theta_b % (2 * math.pi)
-    span = (tb - ta) % (2 * math.pi)
-    rel = (ang - ta) % (2 * math.pi)
-    inside = (rel > 1e-12) & (rel < span - 1e-12)
-    chunk = pts[inside][np.argsort(rel[inside])]
-    pa = np.array([math.cos(ta), math.sin(ta)]) * body.radius_at(ta)
-    pb = np.array([math.cos(tb), math.sin(tb)]) * body.radius_at(tb)
-    return np.vstack([pa, chunk, pb])
+class _BoundaryWalk:
+    """Arc-position parameterization of a closed boundary as seen from c.
+
+    Positions t live in [0, M) (index plus fraction along the chord);
+    swept_area(t) is the signed area of the fan from position 0 to t
+    about c, piecewise linear and strictly increasing for interior c.
+    point_at and swept_area take a position or an array of positions.
+    """
+
+    def __init__(self, boundary, c):
+        self.pts = np.asarray(boundary, dtype=float)
+        self.c = np.asarray(c, dtype=float)
+        self.n = len(self.pts)
+        rel = self.pts - self.c
+        nxt = np.roll(rel, -1, axis=0)
+        cr = rel[:, 0] * nxt[:, 1] - rel[:, 1] * nxt[:, 0]
+        if np.any(cr <= 0.0):
+            raise InfeasibleConfigurationError("common point is not interior")
+        self.prefix = np.concatenate(([0.0], 0.5 * np.cumsum(cr)))
+        self.total_area = float(self.prefix[-1])
+        phi = np.arctan2(rel[:, 1], rel[:, 0])
+        self.phi = np.unwrap(phi)
+
+    def ray_position(self, theta):
+        """Arc position where the ray from c at angle theta hits the boundary."""
+        q = self.phi[0] + (theta - self.phi[0]) % (2.0 * math.pi)
+        phi_ext = np.append(self.phi, self.phi[0] + 2.0 * math.pi)
+        i = int(np.searchsorted(phi_ext, q, side="right") - 1)
+        i = min(max(i, 0), self.n - 1)
+        p1 = self.pts[i] - self.c
+        p2 = self.pts[(i + 1) % self.n] - self.c
+        d = np.array([math.cos(theta), math.sin(theta)])
+        denom = d[0] * (p2[1] - p1[1]) - d[1] * (p2[0] - p1[0])
+        if abs(denom) < 1e-15:
+            return float(i)
+        u = (d[1] * p1[0] - d[0] * p1[1]) / denom
+        return i + min(max(u, 0.0), 1.0 - 1e-12)
+
+    def point_at(self, t):
+        t = np.asarray(t) % self.n
+        i = t.astype(int)
+        u = (t - i)[..., None]
+        return self.pts[i] + u * (self.pts[(i + 1) % self.n] - self.pts[i])
+
+    def swept_area(self, t):
+        wraps, tm = np.divmod(t, self.n)
+        i = tm.astype(int)
+        u = tm - i
+        val = self.prefix[i] + u * (self.prefix[i + 1] - self.prefix[i])
+        return val + wraps * self.total_area
+
+    def arc_points(self, t_a, t_b):
+        """Boundary points strictly between positions t_a < t_b (mod n)."""
+        ta = t_a % self.n
+        span = (t_b - t_a) % self.n
+        idx = (int(math.floor(ta)) + 1 + np.arange(int(math.ceil(ta + span))
+                                                   - int(math.floor(ta)) - 1)) % self.n
+        return self.pts[idx]
+
+    def solve_position(self, area_fn, t_lo, t_hi):
+        """Root of area_fn on [t_lo, t_hi], given a sign change there.
+
+        area_fn takes an array of positions and is linear between integer
+        positions, so one vectorised evaluation at t_lo, every integer in
+        between and t_hi, then a linear solve inside the first segment
+        that reaches 0, gives the root exactly (up to rounding).
+        """
+        ts = np.concatenate(([t_lo], np.arange(math.floor(t_lo) + 1,
+                                               math.ceil(t_hi)), [t_hi]))
+        f = area_fn(ts)
+        if f[0] > 0.0 or f[-1] < 0.0:
+            raise InfeasibleConfigurationError("no sign change for area target")
+        k = int(np.argmax(f >= 0.0))
+        if k == 0:
+            return float(t_lo)
+        return float(ts[k - 1] - f[k - 1] * (ts[k] - ts[k - 1])
+                     / (f[k] - f[k - 1]))
+
+
+def _tri_area(c, a, b):
+    return 0.5 * ((a[..., 0] - c[0]) * (b[..., 1] - c[1])
+                  - (a[..., 1] - c[1]) * (b[..., 0] - c[0]))
+
+
+def _assemble(walk, ts, mids=None):
+    """Build a Trisection from three boundary positions (and optional
+    fixed curve mid-vertices); the one builder of region boundaries."""
+    c = walk.c
+    ws = walk.point_at(np.array(ts))
+    curves, regions = [], []
+    for k in range(3):
+        w0, w1 = ws[k], ws[(k + 1) % 3]
+        arc = walk.arc_points(ts[k], ts[(k + 1) % 3])
+        if mids is None:
+            curves.append(np.array([c, w0]))
+            regions.append(np.vstack([c, w0, arc, w1]))
+        else:
+            curves.append(np.array([c, mids[k], w0]))
+            regions.append(np.vstack([c, mids[k], w0, arc, w1, mids[(k + 1) % 3]]))
+    return Trisection(common_point=c.copy(), curves=tuple(curves),
+                      endpoints=ws, regions=tuple(regions))
+
+
+def _centre_fan(body, delta):
+    """Boundary walk about the center, and the arc positions of the three
+    rays in the standard endpoint directions turned by delta."""
+    walk = _BoundaryWalk(body.boundary, np.zeros(2))
+    theta0 = smallest_enclosing_triangle(body).orientation + delta
+    return walk, [walk.ray_position(theta0 + k * SECTOR) for k in range(3)]
+
+
+def rotate_trisection(body, delta):
+    """Standard trisection with its three segments rotated by delta."""
+    return _assemble(*_centre_fan(body, delta))
 
 
 def standard_trisection(body):
     """Trisection joining the center to the edge midpoints of the smallest
     enclosing equilateral triangle."""
-    tri = smallest_enclosing_triangle(body)
-    endpoints = tri.edge_midpoints()
-    origin = np.zeros(2)
-    curves, regions = [], []
-    for k in range(3):
-        w0, w1 = endpoints[k], endpoints[(k + 1) % 3]
-        curves.append(np.array([origin, w0]))
-        arc = boundary_arc(body, tri.orientation + k * SECTOR,
-                           tri.orientation + (k + 1) * SECTOR)
-        regions.append(np.vstack([origin, arc]))
-    return Trisection(common_point=origin, curves=tuple(curves),
-                      endpoints=endpoints, regions=tuple(regions))
+    return rotate_trisection(body, 0.0)
 
 
-def max_relative_diameter(body, tri, sample_count=4096):
+def max_relative_diameter(body, tri):
     """Largest region diameter of a trisection (validates the area split)."""
     areas = tri.region_areas()
     total = body.area
@@ -143,7 +233,7 @@ def max_relative_diameter(body, tri, sample_count=4096):
     if body.radius_at(math.atan2(tri.common_point[1], tri.common_point[0])) \
             <= np.hypot(*tri.common_point):
         raise InvalidTrisectionError("common point is not interior")
-    return max(region_diameter(r, sample_count) for r in tri.regions)
+    return max(region_diameter(r) for r in tri.regions)
 
 
 def closed_form_dm_standard(body):

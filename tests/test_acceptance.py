@@ -70,8 +70,7 @@ def test_criterion_2_closed_form_vs_geometric(named_bodies):
     pool += [make_h_eps(a) for a in np.linspace(0.0, H_EPS_A_MAX, 10)]
     worst = 0.0
     for body in pool:
-        dm_geo = max_relative_diameter(body, standard_trisection(body),
-                                       sample_count=4096)
+        dm_geo = max_relative_diameter(body, standard_trisection(body))
         worst = max(worst, abs(dm_geo - closed_form_dm_standard(body)))
     elapsed = time.perf_counter() - t0
     report("criterion 2: geometric pipeline matches closed form",

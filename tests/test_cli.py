@@ -114,6 +114,21 @@ def test_bad_grid_size_exits_2(capsys, argv):
     assert "must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--samples", "63"], "--samples must be at least 64"),
+    (["verify", "--heps-samples", "-1"], "must be non-negative"),
+    (["verify", "--random", "-1"], "must be non-negative"),
+    (["sweep", "--body", "hexagon", "--magnitude", "nan"], "--magnitude must"),
+    (["sweep", "--body", "hexagon", "--magnitude", "inf"], "--magnitude must"),
+    (["sweep", "--body", "hexagon", "--magnitude", "-0.1",
+      "--mode", "perturbed_polylines"], "--magnitude must")])
+def test_bad_verify_or_sweep_value_exits_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err.splitlines()[-1]
+
+
 def test_heps_table(capsys):
     code, out = run(capsys, "heps", "--count", "41")
     assert code == 0
@@ -191,6 +206,17 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 4
+
+
+def test_verify_validates_each_body_once(capsys, monkeypatch):
+    calls = []
+    real = cli.validate
+    monkeypatch.setattr(cli, "validate",
+                        lambda body: calls.append(body.label) or real(body))
+    code, out = run(capsys, "verify", "--heps-samples", "2", "--random", "3")
+    assert code == 0
+    pool_size = 4 + 2 + 3 + 1  # presets, h_eps, random bodies, h_tilde
+    assert len(calls) == out.count("validate[") == pool_size
 
 
 def test_verify_flags_bad_body(tmp_path, capsys):

@@ -124,33 +124,33 @@ def test_rotate_three_times_identity():
 def test_region_diameter_disk():
     th = np.linspace(0, 2 * math.pi, 256, endpoint=False)
     disk = np.column_stack((np.cos(th), np.sin(th)))
-    assert region_diameter(disk, 4096) == pytest.approx(2.0, abs=1e-5)
+    assert region_diameter(disk) == pytest.approx(2.0, abs=1e-5)
 
 
 def test_region_diameter_square():
     sq = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
-    assert region_diameter(sq, 256) == pytest.approx(math.sqrt(2), abs=1e-12)
+    assert region_diameter(sq) == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
 def test_region_diameter_hexagon_trisection_subset(hexagon):
     from trisect import standard_trisection
     tri = standard_trisection(hexagon)
     expected = 2 ** -0.5 * (1 / math.tan(math.pi / 6)) ** 0.5
-    assert region_diameter(tri.regions[0], 4096) == pytest.approx(expected, abs=1e-4)
+    assert region_diameter(tri.regions[0]) == pytest.approx(expected, abs=1e-4)
 
 
-def test_region_diameter_monotone_in_samples():
+def test_region_diameter_equals_vertex_diameter():
+    # resampling puts points on the edges only: the diameter is the vertices'
     rng = np.random.default_rng(5)
     for _ in range(10):
         hull = convex_hull(rng.normal(size=(20, 2)))
-        for k in (64, 128, 256):
-            assert (region_diameter(hull, 2 * k)
-                    >= region_diameter(hull, k) - 1e-12)
+        assert region_diameter(hull) == pytest.approx(all_pairs_diameter(hull),
+                                                      abs=1e-12)
 
 
 def test_region_diameter_rejects_degenerate():
     with pytest.raises(DegenerateGeometryError):
-        region_diameter(np.array([(0, 0), (1, 0), (2, 0)], dtype=float), 64)
+        region_diameter(np.array([(0, 0), (1, 0), (2, 0)], dtype=float))
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

@@ -305,6 +305,20 @@ def test_uniqueness_probe_triangle(triangle):
     assert len(found) >= 1
 
 
+@pytest.mark.parametrize("name", ["hexagon", "triangle"])
+def test_uniqueness_probe_trisections_are_valid(name):
+    # hexagon exercises the endpoint-jitter branch, triangle the rotations
+    body = PRESETS[name]()
+    A = body.area
+    found = uniqueness_probe(body, samples=10, seed=7)
+    assert found
+    for tri in found:
+        assert np.all(np.abs(tri.region_areas() - A / 3.0) <= 1e-12 * A)
+        # raises InvalidTrisectionError on a bad area split or exterior point
+        assert max_relative_diameter(body, tri) == pytest.approx(
+            closed_form_dm_standard(body), abs=1e-4)
+
+
 def test_rotate_trisection_preserves_dm(triangle):
     base = max_relative_diameter(triangle, standard_trisection(triangle))
     tri = rotate_trisection(triangle, 0.01)

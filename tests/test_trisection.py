@@ -7,13 +7,14 @@ from scipy.spatial.distance import directed_hausdorff
 
 from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody, make_h_eps,
                             make_regular_polygon)
+from trisect.cli import PRESETS
 from trisect.geom import polygon_area, rotate
 from trisect.trisection import (InvalidTrisectionError, Trisection,
                                 closed_form_dm_standard, dm_regular_closed_form,
                                 h_eps_dpx, h_eps_dv12, inscribed_ball_radius,
                                 max_relative_diameter, nearest_boundary_point,
-                                smallest_enclosing_triangle, solve_a0,
-                                standard_trisection)
+                                rotate_trisection, smallest_enclosing_triangle,
+                                solve_a0, standard_trisection)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -115,10 +116,16 @@ def test_standard_trisection_endpoints_on_boundary(hexagon, reuleaux):
             assert body.radius_at(theta) == pytest.approx(np.hypot(*w), abs=1e-9)
 
 
-def test_standard_trisection_equal_areas(hexagon, reuleaux, h_tilde):
-    for body in (hexagon, reuleaux, h_tilde):
-        areas = standard_trisection(body).region_areas()
-        assert np.allclose(areas, body.area / 3.0, atol=1e-6)
+def test_standard_trisection_equal_areas():
+    # the fan from the center is cut on the boundary walk, so the regions
+    # of the standard and of slightly rotated trisections hit A/3 exactly
+    for make in PRESETS.values():
+        body = make()
+        A = body.area
+        for tri in (standard_trisection(body), rotate_trisection(body, 0.01),
+                    rotate_trisection(body, -0.01)):
+            assert np.all(np.abs(tri.region_areas() - A / 3.0)
+                          <= 1e-12 * A), body.label
 
 
 def test_standard_trisection_regions_congruent(hexagon):
