@@ -28,6 +28,10 @@ PRESETS = {
     "h_tilde": make_h_tilde,
 }
 
+# At m = 3 * DEFAULT_SECTOR_SAMPLES every profile sample is a corner; the
+# body's arrays grow with m, and a huge m would exhaust memory.
+MAX_REGULAR_M = 3 * bodies.DEFAULT_SECTOR_SAMPLES
+
 
 def resolve_body(spec, parser):
     if spec in PRESETS:
@@ -42,13 +46,15 @@ def resolve_body(spec, parser):
             m = int(spec.split(":", 1)[1])
         except ValueError:
             parser.error(f"regular:<m> needs an integer, got {spec!r}")
-        if m % 3 != 0 or m < 3:
-            parser.error(f"regular:<m> needs a positive multiple of 3, got {m}")
+        if m % 3 != 0 or not 3 <= m <= MAX_REGULAR_M:
+            parser.error(f"regular:<m> needs a multiple of 3 from 3 to "
+                         f"{MAX_REGULAR_M}, got {spec!r}")
         return make_regular_polygon(m // 3)
     if spec.endswith(".json"):
         try:
             return load_body(spec)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError,
+                OverflowError) as exc:
             parser.error(f"cannot load body file {spec}: {exc}")
     parser.error(f"unknown body preset {spec!r}")
 

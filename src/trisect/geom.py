@@ -27,34 +27,47 @@ def rotate(pt, angle):
     return pt @ rot.T
 
 
-def cross2(o, a, b):
-    """z-component of (a - o) x (b - o)."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _finite_points(points, what):
+    """points as a float array; DegenerateGeometryError on NaN or inf."""
+    p = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise DegenerateGeometryError(f"{what} has NaN or infinite coordinates")
+    return p
 
 
 def convex_hull(points):
     """Counterclockwise convex hull of a point set (monotone chain).
 
-    A point is popped only when the turn into the next point is not
-    strictly left (cross product <= 0).  After the x-then-y sort a point
+    The points are sorted by x, then y, in one stable lexsort, and repeated
+    rows are dropped.  A point is popped only when the turn into the next
+    point is not strictly left (cross product <= 0).  After the sort a point
     collinear with its chain neighbours lies between them, so popping it
     loses no extreme point; rounding may keep a few nearly collinear ones,
     which changes no diameter.  A positive threshold is not safe: on an
     edge whose x values differ only in the last bits the sort does not
     follow the edge, and a true corner's left turn can have a tiny cross
-    product.  Raises DegenerateGeometryError if the input is all collinear.
+    product.  Raises DegenerateGeometryError if the input is all collinear
+    or has NaN or infinite coordinates.
     """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    pts = _finite_points(points, "point set")
+    pts = pts.reshape(len(pts), 2)  # an empty input has shape (0,)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    fresh = np.ones(len(pts), dtype=bool)
+    fresh[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    pts = pts[fresh]
     if len(pts) < 3:
         raise DegenerateGeometryError("need at least 3 distinct points")
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
     # Python floats: the same double arithmetic as numpy scalars, faster
-    pts = pts[order].tolist()
+    pts = pts.tolist()
 
     def half_hull(seq):
         chain = []
         for p in seq:
-            while len(chain) > 1 and cross2(chain[-2], chain[-1], p) <= 0.0:
+            px, py = p
+            while len(chain) > 1:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0.0:
+                    break
                 chain.pop()
             chain.append(p)
         return chain
@@ -75,7 +88,11 @@ def polygon_area(boundary):
 
 
 def polygon_diameter(poly):
-    """Diameter of a convex CCW polygon by rotating calipers, O(n)."""
+    """Diameter of a convex CCW polygon by rotating calipers, O(n).
+
+    Not on the d_M route (that ends in points_diameter); the tests keep it
+    as an independent check of the pruned kernel.
+    """
     p = np.asarray(poly, dtype=float)
     n = len(p)
     if n == 2:
@@ -127,9 +144,7 @@ def points_diameter(points):
     DegenerateGeometryError on NaN or infinite coordinates; squared
     distances that overflow give inf.
     """
-    p = np.asarray(points, dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise DegenerateGeometryError("point set has NaN or infinite coordinates")
+    p = _finite_points(points, "point set")
     if len(p) > _K:
         proj = _DIRS @ p.T
         ext = np.argmax(proj, axis=1)
@@ -140,7 +155,8 @@ def points_diameter(points):
         # projections or squared distances overflow: plain all pairs
         if math.isfinite(low) and np.all(np.isfinite(h)):
             slack = 1e-9 * (low + float(np.max(np.abs(p))))
-            reach = np.max(h[:, None] - proj, axis=0)
+            # in place: a second (K, n) array would double the peak memory
+            reach = np.max(np.subtract(h[:, None], proj, out=proj), axis=0)
             p = p[reach >= (low - slack) * _COS]
     d2 = 0.0
     # chunk rows so the distance matrix never exceeds a few MB
@@ -149,40 +165,54 @@ def points_diameter(points):
         block = p[i:i + step]
         dx = block[:, None, 0] - p[None, :, 0]
         dy = block[:, None, 1] - p[None, :, 1]
-        d2 = max(d2, float(np.max(dx * dx + dy * dy)))
+        # dx * dx + dy * dy, in place to keep two blocks live, not five
+        dx *= dx
+        dy *= dy
+        dx += dy
+        d2 = max(d2, float(np.max(dx)))
     return math.sqrt(d2)
 
 
 def resample_boundary(boundary, sample_count):
-    """Densify a closed polyline to >= sample_count points, keeping vertices."""
-    b = np.asarray(boundary, dtype=float)
-    nxt = np.roll(b, -1, axis=0)
-    seg_len = np.hypot(*(nxt - b).T)
+    """Densify a closed polyline to >= sample_count points, keeping vertices.
+
+    Edge i gets pieces_i = max(1, ceil(sample_count * len_i / perimeter))
+    points b_i + (k / pieces_i) (b_{i+1} - b_i), k = 0 .. pieces_i - 1.
+    Raises DegenerateGeometryError on a zero or non-finite perimeter and on
+    NaN or infinite coordinates.
+    """
+    b = _finite_points(boundary, "boundary")
+    edge = np.roll(b, -1, axis=0) - b
+    seg_len = np.hypot(edge[:, 0], edge[:, 1])
     perim = seg_len.sum()
     if perim <= EPS:
         raise DegenerateGeometryError("zero-length boundary")
-    out = []
-    for i in range(len(b)):
-        pieces = max(1, int(math.ceil(sample_count * seg_len[i] / perim)))
-        t = np.arange(pieces) / pieces
-        out.append(b[i] + t[:, None] * (nxt[i] - b[i]))
-    return np.concatenate(out)
+    if not math.isfinite(perim):
+        raise DegenerateGeometryError("boundary length overflows")
+    pieces = np.maximum(1, np.ceil(sample_count * seg_len / perim))
+    pieces = pieces.astype(np.intp)
+    seg = np.repeat(np.arange(len(b)), pieces)
+    # k: each sample's index within its edge
+    k = np.arange(len(seg)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    t = k / pieces[seg]
+    return b[seg] + t[:, None] * edge[seg]
 
 
 def region_diameter(region):
     """Diameter of a region given by its closed boundary polyline.
 
     Samples the boundary at 4096 points (all stored vertices kept), takes
-    the convex hull and measures it with rotating calipers; valid for
-    non-convex regions because the diameter is hull-invariant.  The
-    samples lie on the polygon's edges, so they cannot change its
-    diameter.
+    the convex hull and measures it with the exact points_diameter kernel;
+    valid for non-convex regions because the diameter is hull-invariant.
+    The samples lie on the polygon's edges, so they cannot change its
+    diameter.  Raises DegenerateGeometryError on zero area and on NaN or
+    infinite coordinates.
     """
-    b = np.asarray(region, dtype=float)
+    b = _finite_points(region, "region")
     if polygon_area(b) <= EPS:
         raise DegenerateGeometryError("region has zero area")
     samples = resample_boundary(b, 4096)
-    return polygon_diameter(convex_hull(samples))
+    return points_diameter(convex_hull(samples))
 
 
 def is_ccw_convex(boundary, tol=EPS):

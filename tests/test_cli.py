@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trisect import cli
 from trisect.bodies import make_regular_polygon
@@ -60,7 +68,8 @@ def test_unknown_body_exits_2(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("spec", ["h_eps:5", "h_eps:abc", "regular:abc"])
+@pytest.mark.parametrize("spec", ["h_eps:5", "h_eps:abc", "regular:abc",
+                                  "regular:0", "regular:3000000000"])
 def test_malformed_selector_exits_2(spec, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["dm", "--body", spec])
@@ -230,3 +239,98 @@ def test_verify_flags_bad_body(tmp_path, capsys):
                     "--random", "0", "--body", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+def main_outcome(argv):
+    """(exit code, stdout) of cli.main; a usage error's SystemExit gives its
+    code, and any other exception propagates and fails the test."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} in the output")
+
+
+def assert_exit_0_or_2(argv):
+    code, out = main_outcome(argv)
+    assert code in (0, 2), (argv, code)
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+TINY = {"dm": ["dm", "--format", "json"],
+        "sweep": ["sweep", "--grid-c", "1", "--grid-theta", "8"]}
+_COMMAND = st.sampled_from(sorted(TINY))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_COMMAND, st.sampled_from(["h_eps:", "regular:"]),
+       st.one_of(st.text(max_size=12), st.floats().map(repr),
+                 st.integers().map(str)))
+def test_arbitrary_selector_exits_0_or_2(command, prefix, text):
+    assert_exit_0_or_2(TINY[command] + ["--body", prefix + text])
+
+
+@pytest.fixture(scope="module")
+def body_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("bodies") / "body.json"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_COMMAND, st.one_of(st.fixed_dictionaries({"sector_profile": _JSON}),
+                           _JSON))
+@example("dm", {"sector_profile": [[0.0, 10 ** 400]]})  # no float holds it
+def test_random_json_body_exits_0_or_2(body_path, command, doc):
+    body_path.write_text(json.dumps(doc))
+    assert_exit_0_or_2(TINY[command] + ["--body", str(body_path)])
+
+
+HEXAGON_PROFILE = make_regular_polygon(2).to_dict()["sector_profile"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_COMMAND,
+       st.lists(st.tuples(st.integers(0, len(HEXAGON_PROFILE) - 1),
+                          st.integers(0, 1),
+                          st.one_of(st.sampled_from([math.nan, math.inf,
+                                                     -math.inf, -0.0]),
+                                    st.floats(max_value=0.0))),
+                max_size=3))
+def test_damaged_json_profile_exits_0_or_2(body_path, command, damage):
+    # NaN, infinite, zero or negative angles and radii in a valid profile
+    profile = [list(row) for row in HEXAGON_PROFILE]
+    for row, col, value in damage:
+        profile[row][col] = value
+    body_path.write_text(json.dumps({"sector_profile": profile}))
+    assert_exit_0_or_2(TINY[command] + ["--body", str(body_path)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["dm", "--body", "triangle", "--format", "json"],
+    ["sweep", "--body", "triangle", "--grid-c", "1", "--grid-theta", "8"]])
+def test_output_does_not_depend_on_python_O(argv):
+    env = dict(os.environ)
+    env.pop("PYTHONOPTIMIZE", None)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    outs = [subprocess.run([sys.executable, *flags, "-m", "trisect.cli",
+                            *argv], env=env, capture_output=True,
+                           check=True).stdout
+            for flags in ([], ["-O"])]
+    assert outs[0] == outs[1]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trisect.bodies import random_body
 from trisect.cli import PRESETS
 from trisect.geom import (DegenerateGeometryError, convex_hull, is_ccw_convex,
                           points_diameter, polygon_area, polygon_diameter,
@@ -39,6 +40,66 @@ def all_pairs_diameter(points):
         dy = p[i:i + 500, None, 1] - p[None, :, 1]
         best = max(best, float(np.max(dx * dx + dy * dy)))
     return math.sqrt(best)
+
+
+def loop_resample_boundary(boundary, sample_count):
+    """The per-edge loop that resample_boundary vectorises; its output is
+    the reference the vectorised form must match bit for bit."""
+    b = np.asarray(boundary, dtype=float)
+    nxt = np.roll(b, -1, axis=0)
+    seg_len = np.hypot(*(nxt - b).T)
+    perim = seg_len.sum()
+    out = []
+    for i in range(len(b)):
+        pieces = max(1, int(math.ceil(sample_count * seg_len[i] / perim)))
+        t = np.arange(pieces) / pieces
+        out.append(b[i] + t[:, None] * (nxt[i] - b[i]))
+    return np.concatenate(out)
+
+
+def unique_chain_hull(points):
+    """Monotone chain after np.unique and a second lexsort, with the cross
+    product in a helper: the reference convex_hull must match."""
+    def cross2(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    if len(pts) < 3:
+        raise DegenerateGeometryError("need at least 3 distinct points")
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))].tolist()
+
+    def half_hull(seq):
+        chain = []
+        for p in seq:
+            while len(chain) > 1 and cross2(chain[-2], chain[-1], p) <= 0.0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    hull = half_hull(pts)[:-1] + half_hull(pts[::-1])[:-1]
+    if len(hull) < 3:
+        raise DegenerateGeometryError("points are collinear")
+    return np.array(hull)
+
+
+def hull_or_error(hull_fn, points):
+    try:
+        return hull_fn(points)
+    except DegenerateGeometryError as exc:
+        return str(exc)
+
+
+def preset_regions():
+    """Regions of the standard, an off-centre segment and a perturbed
+    polyline trisection of every preset."""
+    rng = np.random.default_rng(11)
+    c = np.array([0.07, -0.04])
+    for make in PRESETS.values():
+        body = make()
+        for tri in (standard_trisection(body),
+                    equal_area_segment_trisection(body, c, 0.4),
+                    perturbed_polyline_trisection(body, c, 2.1, rng, 0.02)):
+            yield from tri.regions
 
 
 def test_hull_drops_interior_point():
@@ -171,22 +232,14 @@ def test_hull_keeps_corners_of_ulp_jittered_vertical_edge():
                             np.linspace(0.0, -0.7598, 513)))
     region = np.vstack([(0.0, 0.0), edge, (0.2193, -0.3799)])
     assert np.any(convex_hull(region)[:, 1] == -0.7598)
+    assert convex_hull(region).tobytes() == unique_chain_hull(region).tobytes()
     assert region_diameter(region) == pytest.approx(
         all_pairs_diameter(region), rel=0, abs=1e-12)
 
 
 def test_points_diameter_equals_oracle_on_preset_regions():
-    # standard, off-centre segment and perturbed-polyline trisections
-    rng = np.random.default_rng(11)
-    c = np.array([0.07, -0.04])
-    for name, make in PRESETS.items():
-        body = make()
-        for tri in (standard_trisection(body),
-                    equal_area_segment_trisection(body, c, 0.4),
-                    perturbed_polyline_trisection(body, c, 2.1, rng, 0.02)):
-            for region in tri.regions:
-                assert points_diameter(region) == \
-                    all_pairs_diameter(region), name
+    for region in preset_regions():
+        assert points_diameter(region) == all_pairs_diameter(region)
 
 
 def test_points_diameter_equals_oracle_when_every_point_survives():
@@ -228,11 +281,83 @@ def test_points_diameter_equals_oracle_on_random_sets(coords):
     assert points_diameter(pts) == all_pairs_diameter(pts)
 
 
+def test_resample_equals_per_edge_loop_bit_for_bit():
+    for region in preset_regions():
+        for count in (1, 4096):
+            got = resample_boundary(region, count)
+            assert got.tobytes() == loop_resample_boundary(region, count).tobytes()
+    # repeated consecutive vertices make zero-length edges of one piece
+    sq = np.array([(0, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 1), (0, 0)],
+                  dtype=float)
+    for count in (1, 7, 64, 4096):
+        got = resample_boundary(sq, count)
+        assert got.tobytes() == loop_resample_boundary(sq, count).tobytes()
+
+
 def test_resample_keeps_vertices():
     sq = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
     dense = resample_boundary(sq, 64)
     for v in sq:
         assert np.min(np.hypot(*(dense - v).T)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_resample_hull_and_region_diameter_reject_non_finite_coordinates(bad):
+    region = standard_trisection(PRESETS["hexagon"]()).regions[0].copy()
+    region[len(region) // 2, 1] = bad
+    for fn in (lambda b: resample_boundary(b, 4096), convex_hull,
+               region_diameter):
+        with pytest.raises(DegenerateGeometryError, match="NaN or infinite"):
+            fn(region)
+
+
+def test_resample_rejects_overflowing_length():
+    with pytest.raises(DegenerateGeometryError), np.errstate(over="ignore"):
+        resample_boundary([(-1e308, 0.0), (1e308, 0.0), (0.0, 1e308)], 64)
+
+
+def _signed_zero(pts):
+    return bool(np.any((pts == 0.0) & np.signbit(pts)))
+
+
+_COORD = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                   st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD), max_size=120),
+       st.lists(st.integers(0, 10_000), max_size=40))
+def test_hull_equals_unique_lexsort_chain(coords, repeats):
+    pts = np.asarray(coords, dtype=float).reshape(-1, 2)
+    if len(pts):
+        pts = np.vstack([pts, pts[[i % len(pts) for i in repeats]]])
+    got = hull_or_error(convex_hull, pts)
+    want = hull_or_error(unique_chain_hull, pts)
+    if isinstance(want, str):
+        assert got == want
+        return
+    # np.unique's sort is not stable, so of two rows that differ only in
+    # the sign of a zero it keeps either one; the values are the same
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+    if not _signed_zero(pts):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_hull_equals_unique_lexsort_chain_on_resampled_regions(name):
+    for region in standard_trisection(PRESETS[name]()).regions:
+        samples = resample_boundary(region, 4096)
+        assert convex_hull(samples).tobytes() == \
+            unique_chain_hull(samples).tobytes()
+
+
+def test_random_bodies_unchanged_by_hull(monkeypatch):
+    import trisect.geom
+    want = [random_body(np.random.default_rng(s)).boundary for s in range(20)]
+    monkeypatch.setattr(trisect.geom, "convex_hull", unique_chain_hull)
+    for s, boundary in enumerate(want):
+        assert random_body(np.random.default_rng(s)).boundary.tobytes() == \
+            boundary.tobytes()
 
 
 # integer coordinates keep the cases well-scaled: predicate robustness is
