@@ -376,6 +376,11 @@ def load_body(source):
     if profile.ndim != 2 or profile.shape[0] == 0 or profile.shape[1] != 2:
         raise ValueError("sector_profile must be a non-empty list of "
                          "[theta, r] pairs")
+    # an infinite entry makes numpy warn while the boundary is built; a
+    # NaN radius is left to validate, which reports the area as not 1
+    if not np.all(np.isfinite(profile[:, 0])) or np.any(np.isinf(profile)):
+        raise ValueError("sector_profile has a NaN or infinite angle or an "
+                         "infinite radius")
     return SymmetricBody(sector_theta=profile[:, 0], sector_r=profile[:, 1],
                          label=str(doc.get("label", "custom")))
 

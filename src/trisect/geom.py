@@ -8,6 +8,7 @@ Conventions used throughout the package:
   * all lengths are O(1) since bodies are normalized to unit area.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -171,6 +172,91 @@ def points_diameter(points):
         dx += dy
         d2 = max(d2, float(np.max(dx)))
     return math.sqrt(d2)
+
+
+# Blocks of region_diameters_sq: elements per padded array (64 kB of
+# floats; larger blocks run slower, on cache misses and page faults), and
+# run lengths whose new pairs one step computes.
+_CHUNK = 8_192
+_BLOCK = 8
+
+
+def _run_diameters_sq(pts, start, length):
+    """Largest squared distance between two points of each cyclic run
+    pts[start : start + length], for all runs in one pass over the run
+    length L.  row[i] holds the value for the run of length L from i, and
+    row[i] <- max(row[i], row[i + 1], |p_i - p_(i+L-1)|^2) lengthens every
+    run by one point, since a pair of a run lies in one of its two runs
+    one point shorter or is its two ends; after step L the runs of length
+    L are read off.  The pass needs O(n) memory.  (A sweep region's arc is
+    such a run of a convex chain: Shamos 1978; Preparata and Shamos 1985,
+    ch. 4.)
+    """
+    n = len(pts)
+    out = np.zeros(len(start))
+    top = int(length.max(initial=0))
+    order = np.argsort(length, kind="stable")
+    # the runs of length L are order[bounds[L]:bounds[L + 1]]
+    bounds = np.searchsorted(length[order], np.arange(top + 2)).tolist()
+    x, y = pts[:, 0], pts[:, 1]
+    # row k of these views is the boundary shifted by k
+    xs = np.lib.stride_tricks.sliding_window_view(np.concatenate((x, x)), n)
+    ys = np.lib.stride_tricks.sliding_window_view(np.concatenate((y, y)), n)
+    row, nxt = np.zeros(n), np.empty(n)
+    for L0 in range(2, top + 1, _BLOCK):
+        dx = x - xs[L0 - 1:min(L0 - 1 + _BLOCK, top)]
+        dy = y - ys[L0 - 1:min(L0 - 1 + _BLOCK, top)]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        for L, d2 in enumerate(dx, start=L0):
+            np.maximum(row[:-1], row[1:], out=nxt[:-1])
+            nxt[-1] = row[-1] if row[-1] > row[0] else row[0]
+            np.maximum(nxt, d2, out=nxt)
+            row, nxt = nxt, row
+            if bounds[L + 1] > bounds[L]:
+                q = order[bounds[L]:bounds[L + 1]]
+                out[q] = row[start[q]]
+    return out
+
+
+def region_diameters_sq(pts, verts, start, length):
+    """Squared diameters of many regions that share the points pts: region
+    r is the point set of its vertices verts[r] (an (R, V, 2) array) and
+    the cyclic run pts[start[r] : start[r] + length[r]].
+
+    Each is the largest of three terms: pairs within the run (one pass
+    for all regions), vertex to run (padded blocks of regions sorted by
+    run length) and vertex to vertex.  Every term evaluates
+    points_diameter's dx*dx + dy*dy on the same pairs, so the square root
+    equals points_diameter of the region bit for bit.
+    """
+    n, V = len(pts), verts.shape[1]
+    best = _run_diameters_sq(pts, start, length)
+    for a, b in itertools.combinations(range(V), 2):
+        d = verts[:, a] - verts[:, b]
+        best = np.maximum(best, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    order = np.argsort(length, kind="stable")
+    step = max(1, _CHUNK // max(1, int(length.max(initial=0))))
+    for i in range(0, len(order), step):
+        rows = order[i:i + step]
+        # pad each run to the block's longest by repeating its last point
+        last = np.maximum(length[rows] - 1, 0)
+        idx = (start[rows, None]
+               + np.minimum(np.arange(last.max() + 1), last[:, None])) % n
+        px, py = pts[idx, 0], pts[idx, 1]
+        far = np.zeros(len(rows))
+        for v in range(V):
+            dx = px - verts[rows, v, 0, None]
+            dy = py - verts[rows, v, 1, None]
+            dx *= dx
+            dy *= dy
+            dx += dy
+            far = np.maximum(far, dx.max(axis=1))
+        # an empty run has no points: its padding is not in the region
+        best[rows] = np.maximum(best[rows],
+                                np.where(length[rows] > 0, far, 0.0))
+    return best
 
 
 def resample_boundary(boundary, sample_count):

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import bodies as _bodies
 from .bodies import H_EPS_A_MAX, SECTOR
-from .geom import points_diameter, rotate
+from .geom import points_diameter, region_diameters_sq, rotate
 from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
                          _assemble, _BoundaryWalk, _centre_fan, _tri_area,
                          closed_form_dm_standard, h_eps_dpx, h_eps_dv12,
@@ -100,12 +100,19 @@ def default_c_points(body, count, rng):
 
 
 def _dense_boundary(body):
-    """Boundary rebuilt at 256 samples per sector, hint corners kept exact."""
+    """Boundary rebuilt at 256 samples per sector, hint corners kept exact.
+
+    A point within 1e-9 of the one before it is dropped: a corner on a
+    grid angle up to rounding would leave a zero-length edge, and no
+    common point sees such a boundary as star-shaped about it.
+    """
     corner_angles = [math.atan2(y, x) for x, y in body.vertices_hint]
     sector = _bodies._sector_angles(corner_angles, 256)
     thetas = np.concatenate([sector + k * SECTOR for k in range(3)])
     r = body.radius_at(thetas)
-    return np.column_stack((r * np.cos(thetas), r * np.sin(thetas)))
+    pts = np.column_stack((r * np.cos(thetas), r * np.sin(thetas)))
+    step = pts - np.roll(pts, 1, axis=0)
+    return pts[np.hypot(step[:, 0], step[:, 1]) > 1e-9]
 
 
 def equal_area_segment_trisection(body, c, theta1):
@@ -113,58 +120,90 @@ def equal_area_segment_trisection(body, c, theta1):
     theta1 as seen from c; the other endpoints are solved exactly on
     boundary arc-position (the swept area is piecewise linear in it) so
     every region encloses a third of the area."""
-    return _segment_trisection(_BoundaryWalk(body.boundary, c), theta1)
+    walk = _BoundaryWalk(body.boundary, c)
+    return _assemble(walk, _segment_base(walk, theta1) % walk.n)
 
 
-def _segment_trisection(walk, theta1):
-    A = walk.total_area
+def _segment_positions(walk, theta1):
+    """Arc positions (t1, t2, t3), not reduced mod n, of the equal-area
+    segment trisections whose first rays leave walk.c at the angles
+    theta1 (a 1-D array): one row per angle, NaN in a row whose solve
+    finds no root or whose third region misses a third of the area."""
+    A, n = walk.total_area, walk.n
     t1 = walk.ray_position(theta1)
-    f1 = walk.swept_area(t1)
-    t2 = walk.solve_position(lambda t: walk.swept_area(t) - f1 - A / 3.0,
-                             t1, t1 + walk.n)
-    t3 = walk.solve_position(lambda t: walk.swept_area(t) - f1 - 2.0 * A / 3.0,
-                             t2, t1 + walk.n)
-    third = A - (walk.swept_area(t3 if t3 >= t1 else t3 + walk.n) - f1)
-    if abs(third - A / 3.0) > 2e-6 * max(A, 1.0):
-        raise InfeasibleConfigurationError("area additivity broken")
-    return _assemble(walk, [t1 % walk.n, t2 % walk.n, t3 % walk.n])
+    f1 = walk.swept_area(t1)[:, None]
+
+    def gap(share):
+        # area swept past t1 minus share; in place, as the solve's
+        # (rows, k) arrays are the largest of a sweep
+        def g(t):
+            d = walk.swept_area(t) - f1
+            d -= share
+            return d
+        return g
+
+    t2 = walk.solve_position(gap(A / 3.0), t1, t1 + n)
+    # a failed row continues from a stand-in and is dropped at the end
+    bad = np.isnan(t2)
+    t2 = np.where(bad, t1, t2)
+    t3 = walk.solve_position(gap(2.0 * A / 3.0), t2, t1 + n)
+    bad |= np.isnan(t3)
+    t3 = np.where(bad, t2, t3)
+    third = A - (walk.swept_area(np.where(t3 >= t1, t3, t3 + n)) - f1[:, 0])
+    bad |= np.abs(third - A / 3.0) > 2e-6 * max(A, 1.0)
+    return np.where(bad[:, None], np.nan, np.column_stack((t1, t2, t3)))
+
+
+def _segment_base(walk, theta1):
+    """_segment_positions of one angle; raises where it gives NaN."""
+    ts = _segment_positions(walk, np.array([theta1]))[0]
+    if np.isnan(ts[0]):
+        raise InfeasibleConfigurationError(
+            "no equal-area split: no sign change or area additivity broken")
+    return ts
 
 
 def perturbed_polyline_trisection(body, c, theta1, rng, magnitude):
     """Segment trisection with curve mid-vertices jittered, areas restored
     by re-solving the second and third endpoints only."""
-    return _perturbed_trisection(_BoundaryWalk(body.boundary, c), theta1, rng,
-                                 magnitude)
+    walk = _BoundaryWalk(body.boundary, c)
+    return _perturbed_cell(walk, _segment_base(walk, theta1), rng,
+                           magnitude)[2]
 
 
-def _perturbed_trisection(walk, theta1, rng, magnitude):
-    c = walk.c
-    base = _segment_trisection(walk, theta1)
-    A = walk.total_area
+def _perturbed_cell(walk, base, rng, magnitude):
+    """Perturbed trisection from the segment positions base: each curve
+    gets a mid-vertex jittered off its segment, then the second and third
+    endpoints are re-solved so every region keeps a third of the area.
+    Returns the positions mod n, the mid-vertices and the Trisection."""
+    c, A, n = walk.c, walk.total_area, walk.n
     mids = []
-    for w in base.endpoints:
+    for w in walk.point_at(base):
         seg = w - c
         perp = np.array([-seg[1], seg[0]]) / max(np.hypot(*seg), 1e-12)
         mids.append(c + 0.5 * seg + rng.uniform(-magnitude, magnitude) * perp)
-    t1 = walk.ray_position(theta1)
+    t1 = base[0]
 
     def region_gap(t_a, m_a, m_b):
         # area of [c, m_a, w(t_a), arc, w(t), m_b] minus A/3
+        head = _tri_area(c, m_a, walk.point_at(t_a))
+        swept_a = walk.swept_area(t_a)
+
         def g(t):
-            return (_tri_area(c, m_a, walk.point_at(t_a))
-                    + walk.swept_area(t) - walk.swept_area(t_a)
+            return (head + walk.swept_area(t) - swept_a
                     + _tri_area(c, walk.point_at(t), m_b) - A / 3.0)
         return g
 
     t2 = walk.solve_position(region_gap(t1, mids[0], mids[1]),
-                             t1 + 1e-9, t1 + walk.n - 1e-9)
+                             t1 + 1e-9, t1 + n - 1e-9)
     t3 = walk.solve_position(region_gap(t2, mids[1], mids[2]),
-                             t2 + 1e-9, t1 + walk.n - 1e-9)
-    tri = _assemble(walk, [t1 % walk.n, t2 % walk.n, t3 % walk.n], mids=mids)
+                             t2 + 1e-9, t1 + n - 1e-9)
+    ts = np.array([t1, t2, t3]) % n
+    tri = _assemble(walk, ts, mids=mids)
     areas = tri.region_areas()
     if np.any(np.abs(areas - A / 3.0) > AREA_TOL * A):
         raise InfeasibleConfigurationError("perturbation could not be rebalanced")
-    return tri
+    return ts, np.array(mids), tri
 
 
 def trisection_dm(tri):
@@ -172,53 +211,124 @@ def trisection_dm(tri):
     return max(points_diameter(r) for r in tri.regions)
 
 
+def _cell_regions(walk, ts, mids=None):
+    """The regions of cells cut at positions ts (k, 3) mod n, as
+    region_diameters_sq takes them: curve vertices (k, 3, V, 2), ordered
+    [c, (m_a), w_a, w_b, (m_b)], and the arc runs (start, length), (k, 3)
+    each.  The same points as _assemble's regions."""
+    nxt = [1, 2, 0]
+    ws = walk.point_at(ts)
+    start, length = walk.arc_run(ts, ts[:, nxt])
+    c = np.broadcast_to(walk.c, ws.shape)
+    parts = ([c, ws, ws[:, nxt]] if mids is None
+             else [c, mids, ws, ws[:, nxt], mids[:, nxt]])
+    return np.stack(parts, axis=2), start, length
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """The evaluated cells of a sweep, in grid order."""
+
+    walks: list           # one per common point; None where it is exterior
+    c_index: np.ndarray   # (m,) each cell's common point
+    ts: np.ndarray        # (m, 3) arc positions mod n
+    mids: np.ndarray      # (m, 3, 2) curve mid-vertices, None for segments
+    skipped: int
+
+    def trisection(self, k):
+        mids = None if self.mids is None else self.mids[k]
+        return _assemble(self.walks[self.c_index[k]], self.ts[k], mids)
+
+
+# Elements in one block of the batched equal-area solve: a few hundred
+# kB, since larger blocks run slower on cache misses and page faults.
+_SOLVE_CHUNK = 32_768
+
+
+def _solve_cells(boundary, grid, rng):
+    """Step 1 of a sweep: the positions of every feasible cell.
+
+    The segment positions of all the theta1 of one common point are
+    solved at once, in blocks of consecutive angles.  Perturbed cells
+    then go one by one in grid order on the one random stream.
+    """
+    thetas = np.arange(grid.theta1_count) * 2.0 * math.pi / grid.theta1_count
+    # consecutive angles share most of the solve's integer grid, which
+    # spans up to two turns of the boundary
+    rows_per = max(1, _SOLVE_CHUNK // (2 * len(boundary)))
+    walks, c_index, ts, mids = [], [], [], []
+    skipped = 0
+    for ci, c in enumerate(grid.c_points):
+        try:
+            walk = _BoundaryWalk(boundary, c)
+        except InfeasibleConfigurationError:
+            walks.append(None)
+            skipped += len(thetas)
+            continue
+        walks.append(walk)
+        base = np.concatenate([_segment_positions(walk, thetas[i:i + rows_per])
+                               for i in range(0, len(thetas), rows_per)])
+        ok = ~np.isnan(base[:, 0])
+        skipped += int(np.count_nonzero(~ok))
+        if grid.curve_mode == "segments":
+            ts.append(base[ok] % walk.n)
+            c_index += [ci] * int(np.count_nonzero(ok))
+            continue
+        for row in base[ok]:
+            try:
+                t, m, _ = _perturbed_cell(walk, row, rng,
+                                          grid.perturbation_magnitude)
+            except InfeasibleConfigurationError:
+                skipped += 1
+                continue
+            ts.append(t[None])
+            mids.append(m)
+            c_index.append(ci)
+    return _Cells(walks=walks, c_index=np.array(c_index, dtype=int),
+                  ts=np.concatenate(ts) if ts else np.empty((0, 3)),
+                  mids=np.array(mids) if grid.curve_mode != "segments" else None,
+                  skipped=skipped)
+
+
+def _cells_dm(boundary, cells):
+    """Step 2 of a sweep: d_M of every cell, equal bit for bit to
+    trisection_dm of its Trisection, scored in one pass for the body."""
+    parts = []
+    for ci in np.unique(cells.c_index):
+        sel = cells.c_index == ci
+        mids = None if cells.mids is None else cells.mids[sel]
+        parts.append(_cell_regions(cells.walks[ci], cells.ts[sel], mids))
+    verts, start, length = (np.concatenate(p) for p in zip(*parts))
+    d2 = region_diameters_sq(boundary, verts.reshape(-1, *verts.shape[2:]),
+                             start.ravel(), length.ravel())
+    return np.sqrt(d2.reshape(-1, 3).max(axis=1))
+
+
 def sweep_segment_trisections(body, grid, seed=42):
     """Evaluate d_M over the (c, theta1) grid and report the minimum plus
     any cells falling below the closed-form standard value.
 
-    One boundary walk per common point serves all its theta1 cells; the
-    cells run in grid order on one random stream, so a report depends
-    only on the body, the grid and the seed.
+    Three steps: solve every cell's positions, score every cell in one
+    pass, then build a Trisection only for the argmin and the
+    violations.  The cells run in grid order on one random stream, so a
+    report depends only on the body, the grid and the seed.
     """
     boundary = _dense_boundary(body)
     dm_standard = closed_form_dm_standard(body)
-    thetas = np.arange(grid.theta1_count) * 2.0 * math.pi / grid.theta1_count
-    rng = np.random.default_rng(seed)
-
-    min_dm, argmin = math.inf, None
-    violations = []
-    floor_margin = math.inf
-    skipped = 0
-    for c in grid.c_points:
-        try:
-            walk = _BoundaryWalk(boundary, c)
-        except InfeasibleConfigurationError:
-            skipped += len(thetas)
-            continue
-        for theta1 in thetas:
-            try:
-                if grid.curve_mode == "segments":
-                    tri = _segment_trisection(walk, theta1)
-                else:
-                    tri = _perturbed_trisection(walk, theta1, rng,
-                                                grid.perturbation_magnitude)
-            except InfeasibleConfigurationError:
-                skipped += 1
-                continue
-            dm = trisection_dm(tri)
-            # the lemma floor max(R, sqrt(3) rho) is dm_standard itself
-            floor_margin = min(floor_margin, dm - dm_standard)
-            if dm < min_dm:
-                min_dm, argmin = dm, tri
-            if dm < dm_standard - VIOLATION_TOL:
-                violations.append((tri.to_dict(dm=dm), dm_standard - dm))
-    if argmin is None:
+    cells = _solve_cells(boundary, grid, np.random.default_rng(seed))
+    if not len(cells.ts):
         raise InfeasibleConfigurationError("every grid cell was infeasible")
-    return SweepReport(body_label=body.label, grid=grid, min_dm=min_dm,
-                       argmin=argmin, dm_standard=dm_standard,
-                       violations=tuple(violations), floor_margin=floor_margin,
-                       cells_evaluated=len(grid.c_points) * len(thetas) - skipped,
-                       cells_skipped=skipped)
+    dm = _cells_dm(boundary, cells)
+    best = int(np.argmin(dm))
+    violations = tuple(
+        (cells.trisection(k).to_dict(dm=dm[k]), dm_standard - dm[k])
+        for k in np.flatnonzero(dm < dm_standard - VIOLATION_TOL))
+    # the lemma floor max(R, sqrt(3) rho) is dm_standard itself
+    return SweepReport(body_label=body.label, grid=grid, min_dm=float(dm[best]),
+                       argmin=cells.trisection(best), dm_standard=dm_standard,
+                       violations=violations,
+                       floor_margin=float(np.min(dm - dm_standard)),
+                       cells_evaluated=len(dm), cells_skipped=cells.skipped)
 
 
 def lemma_floor_checks(body, tri):

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bodies import H_EPS_A_MAX, SECTOR, regular_polygon_apothem
-from .geom import region_diameter
+from .geom import polygon_area, region_diameter
 
 AREA_TOL = 1e-4  # relative area slack for a trisection to count as valid
 
@@ -60,7 +60,6 @@ class Trisection:
     regions: tuple           # three closed (m, 2) region boundaries
 
     def region_areas(self):
-        from .geom import polygon_area
         return np.array([polygon_area(r) for r in self.regions])
 
     def to_dict(self, dm=None):
@@ -121,63 +120,110 @@ class _BoundaryWalk:
             raise InfeasibleConfigurationError("common point is not interior")
         self.prefix = np.concatenate(([0.0], 0.5 * np.cumsum(cr)))
         self.total_area = float(self.prefix[-1])
-        phi = np.arctan2(rel[:, 1], rel[:, 0])
-        self.phi = np.unwrap(phi)
+        # polar angles of the points about c, closed by the first + 2 pi
+        phi = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
+        self.phi = np.append(phi, phi[0] + 2.0 * math.pi)
 
     def ray_position(self, theta):
-        """Arc position where the ray from c at angle theta hits the boundary."""
+        """Arc position where the ray from c at angle theta hits the
+        boundary; theta is an angle or an array of them."""
+        theta = np.asarray(theta, dtype=float)
         q = self.phi[0] + (theta - self.phi[0]) % (2.0 * math.pi)
-        phi_ext = np.append(self.phi, self.phi[0] + 2.0 * math.pi)
-        i = int(np.searchsorted(phi_ext, q, side="right") - 1)
-        i = min(max(i, 0), self.n - 1)
+        i = np.searchsorted(self.phi, q, side="right") - 1
+        i = np.minimum(np.maximum(i, 0), self.n - 1)
         p1 = self.pts[i] - self.c
         p2 = self.pts[(i + 1) % self.n] - self.c
-        d = np.array([math.cos(theta), math.sin(theta)])
-        denom = d[0] * (p2[1] - p1[1]) - d[1] * (p2[0] - p1[0])
-        if abs(denom) < 1e-15:
-            return float(i)
-        u = (d[1] * p1[0] - d[0] * p1[1]) / denom
-        return i + min(max(u, 0.0), 1.0 - 1e-12)
+        # math.cos and math.sin per angle: numpy's may differ in the last bit
+        d = np.array([(math.cos(a), math.sin(a)) for a in theta.flat])
+        dx, dy = d.reshape(theta.shape + (2,)).T
+        denom = dx * (p2[..., 1] - p1[..., 1]) - dy * (p2[..., 0] - p1[..., 0])
+        flat = np.abs(denom) < 1e-15
+        u = (dy * p1[..., 0] - dx * p1[..., 1]) / np.where(flat, 1.0, denom)
+        t = np.where(flat, i, i + np.minimum(np.maximum(u, 0.0), 1.0 - 1e-12))
+        return float(t) if t.ndim == 0 else t
+
+    def _split(self, t):
+        """Position(s) t as turns * n + i + u: whole turns, an index
+        0 <= i < n and a fraction 0 <= u < 1.  For t >= 0 every part is
+        exact and equal to what divmod(t, n) gives; integer floor
+        division costs about half of divmod on floats."""
+        whole = np.floor(t).astype(int)
+        turns = whole // self.n
+        return turns, whole - turns * self.n, t - whole
 
     def point_at(self, t):
-        t = np.asarray(t) % self.n
-        i = t.astype(int)
-        u = (t - i)[..., None]
-        return self.pts[i] + u * (self.pts[(i + 1) % self.n] - self.pts[i])
+        _, i, u = self._split(t)
+        # i + 1 - n indexes point i + 1, and point 0 after the last
+        a, b = self.pts[i], self.pts[i + (1 - self.n)]
+        return a + np.asarray(u)[..., None] * (b - a)
 
     def swept_area(self, t):
-        wraps, tm = np.divmod(t, self.n)
-        i = tm.astype(int)
-        u = tm - i
+        turns, i, u = self._split(t)
         val = self.prefix[i] + u * (self.prefix[i + 1] - self.prefix[i])
-        return val + wraps * self.total_area
+        return val + turns * self.total_area
 
-    def arc_points(self, t_a, t_b):
-        """Boundary points strictly between positions t_a < t_b (mod n)."""
-        ta = t_a % self.n
-        span = (t_b - t_a) % self.n
-        idx = (int(math.floor(ta)) + 1 + np.arange(int(math.ceil(ta + span))
-                                                   - int(math.floor(ta)) - 1)) % self.n
-        return self.pts[idx]
+    def arc_run(self, t_a, t_b):
+        """The boundary points strictly between positions t_a < t_b
+        (mod n) as a cyclic run: its first index and its length.  Takes
+        positions or arrays of them; a region's arc is the run between its
+        two endpoints."""
+        ta = np.remainder(t_a, self.n)
+        span = np.remainder(np.subtract(t_b, t_a), self.n)
+        first = np.floor(ta)
+        return (((first + 1.0) % self.n).astype(int),
+                (np.ceil(ta + span) - first - 1.0).astype(int))
 
     def solve_position(self, area_fn, t_lo, t_hi):
         """Root of area_fn on [t_lo, t_hi], given a sign change there.
 
-        area_fn takes an array of positions and is linear between integer
-        positions, so one vectorised evaluation at t_lo, every integer in
-        between and t_hi, then a linear solve inside the first segment
-        that reaches 0, gives the root exactly (up to rounding).
+        area_fn is linear between integer positions, so evaluating it at
+        t_lo, every integer in between and t_hi, then solving linearly
+        inside the first segment that reaches 0, gives the root exactly
+        (up to rounding).  t_lo and t_hi are positions or 1-D arrays of
+        them, one bracket per row.  area_fn is called once, with a (1, k)
+        array of positions shared by all rows (the integers inside the
+        brackets, then every t_lo, then every t_hi), and broadcasts its
+        per-row parameters, shaped (rows, 1), against it.  A bracket
+        without a sign change raises for a scalar call and gives NaN in
+        an array row.
         """
-        ts = np.concatenate(([t_lo], np.arange(math.floor(t_lo) + 1,
-                                               math.ceil(t_hi)), [t_hi]))
-        f = area_fn(ts)
-        if f[0] > 0.0 or f[-1] < 0.0:
-            raise InfeasibleConfigurationError("no sign change for area target")
-        k = int(np.argmax(f >= 0.0))
-        if k == 0:
-            return float(t_lo)
-        return float(ts[k - 1] - f[k - 1] * (ts[k] - ts[k - 1])
-                     / (f[k] - f[k - 1]))
+        lo = np.reshape(np.asarray(t_lo, dtype=float), -1)
+        hi = np.reshape(np.asarray(t_hi, dtype=float), -1)
+        if not len(lo):
+            return np.empty(0)
+        rows = np.arange(len(lo))
+        # integers strictly inside the brackets; at least one, for argmax
+        first, last = np.floor(lo) + 1.0, np.ceil(hi) - 1.0
+        start = first.min()
+        grid = np.arange(start, max(start, last.max()) + 1.0)
+        g = len(grid)
+        f = area_fn(np.concatenate((grid, lo, hi))[None, :])
+        at = rows if len(f) > 1 else 0  # f may not depend on the row
+        f_lo, f_hi = f[at, g + rows], f[at, g + len(lo) + rows]
+        # each row's first integer from t_lo on that reaches 0
+        reach = (f[:, :g] >= 0.0) & (grid >= first[:, None])
+        k = np.argmax(reach, axis=1)
+        hit = reach[rows, k] & (grid[k] <= last)
+        # the first segment [a, b] whose end b reaches 0
+        b = np.where(hit, grid[k], hi)
+        f_b = np.where(hit, f[at, k], f_hi)
+        prev = np.where(hit, grid[k] - 1.0, last)
+        inner = prev >= first
+        a = np.where(inner, prev, lo)
+        f_a = np.where(inner, f[at, np.maximum(prev - start, 0.0).astype(int)],
+                       f_lo)
+        failed = (f_lo > 0.0) | (f_hi < 0.0)
+        # f_a < 0 <= f_b, except in rows that fail or whose root is t_lo
+        solve = (f_lo < 0.0) & ~failed
+        t = np.where(solve, a - f_a * (b - a) / np.where(solve, f_b - f_a, 1.0),
+                     lo)
+        t[failed] = np.nan
+        if np.ndim(t_lo) == 0 and np.ndim(t_hi) == 0:
+            if failed[0]:
+                raise InfeasibleConfigurationError(
+                    "no sign change for area target")
+            return float(t[0])
+        return t
 
 
 def _tri_area(c, a, b):
@@ -189,11 +235,13 @@ def _assemble(walk, ts, mids=None):
     """Build a Trisection from three boundary positions (and optional
     fixed curve mid-vertices); the one builder of region boundaries."""
     c = walk.c
-    ws = walk.point_at(np.array(ts))
+    ts = np.asarray(ts, dtype=float)
+    ws = walk.point_at(ts)
+    start, length = walk.arc_run(ts, ts[[1, 2, 0]])
     curves, regions = [], []
     for k in range(3):
         w0, w1 = ws[k], ws[(k + 1) % 3]
-        arc = walk.arc_points(ts[k], ts[(k + 1) % 3])
+        arc = walk.pts[(start[k] + np.arange(length[k])) % walk.n]
         if mids is None:
             curves.append(np.array([c, w0]))
             regions.append(np.vstack([c, w0, arc, w1]))
@@ -209,7 +257,7 @@ def _centre_fan(body, delta):
     rays in the standard endpoint directions turned by delta."""
     walk = _BoundaryWalk(body.boundary, np.zeros(2))
     theta0 = smallest_enclosing_triangle(body).orientation + delta
-    return walk, [walk.ray_position(theta0 + k * SECTOR) for k in range(3)]
+    return walk, walk.ray_position(theta0 + np.arange(3) * SECTOR)
 
 
 def rotate_trisection(body, delta):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -320,17 +321,60 @@ def test_damaged_json_profile_exits_0_or_2(body_path, command, damage):
     assert_exit_0_or_2(TINY[command] + ["--body", str(body_path)])
 
 
-@pytest.mark.parametrize("argv", [
-    ["dm", "--body", "triangle", "--format", "json"],
-    ["sweep", "--body", "triangle", "--grid-c", "1", "--grid-theta", "8"]])
-def test_output_does_not_depend_on_python_O(argv):
+def run_module(argv, flags=()):
+    """Run ``python -m trisect.cli`` on this checkout's sources."""
     env = dict(os.environ)
     env.pop("PYTHONOPTIMIZE", None)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    outs = [subprocess.run([sys.executable, *flags, "-m", "trisect.cli",
-                            *argv], env=env, capture_output=True,
-                           check=True).stdout
-            for flags in ([], ["-O"])]
-    assert outs[0] == outs[1]
+    return subprocess.run([sys.executable, *flags, "-m", "trisect.cli",
+                           *argv], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dm", "--body", "triangle", "--format", "json"],
+    ["sweep", "--body", "triangle", "--grid-c", "1", "--grid-theta", "8"],
+    ["sweep", "--body", "hexagon", "--grid-c", "2", "--grid-theta", "8",
+     "--mode", "perturbed_polylines"],
+    ["render", "--body", "reuleaux", "--what", "sweep_argmin",
+     "--grid-c", "2", "--grid-theta", "8"]])
+def test_output_does_not_depend_on_python_O(argv):
+    outs = [run_module(argv, flags) for flags in ([], ["-O"])]
+    assert [out.returncode for out in outs] == [0, 0]
+    assert outs[0].stdout and outs[0].stdout == outs[1].stdout
+
+
+@pytest.mark.parametrize("row", [[math.inf, 0.6], [-math.inf, 0.6],
+                                 [math.nan, 0.6], [0.5, math.inf]])
+@pytest.mark.parametrize("command", [["dm"], ["sweep"], ["render"],
+                                     ["verify", "--heps-samples", "2",
+                                      "--random", "0"]])
+def test_non_finite_profile_prints_only_the_usage_error(tmp_path, capsys,
+                                                        command, row):
+    # numpy used to print RuntimeWarnings about cos and sin first
+    profile = [list(r) for r in HEXAGON_PROFILE]
+    profile[3] = row
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"sector_profile": profile}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--body", str(path)])
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: trisect")
+    assert lines[-1].startswith("trisect: error: cannot load body file")
+
+
+def test_infinite_angle_stderr_holds_only_the_usage_lines(tmp_path):
+    profile = [list(r) for r in HEXAGON_PROFILE]
+    profile[3][0] = math.inf
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"sector_profile": profile}))
+    proc = run_module(["dm", "--body", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr == (cli.build_parser().format_usage()
+                           + f"trisect: error: cannot load body file {path}: "
+                           "sector_profile has a NaN or infinite angle or an "
+                           "infinite radius\n")

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from trisect import search
 from trisect.bodies import (H_EPS_A_MAX, SECTOR, make_h_eps,
                             make_regular_polygon, random_body)
 from trisect.cli import PRESETS
+from trisect.geom import points_diameter, region_diameters_sq
 from trisect.search import (FLOOR_TOL, VIOLATION_TOL,
                             InfeasibleConfigurationError, OptimalityReport,
                             SweepGrid, SweepReport, antipodal_gap,
@@ -16,7 +18,8 @@ from trisect.search import (FLOOR_TOL, VIOLATION_TOL,
                             sweep_h_eps, sweep_segment_trisections,
                             trisection_dm, uniqueness_probe,
                             verify_h_tilde_optimal)
-from trisect.trisection import (closed_form_dm_standard, inscribed_ball_radius,
+from trisect.trisection import (_assemble, _BoundaryWalk,
+                                closed_form_dm_standard, inscribed_ball_radius,
                                 max_relative_diameter, solve_a0,
                                 standard_trisection)
 
@@ -333,3 +336,215 @@ def test_random_bodies_respect_bound():
     for _ in range(10):
         body = random_body(rng)
         assert functional_quotient(body) >= bound - 1e-4
+
+
+def _reference_sweep(body, grid, seed, skip=()):
+    """The sweep as one loop over the cells, each built by _assemble and
+    measured by trisection_dm; theta indices in skip are dropped before
+    their random draws, as a failed batched solve drops them."""
+    boundary = search._dense_boundary(body)
+    dm_standard = closed_form_dm_standard(body)
+    thetas = (np.arange(grid.theta1_count) * 2.0 * math.pi
+              / grid.theta1_count)
+    rng = np.random.default_rng(seed)
+    cells, skipped = [], 0
+    for c in grid.c_points:
+        try:
+            walk = _BoundaryWalk(boundary, c)
+        except InfeasibleConfigurationError:
+            skipped += len(thetas)
+            continue
+        for j, theta1 in enumerate(thetas):
+            try:
+                if j in skip:
+                    raise InfeasibleConfigurationError("skipped")
+                base = search._segment_base(walk, theta1)
+                if grid.curve_mode == "segments":
+                    tri = _assemble(walk, base % walk.n)
+                else:
+                    tri = search._perturbed_cell(
+                        walk, base, rng, grid.perturbation_magnitude)[2]
+            except InfeasibleConfigurationError:
+                skipped += 1
+                continue
+            cells.append((trisection_dm(tri), tri))
+    dms = [dm for dm, _ in cells]
+    best = int(np.argmin(dms))
+    return SweepReport(
+        body_label=body.label, grid=grid, min_dm=dms[best],
+        argmin=cells[best][1], dm_standard=dm_standard,
+        violations=tuple((tri.to_dict(dm=dm), dm_standard - dm)
+                         for dm, tri in cells
+                         if dm < dm_standard - VIOLATION_TOL),
+        floor_margin=min(dm - dm_standard for dm in dms),
+        cells_evaluated=len(cells), cells_skipped=skipped).to_dict()
+
+
+def _scorer_bodies():
+    bodies = [(name, make) for name, make in PRESETS.items()]
+    bodies += [(f"h_eps:{a}", lambda a=a: make_h_eps(a))
+               for a in (0.1, 0.4, 0.55)]
+    bodies += [(f"random:{k}",
+                lambda k=k: random_body(np.random.default_rng(100 + k)))
+               for k in range(5)]
+    # every profile sample a corner: a 3,456-point dense boundary
+    bodies.append(("regular:3072", lambda: make_regular_polygon(1024)))
+    return bodies
+
+
+def _scorer_grid(body, mode):
+    rng = np.random.default_rng(9)
+    rho = inscribed_ball_radius(body)
+    # the center, lattice points, points near the boundary (arcs longer
+    # than half of it) and one outside (a skipped common point)
+    near = [0.97 * body.radius_at(a) * np.array([math.cos(a), math.sin(a)])
+            for a in (0.4, 2.9)]
+    pts = np.vstack([np.zeros((1, 2)), default_c_points(body, 3, rng), near,
+                     [[3.0 * rho + 2.0, 0.0]]])
+    return SweepGrid(c_points=pts, theta1_count=8, curve_mode=mode,
+                     perturbation_magnitude=0.02)
+
+
+@pytest.mark.parametrize("mode", ["segments", "perturbed_polylines"])
+@pytest.mark.parametrize("name,make", _scorer_bodies(),
+                         ids=[name for name, _ in _scorer_bodies()])
+def test_scored_cells_equal_trisection_dm_bit_for_bit(name, make, mode):
+    body = make()
+    grid = _scorer_grid(body, mode)
+    boundary = search._dense_boundary(body)
+    n = len(boundary)
+    cells = search._solve_cells(boundary, grid, np.random.default_rng(4))
+    dm = search._cells_dm(boundary, cells)
+    assert cells.skipped >= grid.theta1_count  # the outside point
+    for k in range(len(dm)):
+        assert dm[k] == trisection_dm(cells.trisection(k)), (name, k)
+    runs = [cells.walks[ci].arc_run(ts, np.roll(ts, -1))
+            for ci, ts in zip(cells.c_index, cells.ts)]
+    assert any(np.any(length > n // 2) for _, length in runs)
+    assert any(np.any(start + length > n) for start, length in runs)
+    # the whole report equals the cell-by-cell loop's
+    assert (sweep_segment_trisections(body, grid, seed=4).to_dict()
+            == _reference_sweep(body, grid, seed=4))
+
+
+@pytest.mark.parametrize("mids", [False, True])
+def test_scorer_at_integer_positions_and_empty_arcs(h_tilde, mids):
+    boundary = search._dense_boundary(h_tilde)
+    n = len(boundary)
+    walk = _BoundaryWalk(boundary, np.array([0.03, -0.02]))
+    # an empty arc at every 37th chord: where the next point is farther
+    # from the curve vertices, counting it would change the diameter
+    empty = [[k + 0.2, k + 0.7, k + 300.0] for k in range(0, n, 37)]
+    ts = np.array([[0.0, 256.0, 512.0],        # integer positions
+                   [10.0, 10.5, 400.0],        # an empty arc from a vertex
+                   [700.25, 5.5, 300.0],       # a run wrapping past 0
+                   [0.5, 600.0, float(n - 1)],  # a run longer than n / 2
+                   [n - 0.5, 1.0, 2.0]] + empty) % n
+    rng = np.random.default_rng(2)
+    mid = (0.5 * walk.point_at(ts) + rng.uniform(-0.02, 0.02, (len(ts), 3, 2))
+           if mids else None)
+    verts, start, length = search._cell_regions(walk, ts, mid)
+    assert np.any(length == 0)
+    d2 = region_diameters_sq(boundary, verts.reshape(-1, *verts.shape[2:]),
+                             start.ravel(), length.ravel())
+    regions = [r for k in range(len(ts))
+               for r in _assemble(walk, ts[k],
+                                  None if mid is None else mid[k]).regions]
+    assert [math.sqrt(v) for v in d2] == [points_diameter(r) for r in regions]
+
+
+@pytest.mark.parametrize("mode", ["segments", "perturbed_polylines"])
+def test_sweep_skips_failed_rows_of_a_batch(hexagon, monkeypatch, mode):
+    # rows whose batched solve fails are skipped, drawing no random numbers
+    solve = _BoundaryWalk.solve_position
+
+    def failing(self, area_fn, t_lo, t_hi):
+        t = solve(self, area_fn, t_lo, t_hi)
+        if np.ndim(t_lo) == 1:
+            t[1::3] = np.nan
+        return t
+
+    rng = np.random.default_rng(3)
+    grid = SweepGrid(c_points=default_c_points(hexagon, 3, rng),
+                     theta1_count=9, curve_mode=mode,
+                     perturbation_magnitude=0.02)
+    monkeypatch.setattr(_BoundaryWalk, "solve_position", failing)
+    report = sweep_segment_trisections(hexagon, grid, seed=5).to_dict()
+    assert report["cells_skipped"] == 9
+    monkeypatch.setattr(_BoundaryWalk, "solve_position", solve)
+    assert report == _reference_sweep(hexagon, grid, seed=5, skip={1, 4, 7})
+
+
+def test_walk_positions_match_divmod(h_tilde):
+    # point_at and swept_area split a position without divmod; for t >= 0
+    # every part is exact, so the results are those of the divmod form
+    walk = _BoundaryWalk(h_tilde.boundary, np.array([0.05, 0.02]))
+    n = walk.n
+    ints = np.arange(0.0, 3 * n)
+    t = np.concatenate([np.random.default_rng(0).uniform(0, 3 * n, 20000),
+                        ints, ints + 1e-9, np.nextafter(ints[1:], 0.0),
+                        [0.0, -0.0, n - 1e-13, 2.0 * n]])
+    tm = t % n
+    i = tm.astype(int)
+    u = tm - i
+    pts = walk.pts
+    point = pts[i] + u[:, None] * (pts[(i + 1) % n] - pts[i])
+    swept = (walk.prefix[i] + u * (walk.prefix[i + 1] - walk.prefix[i])
+             + (t // n) * walk.total_area)
+    assert np.array_equal(walk.point_at(t), point)
+    assert np.array_equal(walk.swept_area(t), swept)
+    assert walk.swept_area(float(t[0])) == swept[0]
+
+
+def _one_bracket_scan(area_fn, t_lo, t_hi):
+    """The solve for one bracket as a loop-free scan of its own positions;
+    NaN without a sign change."""
+    ts = np.concatenate(([t_lo], np.arange(math.floor(t_lo) + 1,
+                                           math.ceil(t_hi)), [t_hi]))
+    f = area_fn(ts)
+    if f[0] > 0.0 or f[-1] < 0.0:
+        return math.nan
+    k = int(np.argmax(f >= 0.0))
+    if k == 0:
+        return float(t_lo)
+    return float(ts[k - 1] - f[k - 1] * (ts[k] - ts[k - 1])
+                 / (f[k] - f[k - 1]))
+
+
+def test_batched_solve_equals_one_bracket_scans(h_tilde):
+    walk = _BoundaryWalk(search._dense_boundary(h_tilde), np.array([0.1, 0.05]))
+    n, A = walk.n, walk.total_area
+    rng = np.random.default_rng(12)
+    lo = rng.uniform(0.0, n, 300)
+    lo[:40] = np.floor(lo[:40])                      # integer ends
+    hi = lo + rng.uniform(0.0, n, 300)
+    hi[40:80] = np.ceil(hi[40:80])
+    hi[80:100] = lo[80:100] + rng.uniform(0.0, 0.5, 20)  # inside one chord
+    share = rng.uniform(-0.1, 1.1, 300) * A          # some rows fail
+    s0 = walk.swept_area(lo)
+    # roots inside the first, partial chord, at an integer and at t_lo
+    share[100:120] = 0.5 * (walk.swept_area(np.floor(lo) + 1.0) - s0)[100:120]
+    share[120:140] = (walk.swept_area(np.floor(lo) + 3.0) - s0)[120:140]
+    share[140:150] = 0.0
+    tooth = rng.uniform(0.0, n, 300)
+
+    def swept(s0, a):
+        return lambda t: walk.swept_area(t) - s0 - a
+
+    def saw(m, a):
+        # many crossings: the solve must take the first
+        return lambda t: np.abs((t - m) % 40.0 - 20.0) - 10.0 + a
+
+    for make, p, q in ((swept, s0, share), (saw, tooth, share / A * 5.0)):
+        got = walk.solve_position(make(p[:, None], q[:, None]), lo, hi)
+        want = [_one_bracket_scan(make(p[r], q[r]), lo[r], hi[r])
+                for r in range(len(lo))]
+        assert np.array_equal(got, want, equal_nan=True)
+        assert 0 < np.count_nonzero(np.isnan(got)) < len(lo)
+        for r in range(0, len(lo), 7):
+            if math.isnan(want[r]):
+                with pytest.raises(InfeasibleConfigurationError):
+                    walk.solve_position(make(p[r], q[r]), lo[r], hi[r])
+            else:
+                assert walk.solve_position(make(p[r], q[r]), lo[r],
+                                           hi[r]) == want[r]
