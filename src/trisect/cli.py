@@ -31,6 +31,12 @@ PRESETS = {
 # At m = 3 * DEFAULT_SECTOR_SAMPLES every profile sample is a corner; the
 # body's arrays grow with m, and a huge m would exhaust memory.
 MAX_REGULAR_M = 3 * bodies.DEFAULT_SECTOR_SAMPLES
+# Caps on the options that size an array or a list; a sweep holds < 1 kB a cell
+MAX_GRID_C = 1_000
+MAX_GRID_THETA = 1_440
+MAX_HEPS_COUNT = 100_000        # rows of the heps table
+MAX_POOL_BODIES = 1_000         # verify's --heps-samples and --random, each
+MAX_ANTIPODAL_SAMPLES = 65_536  # verify's directions per body
 
 
 def resolve_body(spec, parser):
@@ -109,8 +115,9 @@ def cmd_dm(args, parser):
 
 
 def _check_grid(args, parser):
-    if args.grid_c < 1 or args.grid_theta < 8:
-        parser.error("--grid-c must be at least 1 and --grid-theta at least 8")
+    if not (1 <= args.grid_c <= MAX_GRID_C and 8 <= args.grid_theta <= MAX_GRID_THETA):
+        parser.error(f"--grid-c must be at least 1 and at most {MAX_GRID_C}, and "
+                     f"--grid-theta at least 8 and at most {MAX_GRID_THETA}")
 
 
 def cmd_sweep(args, parser):
@@ -133,8 +140,8 @@ def cmd_sweep(args, parser):
 
 
 def cmd_heps(args, parser):
-    if args.count < 16:
-        parser.error("--count must be at least 16")
+    if not 16 <= args.count <= MAX_HEPS_COUNT:
+        parser.error(f"--count must be at least 16 and at most {MAX_HEPS_COUNT}")
     rows = sweep_h_eps(args.count)
     lines = ["a,dpx,dv12,dm"]
     lines += [",".join(f"{v:.6f}" for v in row) for row in rows]
@@ -178,10 +185,12 @@ def _verify_pool(args, parser):
 
 
 def cmd_verify(args, parser):
-    if args.samples < 64:
-        parser.error("--samples must be at least 64")
-    if args.heps_samples < 0 or args.random < 0:
-        parser.error("--heps-samples and --random must be non-negative")
+    if not 64 <= args.samples <= MAX_ANTIPODAL_SAMPLES:
+        parser.error(f"--samples must be at least 64 and at most {MAX_ANTIPODAL_SAMPLES}")
+    if not (0 <= args.heps_samples <= MAX_POOL_BODIES
+            and 0 <= args.random <= MAX_POOL_BODIES):
+        parser.error("--heps-samples and --random must be non-negative and at "
+                     f"most {MAX_POOL_BODIES}")
     pool = _verify_pool(args, parser)
     lines = []
     ok = True

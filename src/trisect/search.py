@@ -9,8 +9,8 @@ from . import bodies as _bodies
 from .bodies import H_EPS_A_MAX, SECTOR
 from .geom import points_diameter, region_diameters_sq, rotate
 from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
-                         _assemble, _BoundaryWalk, _centre_fan, _tri_area,
-                         closed_form_dm_standard, h_eps_dpx, h_eps_dv12,
+                         _assemble, _BoundaryWalk, _cell_regions, _centre_fan,
+                         _tri_area, closed_form_dm_standard, h_eps_dpx, h_eps_dv12,
                          inscribed_ball_radius, rotate_trisection)
 
 VIOLATION_TOL = 1e-3  # slack below the closed form before a sweep cell counts
@@ -75,7 +75,6 @@ def default_c_points(body, count, rng):
     ~20% random points between the ball and the boundary."""
     rho = inscribed_ball_radius(body)
     lattice_target = max(1, int(round(0.8 * count)))
-    pts = [np.zeros(2)]
     # grow a hex lattice until enough points fall inside the ball
     rings = 1
     while True:
@@ -167,62 +166,57 @@ def perturbed_polyline_trisection(body, c, theta1, rng, magnitude):
     """Segment trisection with curve mid-vertices jittered, areas restored
     by re-solving the second and third endpoints only."""
     walk = _BoundaryWalk(body.boundary, c)
-    return _perturbed_cell(walk, _segment_base(walk, theta1), rng,
-                           magnitude)[2]
+    ts, mids, ok = _perturbed_rows(walk, _segment_base(walk, theta1)[None],
+                                   rng.uniform(-magnitude, magnitude, (1, 3)))
+    if not ok[0]:
+        raise InfeasibleConfigurationError("perturbation could not be rebalanced")
+    return _assemble(walk, ts[0], mids[0])
 
 
-def _perturbed_cell(walk, base, rng, magnitude):
-    """Perturbed trisection from the segment positions base: each curve
-    gets a mid-vertex jittered off its segment, then the second and third
-    endpoints are re-solved so every region keeps a third of the area.
-    Returns the positions mod n, the mid-vertices and the Trisection."""
+def _perturbed_rows(walk, base, jitter):
+    """Perturbed cells from rows of segment positions base (k, 3): each
+    curve's mid-vertex is moved off its segment's midpoint by jitter
+    (k, 3) along the unit normal, then t2 and t3 are re-solved so every
+    region keeps a third of the area.  Returns the positions mod n, the
+    mid-vertices (k, 3, 2) and whether each row's regions hit A/3."""
     c, A, n = walk.c, walk.total_area, walk.n
-    mids = []
-    for w in walk.point_at(base):
-        seg = w - c
-        perp = np.array([-seg[1], seg[0]]) / max(np.hypot(*seg), 1e-12)
-        mids.append(c + 0.5 * seg + rng.uniform(-magnitude, magnitude) * perp)
-    t1 = base[0]
-
-    def region_gap(t_a, m_a, m_b):
-        # area of [c, m_a, w(t_a), arc, w(t), m_b] minus A/3
-        head = _tri_area(c, m_a, walk.point_at(t_a))
+    seg = walk.point_at(base) - c
+    norm = np.maximum(np.hypot(seg[..., 0], seg[..., 1]), 1e-12)
+    perp = np.stack((-seg[..., 1], seg[..., 0]), axis=-1) / norm[..., None]
+    mids = c + 0.5 * seg + jitter[..., None] * perp
+    ts, failed = base.copy(), np.zeros(len(base), dtype=bool)
+    for k in (1, 2):
+        # area of [c, m_a, w(t_a), arc, w(t), m_b] minus A/3, per row
+        t_a, m_b = ts[:, k - 1:k], mids[:, k, None]
+        head = _tri_area(c, mids[:, k - 1, None], walk.point_at(t_a))
         swept_a = walk.swept_area(t_a)
 
-        def g(t):
+        def gap(t):
             return (head + walk.swept_area(t) - swept_a
                     + _tri_area(c, walk.point_at(t), m_b) - A / 3.0)
-        return g
+        t = walk.solve_position(gap, t_a[:, 0] + 1e-9, ts[:, 0] + n - 1e-9)
+        # a failed row keeps its segment position as a stand-in
+        failed |= np.isnan(t)
+        ts[:, k] = np.where(failed, ts[:, k], t)
+    areas = _fan_areas(walk, ts, mids)
+    ok = ~failed & np.all(np.abs(areas - A / 3.0) <= AREA_TOL * A, axis=1)
+    return ts % n, mids, ok
 
-    t2 = walk.solve_position(region_gap(t1, mids[0], mids[1]),
-                             t1 + 1e-9, t1 + n - 1e-9)
-    t3 = walk.solve_position(region_gap(t2, mids[1], mids[2]),
-                             t2 + 1e-9, t1 + n - 1e-9)
-    ts = np.array([t1, t2, t3]) % n
-    tri = _assemble(walk, ts, mids=mids)
-    areas = tri.region_areas()
-    if np.any(np.abs(areas - A / 3.0) > AREA_TOL * A):
-        raise InfeasibleConfigurationError("perturbation could not be rebalanced")
-    return ts, np.array(mids), tri
+
+def _fan_areas(walk, ts, mids):
+    """Areas (k, 3) of the regions of perturbed cells, each its fan about
+    c, tri(c, m_a, w_a) + swept(t_b) - swept(t_a) + tri(c, w_b, m_b) with
+    t_b reached forward from t_a: what region_areas measures."""
+    nxt = [1, 2, 0]
+    ws = walk.point_at(ts)
+    ends = ts + np.remainder(ts[:, nxt] - ts, walk.n)
+    return (_tri_area(walk.c, mids, ws) + walk.swept_area(ends)
+            - walk.swept_area(ts) + _tri_area(walk.c, ws[:, nxt], mids[:, nxt]))
 
 
 def trisection_dm(tri):
     """d_M of a trisection from its (already dense) region boundaries."""
     return max(points_diameter(r) for r in tri.regions)
-
-
-def _cell_regions(walk, ts, mids=None):
-    """The regions of cells cut at positions ts (k, 3) mod n, as
-    region_diameters_sq takes them: curve vertices (k, 3, V, 2), ordered
-    [c, (m_a), w_a, w_b, (m_b)], and the arc runs (start, length), (k, 3)
-    each.  The same points as _assemble's regions."""
-    nxt = [1, 2, 0]
-    ws = walk.point_at(ts)
-    start, length = walk.arc_run(ts, ts[:, nxt])
-    c = np.broadcast_to(walk.c, ws.shape)
-    parts = ([c, ws, ws[:, nxt]] if mids is None
-             else [c, mids, ws, ws[:, nxt], mids[:, nxt]])
-    return np.stack(parts, axis=2), start, length
 
 
 @dataclass(frozen=True)
@@ -248,16 +242,19 @@ _SOLVE_CHUNK = 32_768
 def _solve_cells(boundary, grid, rng):
     """Step 1 of a sweep: the positions of every feasible cell.
 
-    The segment positions of all the theta1 of one common point are
-    solved at once, in blocks of consecutive angles.  Perturbed cells
-    then go one by one in grid order on the one random stream.
+    The cells of one common point are solved at once, in blocks of
+    consecutive angles: first their segment positions, then, in
+    perturbed mode, their jittered mid-vertices and re-solved positions,
+    with three draws per feasible cell from the one random stream in
+    grid order.
     """
     thetas = np.arange(grid.theta1_count) * 2.0 * math.pi / grid.theta1_count
     # consecutive angles share most of the solve's integer grid, which
     # spans up to two turns of the boundary
     rows_per = max(1, _SOLVE_CHUNK // (2 * len(boundary)))
-    walks, c_index, ts, mids = [], [], [], []
-    skipped = 0
+    perturbed = grid.curve_mode != "segments"
+    walks, c_index, skipped = [], [], 0
+    ts, mids = [np.empty((0, 3))], [np.empty((0, 3, 2))]
     for ci, c in enumerate(grid.c_points):
         try:
             walk = _BoundaryWalk(boundary, c)
@@ -268,25 +265,21 @@ def _solve_cells(boundary, grid, rng):
         walks.append(walk)
         base = np.concatenate([_segment_positions(walk, thetas[i:i + rows_per])
                                for i in range(0, len(thetas), rows_per)])
-        ok = ~np.isnan(base[:, 0])
-        skipped += int(np.count_nonzero(~ok))
-        if grid.curve_mode == "segments":
-            ts.append(base[ok] % walk.n)
-            c_index += [ci] * int(np.count_nonzero(ok))
-            continue
-        for row in base[ok]:
-            try:
-                t, m, _ = _perturbed_cell(walk, row, rng,
-                                          grid.perturbation_magnitude)
-            except InfeasibleConfigurationError:
-                skipped += 1
-                continue
-            ts.append(t[None])
-            mids.append(m)
-            c_index.append(ci)
+        base = base[~np.isnan(base[:, 0])]
+        if perturbed and len(base):
+            m = grid.perturbation_magnitude
+            jitter = rng.uniform(-m, m, (len(base), 3))
+            rows = [_perturbed_rows(walk, base[i:i + rows_per], jitter[i:i + rows_per])
+                    for i in range(0, len(base), rows_per)]
+            t, mid, ok = (np.concatenate(p) for p in zip(*rows))
+            base = t[ok]
+            mids.append(mid[ok])
+        skipped += len(thetas) - len(base)
+        ts.append(base % walk.n)
+        c_index += [ci] * len(base)
     return _Cells(walks=walks, c_index=np.array(c_index, dtype=int),
-                  ts=np.concatenate(ts) if ts else np.empty((0, 3)),
-                  mids=np.array(mids) if grid.curve_mode != "segments" else None,
+                  ts=np.concatenate(ts),
+                  mids=np.concatenate(mids) if perturbed else None,
                   skipped=skipped)
 
 

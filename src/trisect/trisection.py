@@ -125,8 +125,8 @@ class _BoundaryWalk:
         self.phi = np.append(phi, phi[0] + 2.0 * math.pi)
 
     def ray_position(self, theta):
-        """Arc position where the ray from c at angle theta hits the
-        boundary; theta is an angle or an array of them."""
+        """Arc positions where the rays from c at the angles theta (an
+        array) hit the boundary."""
         theta = np.asarray(theta, dtype=float)
         q = self.phi[0] + (theta - self.phi[0]) % (2.0 * math.pi)
         i = np.searchsorted(self.phi, q, side="right") - 1
@@ -139,8 +139,7 @@ class _BoundaryWalk:
         denom = dx * (p2[..., 1] - p1[..., 1]) - dy * (p2[..., 0] - p1[..., 0])
         flat = np.abs(denom) < 1e-15
         u = (dy * p1[..., 0] - dx * p1[..., 1]) / np.where(flat, 1.0, denom)
-        t = np.where(flat, i, i + np.minimum(np.maximum(u, 0.0), 1.0 - 1e-12))
-        return float(t) if t.ndim == 0 else t
+        return np.where(flat, i, i + np.minimum(np.maximum(u, 0.0), 1.0 - 1e-12))
 
     def _split(self, t):
         """Position(s) t as turns * n + i + u: whole turns, an index
@@ -179,18 +178,14 @@ class _BoundaryWalk:
         area_fn is linear between integer positions, so evaluating it at
         t_lo, every integer in between and t_hi, then solving linearly
         inside the first segment that reaches 0, gives the root exactly
-        (up to rounding).  t_lo and t_hi are positions or 1-D arrays of
-        them, one bracket per row.  area_fn is called once, with a (1, k)
-        array of positions shared by all rows (the integers inside the
-        brackets, then every t_lo, then every t_hi), and broadcasts its
-        per-row parameters, shaped (rows, 1), against it.  A bracket
-        without a sign change raises for a scalar call and gives NaN in
-        an array row.
+        (up to rounding).  t_lo and t_hi are 1-D arrays, one bracket per
+        row.  area_fn is called once, with a (1, k) array of positions
+        shared by all rows (the integers inside the brackets, then every
+        t_lo, then every t_hi), and broadcasts its per-row parameters,
+        shaped (rows, 1), against it.  A row without a sign change gives
+        NaN.
         """
-        lo = np.reshape(np.asarray(t_lo, dtype=float), -1)
-        hi = np.reshape(np.asarray(t_hi, dtype=float), -1)
-        if not len(lo):
-            return np.empty(0)
+        lo, hi = np.asarray(t_lo, dtype=float), np.asarray(t_hi, dtype=float)
         rows = np.arange(len(lo))
         # integers strictly inside the brackets; at least one, for argmax
         first, last = np.floor(lo) + 1.0, np.ceil(hi) - 1.0
@@ -218,11 +213,6 @@ class _BoundaryWalk:
         t = np.where(solve, a - f_a * (b - a) / np.where(solve, f_b - f_a, 1.0),
                      lo)
         t[failed] = np.nan
-        if np.ndim(t_lo) == 0 and np.ndim(t_hi) == 0:
-            if failed[0]:
-                raise InfeasibleConfigurationError(
-                    "no sign change for area target")
-            return float(t[0])
         return t
 
 
@@ -231,25 +221,33 @@ def _tri_area(c, a, b):
                   - (a[..., 1] - c[1]) * (b[..., 0] - c[0]))
 
 
+def _cell_regions(walk, ts, mids=None):
+    """The regions of cells cut at positions ts (k, 3) mod n: curve
+    vertices (k, 3, V, 2), ordered [c, (m_a), w_a, w_b, (m_b)], and arc
+    runs (start, length), (k, 3) each.  A region is its first (V + 1) // 2
+    curve vertices, its arc run, then the rest of its curve vertices."""
+    nxt = [1, 2, 0]
+    ws = walk.point_at(ts)
+    start, length = walk.arc_run(ts, ts[:, nxt])
+    c = np.broadcast_to(walk.c, ws.shape)
+    parts = ([c, ws, ws[:, nxt]] if mids is None
+             else [c, mids, ws, ws[:, nxt], mids[:, nxt]])
+    return np.stack(parts, axis=2), start, length
+
+
 def _assemble(walk, ts, mids=None):
     """Build a Trisection from three boundary positions (and optional
     fixed curve mid-vertices); the one builder of region boundaries."""
-    c = walk.c
-    ts = np.asarray(ts, dtype=float)
-    ws = walk.point_at(ts)
-    start, length = walk.arc_run(ts, ts[[1, 2, 0]])
-    curves, regions = [], []
-    for k in range(3):
-        w0, w1 = ws[k], ws[(k + 1) % 3]
-        arc = walk.pts[(start[k] + np.arange(length[k])) % walk.n]
-        if mids is None:
-            curves.append(np.array([c, w0]))
-            regions.append(np.vstack([c, w0, arc, w1]))
-        else:
-            curves.append(np.array([c, mids[k], w0]))
-            regions.append(np.vstack([c, mids[k], w0, arc, w1, mids[(k + 1) % 3]]))
-    return Trisection(common_point=c.copy(), curves=tuple(curves),
-                      endpoints=ws, regions=tuple(regions))
+    verts, start, length = (a[0] for a in _cell_regions(
+        walk, np.asarray(ts)[None], None if mids is None else np.asarray(mids)[None]))
+    h = (verts.shape[1] + 1) // 2
+    regions = tuple(
+        np.concatenate((v[:h], walk.pts[(s + np.arange(m)) % walk.n], v[h:]))
+        for v, s, m in zip(verts, start, length))
+    # curve j runs from c to its endpoint: the head of region j
+    return Trisection(common_point=walk.c.copy(),
+                      curves=tuple(v[:h] for v in verts),
+                      endpoints=verts[:, h - 1], regions=regions)
 
 
 def _centre_fan(body, delta):

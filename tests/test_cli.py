@@ -139,6 +139,25 @@ def test_bad_verify_or_sweep_value_exits_2(capsys, argv, message):
     assert message in capsys.readouterr().err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("argv, cap", [
+    (["heps", "--count"], cli.MAX_HEPS_COUNT),
+    (["verify", "--samples"], cli.MAX_ANTIPODAL_SAMPLES),
+    (["verify", "--heps-samples"], cli.MAX_POOL_BODIES),
+    (["verify", "--random"], cli.MAX_POOL_BODIES),
+    (["sweep", "--body", "hexagon", "--grid-c"], cli.MAX_GRID_C),
+    (["sweep", "--body", "hexagon", "--grid-theta"], cli.MAX_GRID_THETA),
+    (["render", "--body", "hexagon", "--what", "sweep_argmin", "--grid-c"],
+     cli.MAX_GRID_C),
+    (["render", "--body", "hexagon", "--what", "sweep_argmin", "--grid-theta"],
+     cli.MAX_GRID_THETA)])
+def test_integer_option_over_its_cap_exits_2(capsys, argv, cap):
+    # one over the cap is a usage error before anything is built
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + [str(cap + 1)])
+    assert exc.value.code == 2
+    assert f"at most {cap}" in capsys.readouterr().err.splitlines()[-1]
+
+
 def test_heps_table(capsys):
     code, out = run(capsys, "heps", "--count", "41")
     assert code == 0

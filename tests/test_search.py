@@ -18,7 +18,8 @@ from trisect.search import (FLOOR_TOL, VIOLATION_TOL,
                             sweep_h_eps, sweep_segment_trisections,
                             trisection_dm, uniqueness_probe,
                             verify_h_tilde_optimal)
-from trisect.trisection import (_assemble, _BoundaryWalk,
+from trisect.trisection import (AREA_TOL, _assemble, _BoundaryWalk,
+                                _cell_regions, _tri_area,
                                 closed_form_dm_standard, inscribed_ball_radius,
                                 max_relative_diameter, solve_a0,
                                 standard_trisection)
@@ -104,7 +105,8 @@ def test_exact_solve_matches_bisection(h_tilde):
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if gap(mid) <= 0.0 else (lo, mid)
-        assert walk.solve_position(gap, t_lo, t_hi) == pytest.approx(lo, abs=1e-9)
+        t = walk.solve_position(gap, np.array([t_lo]), np.array([t_hi]))
+        assert t[0] == pytest.approx(lo, abs=1e-9)
 
 
 @pytest.mark.parametrize("mode", ["segments", "perturbed_polylines"])
@@ -339,9 +341,10 @@ def test_random_bodies_respect_bound():
 
 
 def _reference_sweep(body, grid, seed, skip=()):
-    """The sweep as one loop over the cells, each built by _assemble and
-    measured by trisection_dm; theta indices in skip are dropped before
-    their random draws, as a failed batched solve drops them."""
+    """The sweep as one loop over the cells, each built by _assemble or
+    _perturbed_cell and measured by trisection_dm; theta indices in skip
+    are dropped before their random draws, as a failed batched segment
+    solve drops them."""
     boundary = search._dense_boundary(body)
     dm_standard = closed_form_dm_standard(body)
     thetas = (np.arange(grid.theta1_count) * 2.0 * math.pi
@@ -362,8 +365,8 @@ def _reference_sweep(body, grid, seed, skip=()):
                 if grid.curve_mode == "segments":
                     tri = _assemble(walk, base % walk.n)
                 else:
-                    tri = search._perturbed_cell(
-                        walk, base, rng, grid.perturbation_magnitude)[2]
+                    tri = _perturbed_cell(walk, base, rng,
+                                          grid.perturbation_magnitude)
             except InfeasibleConfigurationError:
                 skipped += 1
                 continue
@@ -378,6 +381,38 @@ def _reference_sweep(body, grid, seed, skip=()):
                          if dm < dm_standard - VIOLATION_TOL),
         floor_margin=min(dm - dm_standard for dm in dms),
         cells_evaluated=len(cells), cells_skipped=skipped).to_dict()
+
+
+def _perturbed_cell(walk, base, rng, magnitude):
+    """One perturbed cell on its own: three scalar draws, each endpoint
+    re-solved by a one-bracket scan, and the rebalance check on the
+    areas of the assembled regions."""
+    c, A, n = walk.c, walk.total_area, walk.n
+    mids = []
+    for w in walk.point_at(base):
+        seg = w - c
+        perp = np.array([-seg[1], seg[0]]) / max(np.hypot(*seg), 1e-12)
+        mids.append(c + 0.5 * seg + rng.uniform(-magnitude, magnitude) * perp)
+
+    def region_gap(t_a, m_a, m_b):
+        head = _tri_area(c, m_a, walk.point_at(t_a))
+        swept_a = walk.swept_area(t_a)
+        return lambda t: (head + walk.swept_area(t) - swept_a
+                          + _tri_area(c, walk.point_at(t), m_b) - A / 3.0)
+
+    t1 = base[0]
+    t2 = _one_bracket_scan(region_gap(t1, mids[0], mids[1]),
+                           t1 + 1e-9, t1 + n - 1e-9)
+    if math.isnan(t2):
+        raise InfeasibleConfigurationError("no sign change")
+    t3 = _one_bracket_scan(region_gap(t2, mids[1], mids[2]),
+                           t2 + 1e-9, t1 + n - 1e-9)
+    if math.isnan(t3):
+        raise InfeasibleConfigurationError("no sign change")
+    tri = _assemble(walk, np.array([t1, t2, t3]) % n, mids)
+    if np.any(np.abs(tri.region_areas() - A / 3.0) > AREA_TOL * A):
+        raise InfeasibleConfigurationError("not rebalanced")
+    return tri
 
 
 def _scorer_bodies():
@@ -427,6 +462,40 @@ def test_scored_cells_equal_trisection_dm_bit_for_bit(name, make, mode):
             == _reference_sweep(body, grid, seed=4))
 
 
+@pytest.mark.parametrize("name,make", _scorer_bodies(),
+                         ids=[name for name, _ in _scorer_bodies()])
+def test_rebalance_areas_equal_region_areas(name, make):
+    # the perturbed rows' closed-form fan areas are the areas of the
+    # assembled regions, on every evaluated cell
+    body = make()
+    boundary = search._dense_boundary(body)
+    cells = search._solve_cells(boundary, _scorer_grid(body,
+                                                       "perturbed_polylines"),
+                                np.random.default_rng(4))
+    assert len(cells.ts)
+    for k in range(len(cells.ts)):
+        walk = cells.walks[cells.c_index[k]]
+        fan = search._fan_areas(walk, cells.ts[k:k + 1], cells.mids[k:k + 1])
+        assert np.all(np.abs(fan[0] - cells.trisection(k).region_areas())
+                      <= 1e-12 * walk.total_area), (name, k)
+
+
+def test_negative_area_tol_skips_every_perturbed_cell(hexagon, monkeypatch):
+    rng = np.random.default_rng(7)
+    grid = SweepGrid(c_points=default_c_points(hexagon, 4, rng),
+                     theta1_count=8, perturbation_magnitude=0.02)
+    segments = sweep_segment_trisections(hexagon, grid).to_dict()
+    monkeypatch.setattr(search, "AREA_TOL", -1.0)
+    with pytest.raises(InfeasibleConfigurationError,
+                       match="every grid cell was infeasible"):
+        sweep_segment_trisections(hexagon, SweepGrid(
+            c_points=grid.c_points, theta1_count=8,
+            curve_mode="perturbed_polylines", perturbation_magnitude=0.02))
+    with pytest.raises(InfeasibleConfigurationError, match="rebalanced"):
+        perturbed_polyline_trisection(hexagon, np.zeros(2), 0.3, rng, 0.02)
+    assert sweep_segment_trisections(hexagon, grid).to_dict() == segments
+
+
 @pytest.mark.parametrize("mids", [False, True])
 def test_scorer_at_integer_positions_and_empty_arcs(h_tilde, mids):
     boundary = search._dense_boundary(h_tilde)
@@ -443,7 +512,7 @@ def test_scorer_at_integer_positions_and_empty_arcs(h_tilde, mids):
     rng = np.random.default_rng(2)
     mid = (0.5 * walk.point_at(ts) + rng.uniform(-0.02, 0.02, (len(ts), 3, 2))
            if mids else None)
-    verts, start, length = search._cell_regions(walk, ts, mid)
+    verts, start, length = _cell_regions(walk, ts, mid)
     assert np.any(length == 0)
     d2 = region_diameters_sq(boundary, verts.reshape(-1, *verts.shape[2:]),
                              start.ravel(), length.ravel())
@@ -455,23 +524,23 @@ def test_scorer_at_integer_positions_and_empty_arcs(h_tilde, mids):
 
 @pytest.mark.parametrize("mode", ["segments", "perturbed_polylines"])
 def test_sweep_skips_failed_rows_of_a_batch(hexagon, monkeypatch, mode):
-    # rows whose batched solve fails are skipped, drawing no random numbers
-    solve = _BoundaryWalk.solve_position
+    # rows whose batched segment solve fails are skipped, drawing no
+    # random numbers
+    segment = search._segment_positions
 
-    def failing(self, area_fn, t_lo, t_hi):
-        t = solve(self, area_fn, t_lo, t_hi)
-        if np.ndim(t_lo) == 1:
-            t[1::3] = np.nan
-        return t
+    def failing(walk, theta1):
+        ts = segment(walk, theta1)
+        ts[1::3] = np.nan
+        return ts
 
     rng = np.random.default_rng(3)
     grid = SweepGrid(c_points=default_c_points(hexagon, 3, rng),
                      theta1_count=9, curve_mode=mode,
                      perturbation_magnitude=0.02)
-    monkeypatch.setattr(_BoundaryWalk, "solve_position", failing)
+    monkeypatch.setattr(search, "_segment_positions", failing)
     report = sweep_segment_trisections(hexagon, grid, seed=5).to_dict()
     assert report["cells_skipped"] == 9
-    monkeypatch.setattr(_BoundaryWalk, "solve_position", solve)
+    monkeypatch.setattr(search, "_segment_positions", segment)
     assert report == _reference_sweep(hexagon, grid, seed=5, skip={1, 4, 7})
 
 
@@ -542,9 +611,7 @@ def test_batched_solve_equals_one_bracket_scans(h_tilde):
         assert np.array_equal(got, want, equal_nan=True)
         assert 0 < np.count_nonzero(np.isnan(got)) < len(lo)
         for r in range(0, len(lo), 7):
-            if math.isnan(want[r]):
-                with pytest.raises(InfeasibleConfigurationError):
-                    walk.solve_position(make(p[r], q[r]), lo[r], hi[r])
-            else:
-                assert walk.solve_position(make(p[r], q[r]), lo[r],
-                                           hi[r]) == want[r]
+            # one row alone: NaN where the scan finds no sign change
+            t = walk.solve_position(make(p[r], q[r]), lo[r:r + 1],
+                                    hi[r:r + 1])
+            assert np.array_equal(t, [want[r]], equal_nan=True)
