@@ -16,7 +16,10 @@ import numpy as np
 from .geom import DegenerateGeometryError, is_ccw_convex, polygon_area, rotate
 
 SECTOR = 2.0 * math.pi / 3.0
-DEFAULT_SECTOR_SAMPLES = 1024
+# profile samples per sector: polygons (and random hulls), curved bodies
+POLYGON_SECTOR_SAMPLES = 1024
+CURVED_SECTOR_SAMPLES = 4 * POLYGON_SECTOR_SAMPLES
+RANDOM_BASE_POINTS = 6  # random points per sector of a random_body
 MAX_PROFILE_SPACING = SECTOR / 256.0
 
 # largest short-edge length for the H_eps family (the regular hexagon)
@@ -90,12 +93,12 @@ class SymmetricBody:
         angles = np.mod(np.arctan2(feet[tied, 1], feet[tied, 0]), 2 * math.pi)
         return feet[tied[np.argmin(angles)]].copy(), rho
 
-    def scaled(self, factor, label=None):
+    def scaled(self, factor):
         """Uniform dilation about the center."""
         return SymmetricBody(
             sector_theta=self.sector_theta,
             sector_r=self.sector_r * factor,
-            label=self.label if label is None else label,
+            label=self.label,
             vertices_hint=tuple((x * factor, y * factor) for x, y in self.vertices_hint),
             outline_hint=tuple(
                 (seg[0],) + tuple(v * factor for v in seg[1:]) for seg in self.outline_hint
@@ -137,7 +140,7 @@ def _make_body(thetas, radii, label, vertices_hint=(), outline_hint=()):
                          outline_hint=tuple(outline_hint))
 
 
-def _sector_angles(corner_thetas=(), samples=DEFAULT_SECTOR_SAMPLES):
+def _sector_angles(corner_thetas, samples):
     grid = np.arange(samples) * SECTOR / samples
     corners = np.mod(np.asarray(corner_thetas, dtype=float), SECTOR)
     return np.union1d(grid, corners)
@@ -179,7 +182,7 @@ def regular_polygon_apothem(m):
     return m ** -0.5 * (1.0 / math.tan(math.pi / m)) ** 0.5
 
 
-def make_regular_polygon(n, samples=DEFAULT_SECTOR_SAMPLES):
+def make_regular_polygon(n):
     """Unit-area regular 3n-gon, one vertex on the positive x-axis."""
     if n < 1:
         raise ValueError("edge count must be a positive multiple of 3")
@@ -194,14 +197,14 @@ def make_regular_polygon(n, samples=DEFAULT_SECTOR_SAMPLES):
         delta = np.mod(theta, 2.0 * math.pi / m) - math.pi / m
         return apo / np.cos(delta)
 
-    thetas = _sector_angles(vert_angles, samples)
+    thetas = _sector_angles(vert_angles, POLYGON_SECTOR_SAMPLES)
     hint = [(float(r_vert * math.cos(a)), float(r_vert * math.sin(a)))
             for a in vert_angles if 0.0 <= a % (2 * math.pi) < SECTOR - 1e-12]
     return _make_body(thetas, r_fn(thetas), f"regular:{m}",
                       vertices_hint=hint, outline_hint=_polygon_outline_hint(verts))
 
 
-def make_reuleaux(samples=4 * DEFAULT_SECTOR_SAMPLES):
+def make_reuleaux():
     """Unit-area Reuleaux triangle; one flat-side vertex on the +y axis."""
     a = (2.0 / (math.pi - math.sqrt(3.0))) ** 0.5  # width = inner-triangle side
     r0 = a / math.sqrt(3.0)  # center-to-vertex distance
@@ -219,7 +222,7 @@ def make_reuleaux(samples=4 * DEFAULT_SECTOR_SAMPLES):
         b = np.einsum("ij,ij->i", d, center)
         return b + np.sqrt(b * b - r0 * r0 + a * a)
 
-    thetas = _sector_angles(vert_angles, samples)
+    thetas = _sector_angles(vert_angles, CURVED_SECTOR_SAMPLES)
     hint = [("M", float(verts[0, 0]), float(verts[0, 1]))]
     for k in (1, 2, 0):
         hint.append(("A", a, float(verts[k, 0]), float(verts[k, 1])))
@@ -258,7 +261,7 @@ def _h_eps_vertices(a):
     return np.array(verts)
 
 
-def make_h_eps(a, samples=DEFAULT_SECTOR_SAMPLES):
+def make_h_eps(a):
     """Unit-area 3-symmetric hexagon with alternating side lengths a, b."""
     verts = _h_eps_vertices(a)
     # drop duplicated vertices at the triangle endpoint a = 0
@@ -267,7 +270,7 @@ def make_h_eps(a, samples=DEFAULT_SECTOR_SAMPLES):
     verts = np.array(keep)
     r_fn = _radius_on_polygon(verts)
     vert_angles = np.mod(np.arctan2(verts[:, 1], verts[:, 0]), 2 * math.pi)
-    thetas = _sector_angles(vert_angles, samples)
+    thetas = _sector_angles(vert_angles, POLYGON_SECTOR_SAMPLES)
     hints = [tuple(v) for v, ang in zip(verts, vert_angles)
              if 0.0 <= ang % (2 * math.pi) < SECTOR - 1e-12]
     order = np.argsort(vert_angles)
@@ -276,7 +279,7 @@ def make_h_eps(a, samples=DEFAULT_SECTOR_SAMPLES):
                       outline_hint=_polygon_outline_hint(verts[order]))
 
 
-def make_h_tilde(samples=4 * DEFAULT_SECTOR_SAMPLES):
+def make_h_tilde():
     """Optimal body: H_eps at the crossing parameter with its short edges
     replaced by circular arcs about the center, rescaled to unit area."""
     from .trisection import h_eps_dpx, solve_a0
@@ -299,7 +302,7 @@ def make_h_tilde(samples=4 * DEFAULT_SECTOR_SAMPLES):
                         - SECTOR / 2.0)
         return np.where(offset <= half_span, r0, edge_fn(theta))
 
-    thetas = _sector_angles(vert_angles, samples)
+    thetas = _sector_angles(vert_angles, CURVED_SECTOR_SAMPLES)
     raw = _make_body(thetas, r_fn(thetas), "h_tilde",
                      vertices_hint=[tuple(v) for v, ang in zip(verts, vert_angles)
                                     if ang < SECTOR - 1e-12])
@@ -361,17 +364,10 @@ def validate(body):
                             area_ok=area_ok, area=area, messages=tuple(msgs))
 
 
-def load_body(source):
-    """Load a custom body from a JSON file path, JSON text, or dict."""
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            doc = json.loads(text)
-        else:
-            with open(text) as fh:
-                doc = json.load(fh)
+def load_body(path):
+    """Load a custom body from a JSON file."""
+    with open(path) as fh:
+        doc = json.load(fh)
     profile = np.asarray(doc["sector_profile"], dtype=float)
     if profile.ndim != 2 or profile.shape[0] == 0 or profile.shape[1] != 2:
         raise ValueError("sector_profile must be a non-empty list of "
@@ -385,17 +381,18 @@ def load_body(source):
                          label=str(doc.get("label", "custom")))
 
 
-def random_body(rng, base_points=6, samples=DEFAULT_SECTOR_SAMPLES):
+def random_body(rng):
     """Random unit-area convex 3-symmetric body (hull of a symmetrized set)."""
     from .geom import convex_hull
 
-    angles = np.sort(rng.uniform(0.0, SECTOR, base_points))
-    radii = rng.uniform(0.8, 1.2, base_points)
+    angles = np.sort(rng.uniform(0.0, SECTOR, RANDOM_BASE_POINTS))
+    radii = rng.uniform(0.8, 1.2, RANDOM_BASE_POINTS)
     sector = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
     cloud = np.concatenate([rotate(sector, k * SECTOR) for k in range(3)])
     hull = convex_hull(cloud)
     r_fn = _radius_on_polygon(hull)
     hull_angles = np.mod(np.arctan2(hull[:, 1], hull[:, 0]), 2 * math.pi)
-    thetas = _sector_angles(hull_angles, samples)
-    body = _make_body(thetas, r_fn(thetas), "random")
+    thetas = _sector_angles(hull_angles, POLYGON_SECTOR_SAMPLES)
+    hints = [tuple(v) for v, ang in zip(hull, hull_angles) if ang < SECTOR - 1e-12]
+    body = _make_body(thetas, r_fn(thetas), "random", vertices_hint=hints)
     return normalize_unit_area(body)

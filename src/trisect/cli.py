@@ -28,15 +28,26 @@ PRESETS = {
     "h_tilde": make_h_tilde,
 }
 
-# At m = 3 * DEFAULT_SECTOR_SAMPLES every profile sample is a corner; the
+# At m = 3 * POLYGON_SECTOR_SAMPLES every profile sample is a corner; the
 # body's arrays grow with m, and a huge m would exhaust memory.
-MAX_REGULAR_M = 3 * bodies.DEFAULT_SECTOR_SAMPLES
+MAX_REGULAR_M = 3 * bodies.POLYGON_SECTOR_SAMPLES
 # Caps on the options that size an array or a list; a sweep holds < 1 kB a cell
 MAX_GRID_C = 1_000
 MAX_GRID_THETA = 1_440
 MAX_HEPS_COUNT = 100_000        # rows of the heps table
 MAX_POOL_BODIES = 1_000         # verify's --heps-samples and --random, each
 MAX_ANTIPODAL_SAMPLES = 65_536  # verify's directions per body
+MAX_TABLE_M = 300_000           # table --max-m: 100,000 rows, as heps --count
+# (lo, hi) of every integer option, by argparse dest; main checks them all
+INT_BOUNDS = {
+    "grid_c": (1, MAX_GRID_C),
+    "grid_theta": (8, MAX_GRID_THETA),
+    "count": (16, MAX_HEPS_COUNT),
+    "samples": (64, MAX_ANTIPODAL_SAMPLES),
+    "heps_samples": (0, MAX_POOL_BODIES),
+    "random": (0, MAX_POOL_BODIES),
+    "max_m": (3, MAX_TABLE_M),
+}
 
 
 def resolve_body(spec, parser):
@@ -82,11 +93,17 @@ def dumps(doc):
 
 
 def _write(text, out_path):
-    if out_path:
+    """Write a command's output to out_path or stdout; a path that cannot
+    be written is a usage error."""
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 def cmd_dm(args, parser):
@@ -114,14 +131,7 @@ def cmd_dm(args, parser):
     return 0
 
 
-def _check_grid(args, parser):
-    if not (1 <= args.grid_c <= MAX_GRID_C and 8 <= args.grid_theta <= MAX_GRID_THETA):
-        parser.error(f"--grid-c must be at least 1 and at most {MAX_GRID_C}, and "
-                     f"--grid-theta at least 8 and at most {MAX_GRID_THETA}")
-
-
 def cmd_sweep(args, parser):
-    _check_grid(args, parser)
     if not (math.isfinite(args.magnitude) and args.magnitude >= 0.0):
         parser.error("--magnitude must be a finite non-negative number")
     body = _checked_body(args.body, parser)
@@ -140,8 +150,6 @@ def cmd_sweep(args, parser):
 
 
 def cmd_heps(args, parser):
-    if not 16 <= args.count <= MAX_HEPS_COUNT:
-        parser.error(f"--count must be at least 16 and at most {MAX_HEPS_COUNT}")
     rows = sweep_h_eps(args.count)
     lines = ["a,dpx,dv12,dm"]
     lines += [",".join(f"{v:.6f}" for v in row) for row in rows]
@@ -158,17 +166,11 @@ def cmd_render(args, parser):
     if args.what == "standard":
         tri = standard_trisection(body)
     elif args.what == "sweep_argmin":
-        _check_grid(args, parser)
         rng = np.random.default_rng(args.seed)
         grid = SweepGrid(c_points=default_c_points(body, args.grid_c, rng),
                          theta1_count=args.grid_theta)
         tri = sweep_segment_trisections(body, grid, seed=args.seed).argmin
-    svg = render_svg(body, what=args.what, trisection=tri)
-    try:
-        _write(svg, args.out)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+    _write(render_svg(body, what=args.what, trisection=tri), args.out)
     return 0
 
 
@@ -185,12 +187,6 @@ def _verify_pool(args, parser):
 
 
 def cmd_verify(args, parser):
-    if not 64 <= args.samples <= MAX_ANTIPODAL_SAMPLES:
-        parser.error(f"--samples must be at least 64 and at most {MAX_ANTIPODAL_SAMPLES}")
-    if not (0 <= args.heps_samples <= MAX_POOL_BODIES
-            and 0 <= args.random <= MAX_POOL_BODIES):
-        parser.error("--heps-samples and --random must be non-negative and at "
-                     f"most {MAX_POOL_BODIES}")
     pool = _verify_pool(args, parser)
     lines = []
     ok = True
@@ -297,6 +293,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    for dest, (lo, hi) in INT_BOUNDS.items():
+        value = getattr(args, dest, None)
+        if value is not None and not lo <= value <= hi:
+            parser.error(f"--{dest.replace('_', '-')} must be at least {lo} "
+                         f"and at most {hi}")
     return args.func(args, parser)
 
 

@@ -12,7 +12,7 @@ def _fmt(x):
 class _View:
     """World -> viewport transform (y flipped, fixed scale)."""
 
-    def __init__(self, size=420, world_radius=1.05):
+    def __init__(self, size, world_radius):
         self.size = size
         self.scale = size / (2.0 * world_radius)
 
@@ -25,7 +25,8 @@ class _View:
 def _body_path(body, view):
     segs = body.outline_hint
     if not segs:
-        pts = _outline_points(body)
+        # an integer stride thins a long boundary to under 1,024 points
+        pts = body.boundary[::max(1, len(body.boundary) // 512)]
         x0, y0 = view.xy(pts[0])
         d = [f"M {x0} {y0}"]
         d += ["L {} {}".format(*view.xy(p)) for p in pts[1:]]
@@ -46,15 +47,10 @@ def _body_path(body, view):
     return " ".join(d)
 
 
-def _outline_points(body, max_points=512):
-    pts = body.boundary
-    stride = max(1, len(pts) // max_points)
-    return pts[::stride]
-
-
-def render_svg(body, what="body", trisection=None, size=420):
+def render_svg(body, what="body", trisection=None):
     """Render a body (optionally with its enclosing triangle, inscribed
-    ball, or a trisection) as a standalone SVG document."""
+    ball, or a trisection) as a standalone 420 x 420 SVG document."""
+    size = 420
     view = _View(size=size, world_radius=1.15 * body.max_radius())
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '

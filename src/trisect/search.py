@@ -99,17 +99,22 @@ def default_c_points(body, count, rng):
 
 
 def _dense_boundary(body):
-    """Boundary rebuilt at 256 samples per sector, hint corners kept exact.
+    """The sweep's working boundary: 256 samples per sector with the
+    hint corners kept exact, or the body's own boundary if it has no
+    hints, since a coarser grid could cut off its unknown corners.
 
     A point within 1e-9 of the one before it is dropped: a corner on a
     grid angle up to rounding would leave a zero-length edge, and no
     common point sees such a boundary as star-shaped about it.
     """
-    corner_angles = [math.atan2(y, x) for x, y in body.vertices_hint]
-    sector = _bodies._sector_angles(corner_angles, 256)
-    thetas = np.concatenate([sector + k * SECTOR for k in range(3)])
-    r = body.radius_at(thetas)
-    pts = np.column_stack((r * np.cos(thetas), r * np.sin(thetas)))
+    if body.vertices_hint:
+        corner_angles = [math.atan2(y, x) for x, y in body.vertices_hint]
+        sector = _bodies._sector_angles(corner_angles, 256)
+        thetas = np.concatenate([sector + k * SECTOR for k in range(3)])
+        r = body.radius_at(thetas)
+        pts = np.column_stack((r * np.cos(thetas), r * np.sin(thetas)))
+    else:
+        pts = body.boundary
     step = pts - np.roll(pts, 1, axis=0)
     return pts[np.hypot(step[:, 0], step[:, 1]) > 1e-9]
 
@@ -356,9 +361,10 @@ class OptimalityReport:
     failures: tuple = field(default=())
 
 
-def verify_h_tilde_optimal(candidates, tol=1e-4):
+def verify_h_tilde_optimal(candidates):
     """Check the universal quotient bound over a candidate pool; equality is
     expected only at the optimal rounded hexagon itself."""
+    tol = 1e-4
     bound = functional_quotient(_bodies.make_h_tilde())
     entries, failures = [], []
     for body in candidates:
@@ -381,7 +387,7 @@ def antipodal_gap(body, sample_count=1024):
     return float(np.min(d) - math.sqrt(3.0) * inscribed_ball_radius(body))
 
 
-def uniqueness_probe(body, samples=10, seed=42, magnitude=None, tol=1e-4):
+def uniqueness_probe(body, samples=10, seed=42):
     """Perturb the standard trisection and return perturbations that keep
     d_M at the minimum, demonstrating non-uniqueness.
 
@@ -396,8 +402,7 @@ def uniqueness_probe(body, samples=10, seed=42, magnitude=None, tol=1e-4):
     rho = inscribed_ball_radius(body)
     dm_std = closed_form_dm_standard(body)
     endpoint_driven = math.sqrt(3.0) * rho >= body.max_radius()
-    if magnitude is None:
-        magnitude = 0.05 * rho if endpoint_driven else 0.05
+    magnitude = 0.05 * rho if endpoint_driven else 0.05
     if endpoint_driven:
         walk, ts = _centre_fan(body, 0.0)
         ws = walk.point_at(np.array(ts))
@@ -413,6 +418,6 @@ def uniqueness_probe(body, samples=10, seed=42, magnitude=None, tol=1e-4):
             delta = rng.uniform(-magnitude, magnitude)
             tri = rotate_trisection(body, delta)
         dm = trisection_dm(tri)
-        if abs(dm - dm_std) <= tol:
+        if abs(dm - dm_std) <= 1e-4:
             minimizers.append(tri)
     return minimizers

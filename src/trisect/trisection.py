@@ -30,10 +30,6 @@ class EquiTriangle:
     apothem: float
     orientation: float
 
-    @property
-    def side(self):
-        return 2.0 * math.sqrt(3.0) * self.apothem
-
     def corners(self):
         angles = self.orientation + math.pi / 3.0 + SECTOR * np.arange(3)
         return self.center + 2.0 * self.apothem * np.column_stack(

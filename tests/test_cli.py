@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trisect import cli
-from trisect.bodies import make_regular_polygon
+from trisect.bodies import SECTOR, make_h_eps, make_regular_polygon
+from trisect.search import FLOOR_TOL
 
 
 def run(capsys, *args):
@@ -116,7 +118,8 @@ def test_bad_grid_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["sweep", "--grid-c", "0"],
     ["render", "--what", "sweep_argmin", "--grid-c", "-1"],
-    ["render", "--what", "sweep_argmin", "--grid-theta", "3"]])
+    ["render", "--what", "sweep_argmin", "--grid-theta", "3"],
+    ["render", "--what", "body", "--grid-c", "0"]])
 def test_bad_grid_size_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--body", "hexagon"])
@@ -126,8 +129,8 @@ def test_bad_grid_size_exits_2(capsys, argv):
 
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--samples", "63"], "--samples must be at least 64"),
-    (["verify", "--heps-samples", "-1"], "must be non-negative"),
-    (["verify", "--random", "-1"], "must be non-negative"),
+    (["verify", "--heps-samples", "-1"], "--heps-samples must be at least 0"),
+    (["verify", "--random", "-1"], "--random must be at least 0"),
     (["sweep", "--body", "hexagon", "--magnitude", "nan"], "--magnitude must"),
     (["sweep", "--body", "hexagon", "--magnitude", "inf"], "--magnitude must"),
     (["sweep", "--body", "hexagon", "--magnitude", "-0.1",
@@ -149,7 +152,8 @@ def test_bad_verify_or_sweep_value_exits_2(capsys, argv, message):
     (["render", "--body", "hexagon", "--what", "sweep_argmin", "--grid-c"],
      cli.MAX_GRID_C),
     (["render", "--body", "hexagon", "--what", "sweep_argmin", "--grid-theta"],
-     cli.MAX_GRID_THETA)])
+     cli.MAX_GRID_THETA),
+    (["table", "--max-m"], cli.MAX_TABLE_M)])
 def test_integer_option_over_its_cap_exits_2(capsys, argv, cap):
     # one over the cap is a usage error before anything is built
     with pytest.raises(SystemExit) as exc:
@@ -189,6 +193,45 @@ def test_sweep_small(tmp_path, capsys):
     assert doc["violations"] == []
     assert doc["dm_standard"] == pytest.approx(0.930605, abs=1e-5)
     assert doc["min_dm"] >= doc["dm_standard"] - 1e-3
+
+
+def _turned_triangle_profile(angle):
+    tri = make_regular_polygon(1)
+    theta = np.mod(tri.sector_theta + angle, SECTOR)
+    order = np.argsort(theta)
+    return np.column_stack((theta[order], tri.sector_r[order])).tolist()
+
+
+@pytest.mark.parametrize("doc", [
+    make_h_eps(0.05).to_dict(),
+    {"label": "turned", "sector_profile": _turned_triangle_profile(0.004)}],
+    ids=["h_eps", "turned_triangle"])
+def test_sweep_of_a_json_body_keeps_its_corners(tmp_path, capsys, doc):
+    # a body file carries no corner hints: a sweep on a grid coarser than
+    # its profile cut the corners off and found d_M below the standard's
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "sweep", "--body", str(path))
+    report = json.loads(out)
+    assert code == 0
+    assert report["violations"] == []
+    assert report["floor_margin"] >= -FLOOR_TOL
+
+
+@pytest.mark.parametrize("argv", [
+    ["dm", "--body", "hexagon"],
+    ["sweep", "--body", "hexagon", "--grid-c", "1", "--grid-theta", "8"],
+    ["heps", "--count", "16"],
+    ["render", "--body", "hexagon"],
+    ["verify", "--heps-samples", "0", "--random", "0", "--samples", "64"],
+    ["table", "--max-m", "3"]], ids=lambda argv: argv[0])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (f"cannot write {out}: "
+                                       f"{os.strerror(errno.ENOENT)}\n")
 
 
 def test_render_standard(tmp_path, capsys):

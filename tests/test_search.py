@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from trisect import search
-from trisect.bodies import (H_EPS_A_MAX, SECTOR, make_h_eps,
+from trisect.bodies import (H_EPS_A_MAX, SECTOR, load_body, make_h_eps,
                             make_regular_polygon, random_body)
 from trisect.cli import PRESETS
-from trisect.geom import points_diameter, region_diameters_sq
+from trisect.geom import points_diameter, polygon_area, region_diameters_sq
 from trisect.search import (FLOOR_TOL, VIOLATION_TOL,
                             InfeasibleConfigurationError, OptimalityReport,
                             SweepGrid, SweepReport, antipodal_gap,
@@ -338,6 +338,24 @@ def test_random_bodies_respect_bound():
     for _ in range(10):
         body = random_body(rng)
         assert functional_quotient(body) >= bound - 1e-4
+
+
+@pytest.mark.parametrize("source", ["random", "file"])
+def test_working_boundary_keeps_every_corner(tmp_path, source):
+    # on a polygon, a working boundary that cuts no corner has the body's
+    # area and reaches its farthest point
+    if source == "random":
+        rng = np.random.default_rng(3)
+        polygons = [random_body(rng) for _ in range(10)]
+    else:
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps(make_h_eps(0.05).to_dict()))
+        polygons = [load_body(path)]
+    for body in polygons:
+        boundary = search._dense_boundary(body)
+        assert polygon_area(boundary) == pytest.approx(body.area, abs=1e-12)
+        assert np.max(np.hypot(*boundary.T)) == pytest.approx(
+            body.max_radius(), abs=1e-12)
 
 
 def _reference_sweep(body, grid, seed, skip=()):
