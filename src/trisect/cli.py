@@ -38,6 +38,7 @@ MAX_HEPS_COUNT = 100_000        # rows of the heps table
 MAX_POOL_BODIES = 1_000         # verify's --heps-samples and --random, each
 MAX_ANTIPODAL_SAMPLES = 65_536  # verify's directions per body
 MAX_TABLE_M = 300_000           # table --max-m: 100,000 rows, as heps --count
+MAX_SEED = 2 ** 63 - 1          # numpy's generators take seeds from 0 up
 # (lo, hi) of every integer option, by argparse dest; main checks them all
 INT_BOUNDS = {
     "grid_c": (1, MAX_GRID_C),
@@ -47,6 +48,7 @@ INT_BOUNDS = {
     "heps_samples": (0, MAX_POOL_BODIES),
     "random": (0, MAX_POOL_BODIES),
     "max_m": (3, MAX_TABLE_M),
+    "seed": (0, MAX_SEED),
 }
 
 

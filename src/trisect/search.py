@@ -132,28 +132,24 @@ def _segment_positions(walk, theta1):
     """Arc positions (t1, t2, t3), not reduced mod n, of the equal-area
     segment trisections whose first rays leave walk.c at the angles
     theta1 (a 1-D array): one row per angle, NaN in a row whose solve
-    finds no root or whose third region misses a third of the area."""
+    finds no root or whose third region misses a third of the area.
+
+    t2 and t3 are where the area swept past t1 reaches A/3 and 2A/3.
+    That gap never decreases along the integer positions, so
+    walk.swept_position finds each row's segment by a search, a few
+    positions a row instead of a scan of the whole bracket.
+    """
     A, n = walk.total_area, walk.n
     t1 = walk.ray_position(theta1)
-    f1 = walk.swept_area(t1)[:, None]
-
-    def gap(share):
-        # area swept past t1 minus share; in place, as the solve's
-        # (rows, k) arrays are the largest of a sweep
-        def g(t):
-            d = walk.swept_area(t) - f1
-            d -= share
-            return d
-        return g
-
-    t2 = walk.solve_position(gap(A / 3.0), t1, t1 + n)
+    f1 = walk.swept_area(t1)
+    t2 = walk.swept_position(f1, A / 3.0, t1, t1 + n)
     # a failed row continues from a stand-in and is dropped at the end
     bad = np.isnan(t2)
     t2 = np.where(bad, t1, t2)
-    t3 = walk.solve_position(gap(2.0 * A / 3.0), t2, t1 + n)
+    t3 = walk.swept_position(f1, 2.0 * A / 3.0, t2, t1 + n)
     bad |= np.isnan(t3)
     t3 = np.where(bad, t2, t3)
-    third = A - (walk.swept_area(np.where(t3 >= t1, t3, t3 + n)) - f1[:, 0])
+    third = A - (walk.swept_area(np.where(t3 >= t1, t3, t3 + n)) - f1)
     bad |= np.abs(third - A / 3.0) > 2e-6 * max(A, 1.0)
     return np.where(bad[:, None], np.nan, np.column_stack((t1, t2, t3)))
 
@@ -174,7 +170,8 @@ def perturbed_polyline_trisection(body, c, theta1, rng, magnitude):
     ts, mids, ok = _perturbed_rows(walk, _segment_base(walk, theta1)[None],
                                    rng.uniform(-magnitude, magnitude, (1, 3)))
     if not ok[0]:
-        raise InfeasibleConfigurationError("perturbation could not be rebalanced")
+        raise InfeasibleConfigurationError(
+            "perturbed curve leaves the body or could not be rebalanced")
     return _assemble(walk, ts[0], mids[0])
 
 
@@ -183,12 +180,19 @@ def _perturbed_rows(walk, base, jitter):
     curve's mid-vertex is moved off its segment's midpoint by jitter
     (k, 3) along the unit normal, then t2 and t3 are re-solved so every
     region keeps a third of the area.  Returns the positions mod n, the
-    mid-vertices (k, 3, 2) and whether each row's regions hit A/3."""
+    mid-vertices (k, 3, 2) and whether each row is a trisection: its
+    mid-vertices strictly inside the boundary and its regions at A/3."""
     c, A, n = walk.c, walk.total_area, walk.n
     seg = walk.point_at(base) - c
     norm = np.maximum(np.hypot(seg[..., 0], seg[..., 1]), 1e-12)
     perp = np.stack((-seg[..., 1], seg[..., 0]), axis=-1) / norm[..., None]
     mids = c + 0.5 * seg + jitter[..., None] * perp
+    # a mid-vertex is inside if it is nearer c than the boundary on its ray
+    off = mids - c
+    ray = walk.ray_position(np.arctan2(off[..., 1], off[..., 0]))
+    hit = walk.point_at(ray) - c
+    inside = np.all(np.hypot(off[..., 0], off[..., 1])
+                    < np.hypot(hit[..., 0], hit[..., 1]), axis=1)
     ts, failed = base.copy(), np.zeros(len(base), dtype=bool)
     for k in (1, 2):
         # area of [c, m_a, w(t_a), arc, w(t), m_b] minus A/3, per row
@@ -204,7 +208,8 @@ def _perturbed_rows(walk, base, jitter):
         failed |= np.isnan(t)
         ts[:, k] = np.where(failed, ts[:, k], t)
     areas = _fan_areas(walk, ts, mids)
-    ok = ~failed & np.all(np.abs(areas - A / 3.0) <= AREA_TOL * A, axis=1)
+    ok = (~failed & inside
+          & np.all(np.abs(areas - A / 3.0) <= AREA_TOL * A, axis=1))
     return ts % n, mids, ok
 
 
@@ -239,7 +244,7 @@ class _Cells:
         return _assemble(self.walks[self.c_index[k]], self.ts[k], mids)
 
 
-# Elements in one block of the batched equal-area solve: a few hundred
+# Elements in one block of the perturbed re-solve's scan: a few hundred
 # kB, since larger blocks run slower on cache misses and page faults.
 _SOLVE_CHUNK = 32_768
 
@@ -247,15 +252,15 @@ _SOLVE_CHUNK = 32_768
 def _solve_cells(boundary, grid, rng):
     """Step 1 of a sweep: the positions of every feasible cell.
 
-    The cells of one common point are solved at once, in blocks of
-    consecutive angles: first their segment positions, then, in
-    perturbed mode, their jittered mid-vertices and re-solved positions,
-    with three draws per feasible cell from the one random stream in
-    grid order.
+    The cells of one common point are solved together: first the
+    segment positions of all its angles in one call, then, in perturbed
+    mode, their jittered mid-vertices and re-solved positions in blocks
+    of consecutive rows, with three draws per feasible cell from the one
+    random stream in grid order.
     """
     thetas = np.arange(grid.theta1_count) * 2.0 * math.pi / grid.theta1_count
-    # consecutive angles share most of the solve's integer grid, which
-    # spans up to two turns of the boundary
+    # consecutive perturbed rows share most of the re-solve's integer
+    # grid, which spans up to two turns of the boundary
     rows_per = max(1, _SOLVE_CHUNK // (2 * len(boundary)))
     perturbed = grid.curve_mode != "segments"
     walks, c_index, skipped = [], [], 0
@@ -268,8 +273,7 @@ def _solve_cells(boundary, grid, rng):
             skipped += len(thetas)
             continue
         walks.append(walk)
-        base = np.concatenate([_segment_positions(walk, thetas[i:i + rows_per])
-                               for i in range(0, len(thetas), rows_per)])
+        base = _segment_positions(walk, thetas)
         base = base[~np.isnan(base[:, 0])]
         if perturbed and len(base):
             m = grid.perturbation_magnitude

@@ -131,7 +131,7 @@ class _BoundaryWalk:
         p2 = self.pts[(i + 1) % self.n] - self.c
         # math.cos and math.sin per angle: numpy's may differ in the last bit
         d = np.array([(math.cos(a), math.sin(a)) for a in theta.flat])
-        dx, dy = d.reshape(theta.shape + (2,)).T
+        dx, dy = np.moveaxis(d.reshape(theta.shape + (2,)), -1, 0)
         denom = dx * (p2[..., 1] - p1[..., 1]) - dy * (p2[..., 0] - p1[..., 0])
         flat = np.abs(denom) < 1e-15
         u = (dy * p1[..., 0] - dx * p1[..., 1]) / np.where(flat, 1.0, denom)
@@ -171,15 +171,17 @@ class _BoundaryWalk:
     def solve_position(self, area_fn, t_lo, t_hi):
         """Root of area_fn on [t_lo, t_hi], given a sign change there.
 
-        area_fn is linear between integer positions, so evaluating it at
-        t_lo, every integer in between and t_hi, then solving linearly
-        inside the first segment that reaches 0, gives the root exactly
-        (up to rounding).  t_lo and t_hi are 1-D arrays, one bracket per
-        row.  area_fn is called once, with a (1, k) array of positions
-        shared by all rows (the integers inside the brackets, then every
-        t_lo, then every t_hi), and broadcasts its per-row parameters,
-        shaped (rows, 1), against it.  A row without a sign change gives
-        NaN.
+        area_fn is linear between integer positions, so finding the first
+        integer that reaches 0 (step a), then solving linearly inside the
+        segment that ends there (step b, _linear_root) gives the root
+        exactly (up to rounding).  Step a here is a scan: area_fn may be
+        any such function, not monotone, as in the perturbed re-solve,
+        whose end triangle turns with t.  t_lo and t_hi are 1-D arrays,
+        one bracket per row.  area_fn is called once, with a (1, k) array
+        of positions shared by all rows (the integers inside the
+        brackets, then every t_lo, then every t_hi), and broadcasts its
+        per-row parameters, shaped (rows, 1), against it.  A row without a
+        sign change gives NaN.
         """
         lo, hi = np.asarray(t_lo, dtype=float), np.asarray(t_hi, dtype=float)
         rows = np.arange(len(lo))
@@ -190,26 +192,82 @@ class _BoundaryWalk:
         g = len(grid)
         f = area_fn(np.concatenate((grid, lo, hi))[None, :])
         at = rows if len(f) > 1 else 0  # f may not depend on the row
-        f_lo, f_hi = f[at, g + rows], f[at, g + len(lo) + rows]
         # each row's first integer from t_lo on that reaches 0
         reach = (f[:, :g] >= 0.0) & (grid >= first[:, None])
         k = np.argmax(reach, axis=1)
         hit = reach[rows, k] & (grid[k] <= last)
-        # the first segment [a, b] whose end b reaches 0
-        b = np.where(hit, grid[k], hi)
-        f_b = np.where(hit, f[at, k], f_hi)
-        prev = np.where(hit, grid[k] - 1.0, last)
-        inner = prev >= first
-        a = np.where(inner, prev, lo)
-        f_a = np.where(inner, f[at, np.maximum(prev - start, 0.0).astype(int)],
-                       f_lo)
-        failed = (f_lo > 0.0) | (f_hi < 0.0)
-        # f_a < 0 <= f_b, except in rows that fail or whose root is t_lo
-        solve = (f_lo < 0.0) & ~failed
-        t = np.where(solve, a - f_a * (b - a) / np.where(solve, f_b - f_a, 1.0),
-                     lo)
-        t[failed] = np.nan
-        return t
+        k_pos = np.where(hit, grid[k], last + 1.0)
+        f_prev = f[at, np.maximum(k_pos - 1.0 - start, 0.0).astype(int)]
+        return _linear_root(lo, hi, k_pos, f[at, k], f_prev,
+                            f[at, g + rows], f[at, g + len(lo) + rows])
+
+    def swept_position(self, f0, share, t_lo, t_hi):
+        """Root of (swept_area(t) - f0) - share on [t_lo, t_hi], where
+        the area swept beyond f0 reaches share, given a sign change
+        there; NaN in a row without one.  t_lo and t_hi are 1-D arrays,
+        one bracket per row; f0 and share are arrays like them or scalars.
+
+        Step a is a search, not solve_position's scan: for positions in
+        [0, 2n] the swept area at integer j is prefix[j] on the first
+        turn and prefix[j - n] + total_area on the second, prefix is a
+        cumsum of positive halves of cross products, and float rounding
+        is monotone, so the gap never decreases along the integers.  A
+        searchsorted on prefix gives a candidate for the first integer
+        that reaches 0, and steps of one, each evaluating the gap as
+        above, make it exact: the first in the bracket, or one past its
+        last integer.  The root is then the scan's bit for bit.
+        """
+        lo, hi = np.asarray(t_lo, dtype=float), np.asarray(t_hi, dtype=float)
+        f0, share = (np.broadcast_to(np.asarray(v, dtype=float), lo.shape)
+                     for v in (f0, share))
+
+        def gap(t, rows=slice(None)):
+            d = self.swept_area(t) - f0[rows]
+            d -= share[rows]
+            return d
+
+        first, last = np.floor(lo) + 1.0, np.ceil(hi) - 1.0
+        target = f0 + share
+        turns = np.floor(target / self.total_area)
+        k = turns * self.n + np.searchsorted(
+            self.prefix, target - turns * self.total_area)
+        k = np.minimum(np.maximum(k, first), last + 1.0)
+        f_k, f_prev, f_lo, f_hi = gap(np.stack((k, k - 1.0, lo, hi)))
+        while True:
+            # the gap at k is below 0, or the one at k - 1 already reaches it
+            up = np.flatnonzero((k <= last) & (f_k < 0.0))
+            down = np.flatnonzero((k > first) & (f_prev >= 0.0))
+            if not len(up) and not len(down):
+                break
+            k[up] += 1.0
+            f_prev[up] = f_k[up]
+            f_k[up] = gap(k[up], up)
+            k[down] -= 1.0
+            f_k[down] = f_prev[down]
+            f_prev[down] = gap(k[down] - 1.0, down)
+        return _linear_root(lo, hi, k, f_k, f_prev, f_lo, f_hi)
+
+
+def _linear_root(lo, hi, k, f_k, f_prev, f_lo, f_hi):
+    """Step b of the equal-area solve, per row: k is the first integer
+    inside [lo, hi] whose value f_k reaches 0, or one past the last,
+    f_prev the value at k - 1, and f_lo and f_hi those at the ends.  The
+    root is solved linearly inside the segment [a, b] that ends at k, or
+    at hi; NaN where the bracket has no sign change."""
+    first, last = np.floor(lo) + 1.0, np.ceil(hi) - 1.0
+    hit = k <= last
+    b = np.where(hit, k, hi)
+    f_b = np.where(hit, f_k, f_hi)
+    prev = k - 1.0
+    inner = prev >= first
+    a = np.where(inner, prev, lo)
+    f_a = np.where(inner, f_prev, f_lo)
+    failed = (f_lo > 0.0) | (f_hi < 0.0)
+    # f_a < 0 <= f_b, except in rows that fail or whose root is lo
+    solve = (f_lo < 0.0) & ~failed
+    t = np.where(solve, a - f_a * (b - a) / np.where(solve, f_b - f_a, 1.0), lo)
+    t[failed] = np.nan
+    return t
 
 
 def _tri_area(c, a, b):

@@ -134,7 +134,13 @@ def test_bad_grid_size_exits_2(capsys, argv):
     (["sweep", "--body", "hexagon", "--magnitude", "nan"], "--magnitude must"),
     (["sweep", "--body", "hexagon", "--magnitude", "inf"], "--magnitude must"),
     (["sweep", "--body", "hexagon", "--magnitude", "-0.1",
-      "--mode", "perturbed_polylines"], "--magnitude must")])
+      "--mode", "perturbed_polylines"], "--magnitude must"),
+    (["sweep", "--body", "hexagon", "--grid-c", "1", "--grid-theta", "8",
+      "--seed", "-1"], "--seed must be at least 0"),
+    (["render", "--body", "hexagon", "--what", "sweep_argmin", "--seed", "-2"],
+     "--seed must be at least 0"),
+    (["verify", "--seed", "-3", "--heps-samples", "0", "--random", "1"],
+     "--seed must be at least 0")])
 def test_bad_verify_or_sweep_value_exits_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -153,7 +159,8 @@ def test_bad_verify_or_sweep_value_exits_2(capsys, argv, message):
      cli.MAX_GRID_C),
     (["render", "--body", "hexagon", "--what", "sweep_argmin", "--grid-theta"],
      cli.MAX_GRID_THETA),
-    (["table", "--max-m"], cli.MAX_TABLE_M)])
+    (["table", "--max-m"], cli.MAX_TABLE_M),
+    (["sweep", "--body", "hexagon", "--seed"], cli.MAX_SEED)])
 def test_integer_option_over_its_cap_exits_2(capsys, argv, cap):
     # one over the cap is a usage error before anything is built
     with pytest.raises(SystemExit) as exc:

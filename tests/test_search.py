@@ -1,8 +1,10 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trisect import search
 from trisect.bodies import (H_EPS_A_MAX, SECTOR, load_body, make_h_eps,
@@ -62,8 +64,8 @@ def test_broken_area_additivity_raises_and_skips_the_cell(hexagon,
     # a solve that returns its lower bracket leaves the third region with
     # the whole area; the check must raise a typed error, also under -O
     import trisect.search as search
-    monkeypatch.setattr(search._BoundaryWalk, "solve_position",
-                        lambda self, area_fn, t_lo, t_hi: t_lo)
+    monkeypatch.setattr(search._BoundaryWalk, "swept_position",
+                        lambda self, f0, share, t_lo, t_hi: t_lo)
     with pytest.raises(InfeasibleConfigurationError, match="additivity"):
         equal_area_segment_trisection(hexagon, np.zeros(2), 0.3)
     # the sweep skips each such cell instead of crashing
@@ -358,11 +360,12 @@ def test_working_boundary_keeps_every_corner(tmp_path, source):
             body.max_radius(), abs=1e-12)
 
 
-def _reference_sweep(body, grid, seed, skip=()):
+def _reference_sweep(body, grid, seed, skip=(), reasons=None):
     """The sweep as one loop over the cells, each built by _assemble or
     _perturbed_cell and measured by trisection_dm; theta indices in skip
     are dropped before their random draws, as a failed batched segment
-    solve drops them."""
+    solve drops them.  reasons, a Counter, counts the skipped cells of
+    interior common points by their error message."""
     boundary = search._dense_boundary(body)
     dm_standard = closed_form_dm_standard(body)
     thetas = (np.arange(grid.theta1_count) * 2.0 * math.pi
@@ -385,8 +388,10 @@ def _reference_sweep(body, grid, seed, skip=()):
                 else:
                     tri = _perturbed_cell(walk, base, rng,
                                           grid.perturbation_magnitude)
-            except InfeasibleConfigurationError:
+            except InfeasibleConfigurationError as exc:
                 skipped += 1
+                if reasons is not None:
+                    reasons[str(exc)] += 1
                 continue
             cells.append((trisection_dm(tri), tri))
     dms = [dm for dm, _ in cells]
@@ -402,7 +407,8 @@ def _reference_sweep(body, grid, seed, skip=()):
 
 
 def _perturbed_cell(walk, base, rng, magnitude):
-    """One perturbed cell on its own: three scalar draws, each endpoint
+    """One perturbed cell on its own: three scalar draws, a check that
+    each mid-vertex lies strictly inside the boundary, each endpoint
     re-solved by a one-bracket scan, and the rebalance check on the
     areas of the assembled regions."""
     c, A, n = walk.c, walk.total_area, walk.n
@@ -411,6 +417,12 @@ def _perturbed_cell(walk, base, rng, magnitude):
         seg = w - c
         perp = np.array([-seg[1], seg[0]]) / max(np.hypot(*seg), 1e-12)
         mids.append(c + 0.5 * seg + rng.uniform(-magnitude, magnitude) * perp)
+    for m in mids:
+        # the boundary point on the ray from c through the mid-vertex
+        off = m - c
+        hit = walk.point_at(walk.ray_position(np.arctan2(off[1:], off[:1])))
+        if not np.hypot(*off) < np.hypot(*(hit[0] - c)):
+            raise InfeasibleConfigurationError("mid-vertex outside")
 
     def region_gap(t_a, m_a, m_b):
         head = _tri_area(c, m_a, walk.point_at(t_a))
@@ -557,9 +569,14 @@ def test_sweep_skips_failed_rows_of_a_batch(hexagon, monkeypatch, mode):
                      perturbation_magnitude=0.02)
     monkeypatch.setattr(search, "_segment_positions", failing)
     report = sweep_segment_trisections(hexagon, grid, seed=5).to_dict()
-    assert report["cells_skipped"] == 9
     monkeypatch.setattr(search, "_segment_positions", segment)
-    assert report == _reference_sweep(hexagon, grid, seed=5, skip={1, 4, 7})
+    reasons = Counter()
+    assert report == _reference_sweep(hexagon, grid, seed=5, skip={1, 4, 7},
+                                      reasons=reasons)
+    # the 9 failed rows, and in perturbed mode the cells whose jittered
+    # curve leaves the body (the common point near the boundary)
+    assert reasons["skipped"] == 9
+    assert report["cells_skipped"] == 9 + reasons["mid-vertex outside"]
 
 
 def test_walk_positions_match_divmod(h_tilde):
@@ -633,3 +650,102 @@ def test_batched_solve_equals_one_bracket_scans(h_tilde):
             t = walk.solve_position(make(p[r], q[r]), lo[r:r + 1],
                                     hi[r:r + 1])
             assert np.array_equal(t, [want[r]], equal_nan=True)
+        if make is swept:
+            # the search on the monotone swept area finds the scan's root
+            got = walk.swept_position(s0, share, lo, hi)
+            assert np.array_equal(got, want, equal_nan=True)
+            for r in range(0, len(lo), 7):
+                t = walk.swept_position(s0[r], share[r], lo[r:r + 1],
+                                        hi[r:r + 1])
+                assert np.array_equal(t, [want[r]], equal_nan=True)
+
+
+def test_swept_search_steps_to_the_scan_root(h_tilde):
+    # shares within a few ulps of the area swept to an integer, on both
+    # turns and from brackets near 0, where swept - s0 rounds: the
+    # searchsorted candidate is then one off in either direction, and
+    # its steps must end on the scan's segment (solve_position, checked
+    # against one-bracket scans above)
+    walk = _BoundaryWalk(search._dense_boundary(h_tilde), np.array([0.1, 0.05]))
+    n, m = walk.n, 40_000
+    rng = np.random.default_rng(11)
+    lo = rng.uniform(0.0, n, m) * rng.choice([1.0, 1e-3, 1e-6], m)
+    lo[:50] = np.floor(lo[:50])
+    hi = lo + n
+    s0 = walk.swept_area(lo)
+    swept_p = walk.swept_area(np.floor(lo) + rng.integers(1, n, m))
+    share = swept_p - s0
+    share += rng.integers(-6, 7, m) * np.spacing(share)
+    # s0 at the integer itself and a share below half an ulp of it: the
+    # candidate is that integer, where the gap is still below 0
+    s0[-500:], share[-500:] = swept_p[-500:], 0.4 * np.spacing(swept_p[-500:])
+    got = walk.swept_position(s0, share, lo, hi)
+    for i in range(0, m, 250):
+        r = slice(i, i + 250)
+        want = walk.solve_position(
+            lambda t: walk.swept_area(t) - s0[r, None] - share[r, None],
+            lo[r], hi[r])
+        assert np.array_equal(got[r], want, equal_nan=True), i
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.95),
+       st.floats(0.0, 2.0 * math.pi), st.sampled_from([1.0 / 3.0, 2.0 / 3.0]),
+       st.booleans())
+def test_segment_gap_never_decreases_over_integers(seed, radius, phi, share,
+                                                   dense):
+    # the fact the swept search rests on: over the integers of two turns,
+    # (swept_area - f1) - share, evaluated as the solve does, is monotone
+    body = random_body(np.random.default_rng(seed))
+    boundary = search._dense_boundary(body) if dense else body.boundary
+    c = radius * body.radius_at(phi) * np.array([math.cos(phi), math.sin(phi)])
+    try:
+        walk = _BoundaryWalk(boundary, c)
+    except InfeasibleConfigurationError:
+        return
+    f1 = walk.swept_area(np.random.default_rng(seed).uniform(0.0, walk.n))
+    gap = walk.swept_area(np.arange(2.0 * walk.n + 1.0)) - f1
+    gap -= share * walk.total_area
+    assert np.all(np.diff(gap) >= 0.0)
+
+
+def test_segment_solve_searches_instead_of_scanning(h_tilde, monkeypatch):
+    # the segment solve evaluates a few swept areas a row; the scan it
+    # replaced evaluated about 700 a row here (one grid of two turns of
+    # the 12,294-point boundary, shared by the 64 rows)
+    walk = _BoundaryWalk(h_tilde.boundary, np.array([0.05, -0.1]))
+    swept = _BoundaryWalk.swept_area
+    positions = []
+
+    def counted(self, t):
+        positions.append(np.size(t))
+        return swept(self, t)
+
+    monkeypatch.setattr(_BoundaryWalk, "swept_area", counted)
+    ts = search._segment_positions(walk, np.arange(64) * 2.0 * math.pi / 64)
+    assert not np.any(np.isnan(ts))
+    assert sum(positions) <= 24 * 64
+
+
+def test_perturbed_cells_keep_their_mid_vertices_inside():
+    # a large jitter throws many mid-vertices outside: no evaluated cell
+    # may keep one, by a test independent of the walk (the working
+    # boundary is convex and counter-clockwise)
+    for name in ("triangle", "h_tilde"):
+        body = PRESETS[name]()
+        boundary = search._dense_boundary(body)
+        grid = SweepGrid(c_points=default_c_points(
+            body, 6, np.random.default_rng(2)), theta1_count=16,
+            curve_mode="perturbed_polylines", perturbation_magnitude=0.4)
+        cells = search._solve_cells(boundary, grid, np.random.default_rng(3))
+        assert 0 < len(cells.ts) < 6 * 16
+        edge = np.roll(boundary, -1, axis=0) - boundary
+        m = cells.mids.reshape(-1, 1, 2) - boundary
+        side = edge[:, 0] * m[..., 1] - edge[:, 1] * m[..., 0]
+        assert np.all(side > 0.0), name
+    # with a jitter of 5, every cell has a mid-vertex outside the triangle
+    with pytest.raises(InfeasibleConfigurationError,
+                       match="every grid cell was infeasible"):
+        sweep_segment_trisections(PRESETS["triangle"](), SweepGrid(
+            c_points=np.zeros((1, 2)), theta1_count=8,
+            curve_mode="perturbed_polylines", perturbation_magnitude=5.0))
