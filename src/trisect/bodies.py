@@ -21,6 +21,9 @@ POLYGON_SECTOR_SAMPLES = 1024
 CURVED_SECTOR_SAMPLES = 4 * POLYGON_SECTOR_SAMPLES
 RANDOM_BASE_POINTS = 6  # random points per sector of a random_body
 MAX_PROFILE_SPACING = SECTOR / 256.0
+# a unit-area body has every radius below 1; from about 1e154 up, squares
+# overflow and numpy warns while the body is checked
+MAX_PROFILE_RADIUS = 1e6
 
 # largest short-edge length for the H_eps family (the regular hexagon)
 H_EPS_A_MAX = 2.0 ** 0.5 * 3.0 ** -0.75
@@ -232,10 +235,16 @@ def make_reuleaux():
                       vertices_hint=hints_in_sector, outline_hint=tuple(hint))
 
 
-def h_eps_side_b(a):
-    """Long-side length making the alternating-side hexagon unit area."""
+def check_h_eps_a(a):
+    """Raise ValueError unless a is a short-side length of the H_eps
+    family, in [0, H_EPS_A_MAX] up to 1e-12."""
     if not -1e-12 <= a <= H_EPS_A_MAX + 1e-12:
         raise ValueError(f"a must lie in [0, {H_EPS_A_MAX:.6f}]")
+
+
+def h_eps_side_b(a):
+    """Long-side length making the alternating-side hexagon unit area."""
+    check_h_eps_a(a)
     return -2.0 * a + math.sqrt(4.0 / math.sqrt(3.0) + 3.0 * a * a)
 
 
@@ -377,6 +386,9 @@ def load_body(path):
     if not np.all(np.isfinite(profile[:, 0])) or np.any(np.isinf(profile)):
         raise ValueError("sector_profile has a NaN or infinite angle or an "
                          "infinite radius")
+    if np.any(profile[:, 1] > MAX_PROFILE_RADIUS):
+        raise ValueError(f"sector_profile has a radius above "
+                         f"{MAX_PROFILE_RADIUS:g}")
     return SymmetricBody(sector_theta=profile[:, 0], sector_r=profile[:, 1],
                          label=str(doc.get("label", "custom")))
 

@@ -10,8 +10,9 @@ from .bodies import H_EPS_A_MAX, SECTOR
 from .geom import points_diameter, region_diameters_sq, rotate
 from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
                          _assemble, _BoundaryWalk, _cell_regions, _centre_fan,
-                         _tri_area, closed_form_dm_standard, h_eps_dpx, h_eps_dv12,
-                         inscribed_ball_radius, rotate_trisection)
+                         _first_root, _tri_area, closed_form_dm_standard,
+                         h_eps_dpx, h_eps_dv12, inscribed_ball_radius,
+                         rotate_trisection)
 
 VIOLATION_TOL = 1e-3  # slack below the closed form before a sweep cell counts
 FLOOR_TOL = 1e-6
@@ -134,10 +135,8 @@ def _segment_positions(walk, theta1):
     theta1 (a 1-D array): one row per angle, NaN in a row whose solve
     finds no root or whose third region misses a third of the area.
 
-    t2 and t3 are where the area swept past t1 reaches A/3 and 2A/3.
-    That gap never decreases along the integer positions, so
-    walk.swept_position finds each row's segment by a search, a few
-    positions a row instead of a scan of the whole bracket.
+    t2 and t3 are where the area swept past t1 reaches A/3 and 2A/3,
+    solved by walk.swept_position in a few area evaluations a row.
     """
     A, n = walk.total_area, walk.n
     t1 = walk.ray_position(theta1)
@@ -181,7 +180,14 @@ def _perturbed_rows(walk, base, jitter):
     (k, 3) along the unit normal, then t2 and t3 are re-solved so every
     region keeps a third of the area.  Returns the positions mod n, the
     mid-vertices (k, 3, 2) and whether each row is a trisection: its
-    mid-vertices strictly inside the boundary and its regions at A/3."""
+    mid-vertices strictly inside the boundary and its regions at A/3.
+
+    Only rows with every mid-vertex inside are re-solved, by _first_root
+    from the segment position.  Moving w(t) along a boundary edge e adds
+    the triangle (m_b, w, w + e) to the region [c, m_a, w_a, arc, w(t),
+    m_b], positive when m_b is strictly inside the convex boundary, so
+    the gap never decreases over the integers.
+    """
     c, A, n = walk.c, walk.total_area, walk.n
     seg = walk.point_at(base) - c
     norm = np.maximum(np.hypot(seg[..., 0], seg[..., 1]), 1e-12)
@@ -191,25 +197,24 @@ def _perturbed_rows(walk, base, jitter):
     off = mids - c
     ray = walk.ray_position(np.arctan2(off[..., 1], off[..., 0]))
     hit = walk.point_at(ray) - c
-    inside = np.all(np.hypot(off[..., 0], off[..., 1])
-                    < np.hypot(hit[..., 0], hit[..., 1]), axis=1)
-    ts, failed = base.copy(), np.zeros(len(base), dtype=bool)
+    rows = np.flatnonzero(np.all(np.hypot(off[..., 0], off[..., 1])
+                                 < np.hypot(hit[..., 0], hit[..., 1]), axis=1))
+    ts = base.copy()
     for k in (1, 2):
         # area of [c, m_a, w(t_a), arc, w(t), m_b] minus A/3, per row
-        t_a, m_b = ts[:, k - 1:k], mids[:, k, None]
-        head = _tri_area(c, mids[:, k - 1, None], walk.point_at(t_a))
+        t_a, m_b = ts[rows, k - 1], mids[rows, k]
+        head = _tri_area(c, mids[rows, k - 1], walk.point_at(t_a))
         swept_a = walk.swept_area(t_a)
 
-        def gap(t):
-            return (head + walk.swept_area(t) - swept_a
-                    + _tri_area(c, walk.point_at(t), m_b) - A / 3.0)
-        t = walk.solve_position(gap, t_a[:, 0] + 1e-9, ts[:, 0] + n - 1e-9)
-        # a failed row keeps its segment position as a stand-in
-        failed |= np.isnan(t)
-        ts[:, k] = np.where(failed, ts[:, k], t)
-    areas = _fan_areas(walk, ts, mids)
-    ok = (~failed & inside
-          & np.all(np.abs(areas - A / 3.0) <= AREA_TOL * A, axis=1))
+        def gap(t, r=slice(None)):
+            return (head[r] + walk.swept_area(t) - swept_a[r]
+                    + _tri_area(c, walk.point_at(t), m_b[r]) - A / 3.0)
+        ts[rows, k] = _first_root(gap, t_a + 1e-9, ts[rows, 0] + n - 1e-9,
+                                  np.ceil(base[rows, k]))
+        rows = rows[~np.isnan(ts[rows, k])]
+    areas = _fan_areas(walk, ts[rows], mids[rows])
+    ok = np.zeros(len(base), dtype=bool)
+    ok[rows[np.all(np.abs(areas - A / 3.0) <= AREA_TOL * A, axis=1)]] = True
     return ts % n, mids, ok
 
 
@@ -244,24 +249,15 @@ class _Cells:
         return _assemble(self.walks[self.c_index[k]], self.ts[k], mids)
 
 
-# Elements in one block of the perturbed re-solve's scan: a few hundred
-# kB, since larger blocks run slower on cache misses and page faults.
-_SOLVE_CHUNK = 32_768
-
-
 def _solve_cells(boundary, grid, rng):
     """Step 1 of a sweep: the positions of every feasible cell.
 
     The cells of one common point are solved together: first the
     segment positions of all its angles in one call, then, in perturbed
-    mode, their jittered mid-vertices and re-solved positions in blocks
-    of consecutive rows, with three draws per feasible cell from the one
-    random stream in grid order.
+    mode, their jittered mid-vertices and re-solved positions, with three
+    draws per feasible cell from the one random stream in grid order.
     """
     thetas = np.arange(grid.theta1_count) * 2.0 * math.pi / grid.theta1_count
-    # consecutive perturbed rows share most of the re-solve's integer
-    # grid, which spans up to two turns of the boundary
-    rows_per = max(1, _SOLVE_CHUNK // (2 * len(boundary)))
     perturbed = grid.curve_mode != "segments"
     walks, c_index, skipped = [], [], 0
     ts, mids = [np.empty((0, 3))], [np.empty((0, 3, 2))]
@@ -277,10 +273,8 @@ def _solve_cells(boundary, grid, rng):
         base = base[~np.isnan(base[:, 0])]
         if perturbed and len(base):
             m = grid.perturbation_magnitude
-            jitter = rng.uniform(-m, m, (len(base), 3))
-            rows = [_perturbed_rows(walk, base[i:i + rows_per], jitter[i:i + rows_per])
-                    for i in range(0, len(base), rows_per)]
-            t, mid, ok = (np.concatenate(p) for p in zip(*rows))
+            t, mid, ok = _perturbed_rows(walk, base,
+                                         rng.uniform(-m, m, (len(base), 3)))
             base = t[ok]
             mids.append(mid[ok])
         skipped += len(thetas) - len(base)

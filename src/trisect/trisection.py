@@ -7,7 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bodies import H_EPS_A_MAX, SECTOR, regular_polygon_apothem
+from .bodies import (H_EPS_A_MAX, SECTOR, check_h_eps_a,
+                     regular_polygon_apothem)
 from .geom import polygon_area, region_diameter
 
 AREA_TOL = 1e-4  # relative area slack for a trisection to count as valid
@@ -34,15 +35,6 @@ class EquiTriangle:
         angles = self.orientation + math.pi / 3.0 + SECTOR * np.arange(3)
         return self.center + 2.0 * self.apothem * np.column_stack(
             (np.cos(angles), np.sin(angles)))
-
-    def contains(self, points, slack=1e-9):
-        pts = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
-        for k in range(3):
-            u = np.array([math.cos(self.orientation + k * SECTOR),
-                          math.sin(self.orientation + k * SECTOR)])
-            if np.any(pts @ u > self.apothem + slack):
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -99,10 +91,12 @@ def inscribed_ball_radius(body):
 class _BoundaryWalk:
     """Arc-position parameterization of a closed boundary as seen from c.
 
-    Positions t live in [0, M) (index plus fraction along the chord);
-    swept_area(t) is the signed area of the fan from position 0 to t
-    about c, piecewise linear and strictly increasing for interior c.
-    point_at and swept_area take a position or an array of positions.
+    A position t is a point index plus the fraction along the chord to
+    the next point, and counts whole turns past n; swept_area(t) is the
+    signed area of the fan from position 0 to t about c, piecewise linear
+    and strictly increasing for interior c.  point_at and swept_area take
+    a position or an array of positions; swept_position solves for where
+    the swept area reaches a share.
     """
 
     def __init__(self, boundary, c):
@@ -168,54 +162,18 @@ class _BoundaryWalk:
         return (((first + 1.0) % self.n).astype(int),
                 (np.ceil(ta + span) - first - 1.0).astype(int))
 
-    def solve_position(self, area_fn, t_lo, t_hi):
-        """Root of area_fn on [t_lo, t_hi], given a sign change there.
-
-        area_fn is linear between integer positions, so finding the first
-        integer that reaches 0 (step a), then solving linearly inside the
-        segment that ends there (step b, _linear_root) gives the root
-        exactly (up to rounding).  Step a here is a scan: area_fn may be
-        any such function, not monotone, as in the perturbed re-solve,
-        whose end triangle turns with t.  t_lo and t_hi are 1-D arrays,
-        one bracket per row.  area_fn is called once, with a (1, k) array
-        of positions shared by all rows (the integers inside the
-        brackets, then every t_lo, then every t_hi), and broadcasts its
-        per-row parameters, shaped (rows, 1), against it.  A row without a
-        sign change gives NaN.
-        """
-        lo, hi = np.asarray(t_lo, dtype=float), np.asarray(t_hi, dtype=float)
-        rows = np.arange(len(lo))
-        # integers strictly inside the brackets; at least one, for argmax
-        first, last = np.floor(lo) + 1.0, np.ceil(hi) - 1.0
-        start = first.min()
-        grid = np.arange(start, max(start, last.max()) + 1.0)
-        g = len(grid)
-        f = area_fn(np.concatenate((grid, lo, hi))[None, :])
-        at = rows if len(f) > 1 else 0  # f may not depend on the row
-        # each row's first integer from t_lo on that reaches 0
-        reach = (f[:, :g] >= 0.0) & (grid >= first[:, None])
-        k = np.argmax(reach, axis=1)
-        hit = reach[rows, k] & (grid[k] <= last)
-        k_pos = np.where(hit, grid[k], last + 1.0)
-        f_prev = f[at, np.maximum(k_pos - 1.0 - start, 0.0).astype(int)]
-        return _linear_root(lo, hi, k_pos, f[at, k], f_prev,
-                            f[at, g + rows], f[at, g + len(lo) + rows])
-
     def swept_position(self, f0, share, t_lo, t_hi):
         """Root of (swept_area(t) - f0) - share on [t_lo, t_hi], where
         the area swept beyond f0 reaches share, given a sign change
         there; NaN in a row without one.  t_lo and t_hi are 1-D arrays,
         one bracket per row; f0 and share are arrays like them or scalars.
 
-        Step a is a search, not solve_position's scan: for positions in
-        [0, 2n] the swept area at integer j is prefix[j] on the first
-        turn and prefix[j - n] + total_area on the second, prefix is a
-        cumsum of positive halves of cross products, and float rounding
-        is monotone, so the gap never decreases along the integers.  A
-        searchsorted on prefix gives a candidate for the first integer
-        that reaches 0, and steps of one, each evaluating the gap as
-        above, make it exact: the first in the bracket, or one past its
-        last integer.  The root is then the scan's bit for bit.
+        For positions in [0, 2n] the swept area at integer j is prefix[j]
+        on the first turn and prefix[j - n] + total_area on the second,
+        prefix is a cumsum of positive halves of cross products, and float
+        rounding is monotone, so the gap never decreases along the
+        integers, as _first_root needs.  A searchsorted on prefix guesses
+        the first integer that reaches 0, and is right but for rounding.
         """
         lo, hi = np.asarray(t_lo, dtype=float), np.asarray(t_hi, dtype=float)
         f0, share = (np.broadcast_to(np.asarray(v, dtype=float), lo.shape)
@@ -226,26 +184,54 @@ class _BoundaryWalk:
             d -= share[rows]
             return d
 
-        first, last = np.floor(lo) + 1.0, np.ceil(hi) - 1.0
         target = f0 + share
         turns = np.floor(target / self.total_area)
-        k = turns * self.n + np.searchsorted(
+        guess = turns * self.n + np.searchsorted(
             self.prefix, target - turns * self.total_area)
-        k = np.minimum(np.maximum(k, first), last + 1.0)
-        f_k, f_prev, f_lo, f_hi = gap(np.stack((k, k - 1.0, lo, hi)))
-        while True:
-            # the gap at k is below 0, or the one at k - 1 already reaches it
-            up = np.flatnonzero((k <= last) & (f_k < 0.0))
-            down = np.flatnonzero((k > first) & (f_prev >= 0.0))
-            if not len(up) and not len(down):
-                break
-            k[up] += 1.0
-            f_prev[up] = f_k[up]
-            f_k[up] = gap(k[up], up)
-            k[down] -= 1.0
-            f_k[down] = f_prev[down]
-            f_prev[down] = gap(k[down] - 1.0, down)
-        return _linear_root(lo, hi, k, f_k, f_prev, f_lo, f_hi)
+        return _first_root(gap, lo, hi, guess)
+
+
+def _first_root(gap, lo, hi, guess):
+    """Root of gap on each row's bracket [lo, hi] (1-D arrays, one row
+    each), NaN in a row without a sign change there.
+
+    gap is linear between integer positions and must never decrease over
+    the integers of a bracket.  Step a finds the first integer k of the
+    bracket where gap reaches 0, or one past its last integer, as a scan
+    would: the gap at the integers guess and guess - 1 narrows the
+    search, to k itself when guess is k, and a search outward from the
+    guess by steps of 1, 2, 4, ... then bisection does the rest.  Step b,
+    _linear_root, solves inside the segment that ends at k.
+    gap(t) evaluates every row at positions t shaped (..., rows), and
+    gap(t, rows) the rows of the index array rows, one position each.
+    """
+    first, last = np.floor(lo) + 1.0, np.ceil(hi) - 1.0
+    g = np.minimum(np.maximum(guess, first), last)
+    f_g, f_gp, f_lo, f_hi = gap(np.stack((g, g - 1.0, lo, hi)))
+    # k lies in [a, b]: gap(a - 1) < 0 or a is first, gap(b) >= 0 or b is
+    # last + 1; f_a and f_b hold gap(a - 1) and gap(b) once they are known.
+    # The guess puts k above g (up), at or below g - 1 (down) or at g; a
+    # bracket without integers (not some) has k = first = last + 1.
+    some = first <= last
+    up = some & (f_g < 0.0)
+    down = ~up & (g > first) & (f_gp >= 0.0)
+    a = np.where(up, g + 1.0, np.where(down | ~some, first, g))
+    b = np.where(up | ~some, last + 1.0, np.where(down, g - 1.0, g))
+    f_a, f_b = np.where(up, f_g, f_gp), np.where(down, f_gp, f_g)
+    width = np.ones_like(g)
+    while True:
+        rows = np.flatnonzero(a < b)
+        if not len(rows):
+            return _linear_root(lo, hi, a, f_b, f_a, f_lo, f_hi)
+        ar, br, w = a[rows], b[rows], width[rows]
+        mid = np.floor(0.5 * (ar + br))
+        mid = np.where(up[rows], np.minimum(mid, ar + w - 1.0),
+                       np.maximum(mid, br - w))
+        width[rows] = 2.0 * w
+        f = gap(mid, rows)
+        reach = f >= 0.0
+        b[rows[reach]], f_b[rows[reach]] = mid[reach], f[reach]
+        a[rows[~reach]], f_a[rows[~reach]] = mid[~reach] + 1.0, f[~reach]
 
 
 def _linear_root(lo, hi, k, f_k, f_prev, f_lo, f_hi):
@@ -359,8 +345,7 @@ def dm_regular_closed_form(m):
 
 def h_eps_dpx(a):
     """Center-to-vertex distance of the unit-area alternating hexagon."""
-    if not -1e-12 <= a <= H_EPS_A_MAX + 1e-12:
-        raise ValueError(f"a must lie in [0, {H_EPS_A_MAX:.6f}]")
+    check_h_eps_a(a)
     s3 = math.sqrt(3.0)
     inner = 4.0 * s3 + 18.0 * a * a - 3.0 * a * math.sqrt(12.0 * s3 + 27.0 * a * a)
     return math.sqrt(inner) / 3.0
@@ -368,8 +353,7 @@ def h_eps_dpx(a):
 
 def h_eps_dv12(a):
     """Distance between two standard-trisection endpoints of the hexagon."""
-    if not -1e-12 <= a <= H_EPS_A_MAX + 1e-12:
-        raise ValueError(f"a must lie in [0, {H_EPS_A_MAX:.6f}]")
+    check_h_eps_a(a)
     return 0.5 * math.sqrt(3.0 * a * a + 4.0 / math.sqrt(3.0))
 
 

@@ -415,13 +415,15 @@ def test_output_does_not_depend_on_python_O(argv):
 
 
 @pytest.mark.parametrize("row", [[math.inf, 0.6], [-math.inf, 0.6],
-                                 [math.nan, 0.6], [0.5, math.inf]])
+                                 [math.nan, 0.6], [0.5, math.inf],
+                                 [0.5, 1e308], [0.5, 1e155]])
 @pytest.mark.parametrize("command", [["dm"], ["sweep"], ["render"],
                                      ["verify", "--heps-samples", "2",
                                       "--random", "0"]])
 def test_non_finite_profile_prints_only_the_usage_error(tmp_path, capsys,
                                                         command, row):
-    # numpy used to print RuntimeWarnings about cos and sin first
+    # numpy used to print RuntimeWarnings first: about cos and sin
+    # for an infinite entry, about overflow for a huge radius
     profile = [list(r) for r in HEXAGON_PROFILE]
     profile[3] = row
     path = tmp_path / "body.json"

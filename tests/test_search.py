@@ -107,7 +107,8 @@ def test_exact_solve_matches_bisection(h_tilde):
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if gap(mid) <= 0.0 else (lo, mid)
-        t = walk.solve_position(gap, np.array([t_lo]), np.array([t_hi]))
+        t = walk.swept_position(start, share * walk.total_area,
+                                np.array([t_lo]), np.array([t_hi]))
         assert t[0] == pytest.approx(lo, abs=1e-9)
 
 
@@ -630,42 +631,23 @@ def test_batched_solve_equals_one_bracket_scans(h_tilde):
     share[100:120] = 0.5 * (walk.swept_area(np.floor(lo) + 1.0) - s0)[100:120]
     share[120:140] = (walk.swept_area(np.floor(lo) + 3.0) - s0)[120:140]
     share[140:150] = 0.0
-    tooth = rng.uniform(0.0, n, 300)
-
-    def swept(s0, a):
-        return lambda t: walk.swept_area(t) - s0 - a
-
-    def saw(m, a):
-        # many crossings: the solve must take the first
-        return lambda t: np.abs((t - m) % 40.0 - 20.0) - 10.0 + a
-
-    for make, p, q in ((swept, s0, share), (saw, tooth, share / A * 5.0)):
-        got = walk.solve_position(make(p[:, None], q[:, None]), lo, hi)
-        want = [_one_bracket_scan(make(p[r], q[r]), lo[r], hi[r])
-                for r in range(len(lo))]
-        assert np.array_equal(got, want, equal_nan=True)
-        assert 0 < np.count_nonzero(np.isnan(got)) < len(lo)
-        for r in range(0, len(lo), 7):
-            # one row alone: NaN where the scan finds no sign change
-            t = walk.solve_position(make(p[r], q[r]), lo[r:r + 1],
-                                    hi[r:r + 1])
-            assert np.array_equal(t, [want[r]], equal_nan=True)
-        if make is swept:
-            # the search on the monotone swept area finds the scan's root
-            got = walk.swept_position(s0, share, lo, hi)
-            assert np.array_equal(got, want, equal_nan=True)
-            for r in range(0, len(lo), 7):
-                t = walk.swept_position(s0[r], share[r], lo[r:r + 1],
-                                        hi[r:r + 1])
-                assert np.array_equal(t, [want[r]], equal_nan=True)
+    want = [_one_bracket_scan(lambda t: walk.swept_area(t) - s0[r] - share[r],
+                              lo[r], hi[r]) for r in range(len(lo))]
+    assert 0 < np.count_nonzero(np.isnan(want)) < len(lo)
+    # the search on the monotone swept area finds the scan's root
+    got = walk.swept_position(s0, share, lo, hi)
+    assert np.array_equal(got, want, equal_nan=True)
+    for r in range(0, len(lo), 7):
+        # one row alone: NaN where the scan finds no sign change
+        t = walk.swept_position(s0[r], share[r], lo[r:r + 1], hi[r:r + 1])
+        assert np.array_equal(t, [want[r]], equal_nan=True)
 
 
 def test_swept_search_steps_to_the_scan_root(h_tilde):
     # shares within a few ulps of the area swept to an integer, on both
     # turns and from brackets near 0, where swept - s0 rounds: the
     # searchsorted candidate is then one off in either direction, and
-    # its steps must end on the scan's segment (solve_position, checked
-    # against one-bracket scans above)
+    # the search must still end on the scan's segment
     walk = _BoundaryWalk(search._dense_boundary(h_tilde), np.array([0.1, 0.05]))
     n, m = walk.n, 40_000
     rng = np.random.default_rng(11)
@@ -680,12 +662,10 @@ def test_swept_search_steps_to_the_scan_root(h_tilde):
     # candidate is that integer, where the gap is still below 0
     s0[-500:], share[-500:] = swept_p[-500:], 0.4 * np.spacing(swept_p[-500:])
     got = walk.swept_position(s0, share, lo, hi)
-    for i in range(0, m, 250):
-        r = slice(i, i + 250)
-        want = walk.solve_position(
-            lambda t: walk.swept_area(t) - s0[r, None] - share[r, None],
-            lo[r], hi[r])
-        assert np.array_equal(got[r], want, equal_nan=True), i
+    for r in range(m):
+        want = _one_bracket_scan(lambda t: walk.swept_area(t) - s0[r] - share[r],
+                                 lo[r], hi[r])
+        assert np.array_equal(got[r], want, equal_nan=True), r
 
 
 @settings(max_examples=40, deadline=None)
@@ -725,6 +705,68 @@ def test_segment_solve_searches_instead_of_scanning(h_tilde, monkeypatch):
     ts = search._segment_positions(walk, np.arange(64) * 2.0 * math.pi / 64)
     assert not np.any(np.isnan(ts))
     assert sum(positions) <= 24 * 64
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.95),
+       st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 0.4), st.booleans())
+def test_perturbed_gap_never_decreases_over_integers(seed, radius, phi,
+                                                     magnitude, dense):
+    # the fact the perturbed re-solve's search rests on: with m_b
+    # strictly inside the convex boundary, the area of [c, m_a, w_a, arc,
+    # w(t), m_b] minus A/3, evaluated as the solve does, is monotone over
+    # the integers of the bracket t_a .. t1 + n
+    body = random_body(np.random.default_rng(seed))
+    boundary = search._dense_boundary(body) if dense else body.boundary
+    c = radius * body.radius_at(phi) * np.array([math.cos(phi), math.sin(phi)])
+    try:
+        walk = _BoundaryWalk(boundary, c)
+    except InfeasibleConfigurationError:
+        return
+    A, n = walk.total_area, walk.n
+    rng = np.random.default_rng(seed)
+    base = search._segment_positions(walk, rng.uniform(0.0, 2.0 * math.pi, 8))
+    base = base[~np.isnan(base[:, 0])]
+    seg = walk.point_at(base) - c
+    perp = np.stack((-seg[..., 1], seg[..., 0]), axis=-1)
+    perp /= np.hypot(perp[..., 0], perp[..., 1])[..., None]
+    mids = (c + 0.5 * seg + rng.uniform(-magnitude, magnitude,
+                                        (len(base), 3, 1)) * perp)
+    edge = np.roll(boundary, -1, axis=0) - boundary
+    for ts, ms in zip(base, mids):
+        rel = ms[:, None] - boundary
+        if not np.all(edge[:, 0] * rel[..., 1] - edge[:, 1] * rel[..., 0] > 0.0):
+            continue
+        for k in (1, 2):
+            t_a = ts[k - 1]
+            j = np.arange(math.floor(t_a + 1e-9) + 1.0,
+                          math.ceil(ts[0] + n - 1e-9))
+            gap = (_tri_area(c, ms[k - 1], walk.point_at(t_a))
+                   + walk.swept_area(j) - walk.swept_area(t_a)
+                   + _tri_area(c, walk.point_at(j), ms[k]) - A / 3.0)
+            assert np.all(np.diff(gap) >= 0.0)
+
+
+def test_perturbed_solve_searches_instead_of_scanning(h_tilde, monkeypatch):
+    # the perturbed re-solve searches each row's bracket from the segment
+    # position: two solves of about 17 swept areas a row, and 6 more for
+    # the rebalance check, on the 12,294-point boundary; a scan of the
+    # bracket evaluated one grid of two turns for each solve, about 770
+    # positions a row here
+    walk = _BoundaryWalk(h_tilde.boundary, np.array([0.05, -0.1]))
+    base = search._segment_positions(walk, np.arange(64) * 2.0 * math.pi / 64)
+    jitter = np.random.default_rng(5).uniform(-0.02, 0.02, (64, 3))
+    swept = _BoundaryWalk.swept_area
+    positions = []
+
+    def counted(self, t):
+        positions.append(np.size(t))
+        return swept(self, t)
+
+    monkeypatch.setattr(_BoundaryWalk, "swept_area", counted)
+    _, _, ok = search._perturbed_rows(walk, base, jitter)
+    assert np.all(ok)
+    assert sum(positions) <= 48 * 64
 
 
 def test_perturbed_cells_keep_their_mid_vertices_inside():
