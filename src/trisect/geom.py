@@ -174,9 +174,10 @@ def points_diameter(points):
     return math.sqrt(d2)
 
 
-# Blocks of region_diameters_sq: elements per padded array (64 kB of
-# floats; larger blocks run slower, on cache misses and page faults), and
-# run lengths whose new pairs one step computes.
+# Blocks of region_diameters_sq: elements per padded array or per block of
+# common-point rows (64 kB of floats; larger blocks run slower, on cache
+# misses and page faults), and run lengths whose new pairs one step
+# computes.
 _CHUNK = 8_192
 _BLOCK = 8
 
@@ -220,14 +221,49 @@ def _run_diameters_sq(pts, start, length):
     return out
 
 
-def region_diameters_sq(pts, verts, start, length):
+def _centre_runs_sq(pts, centres, start, length, centre):
+    """Largest squared distance from each region's common point
+    centres[r] to its run pts[start[r] : start[r] + length[r]], 0 for an
+    empty run.  Regions with equal centre[r] share their common point, and
+    one row of its squared distances to pts, doubled so that no run
+    wraps, gives all their runs' maxima by np.maximum.reduceat.  The rows
+    are made for a block of common points at a time, and the runs are
+    taken in order of where they start in the block's rows, so the spans
+    between them, which reduceat also reduces, add up to one pass over
+    the rows."""
+    n = len(pts)
+    _, first, slot = np.unique(centre, return_index=True, return_inverse=True)
+    points = centres[first]
+    order = np.lexsort((start, slot))
+    slot, start, length = slot[order], start[order], length[order]
+    out = np.zeros(len(order))
+    step = max(1, _CHUNK // (2 * n))
+    for g in range(0, len(points), step):
+        a, b = np.searchsorted(slot, [g, g + step])
+        dx = pts[:, 0] - points[g:g + step, 0, None]
+        dy = pts[:, 1] - points[g:g + step, 1, None]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        rows = np.concatenate((dx, dx), axis=1).ravel()
+        lo = (slot[a:b] - g) * (2 * n) + start[a:b]
+        far = np.maximum.reduceat(rows, np.column_stack(
+            (lo, lo + length[a:b])).ravel())[::2]
+        out[order[a:b]] = np.where(length[a:b] > 0, far, 0.0)
+    return out
+
+
+def region_diameters_sq(pts, verts, start, length, centre):
     """Squared diameters of many regions that share the points pts: region
     r is the point set of its vertices verts[r] (an (R, V, 2) array) and
-    the cyclic run pts[start[r] : start[r] + length[r]].
+    the cyclic run pts[start[r] : start[r] + length[r]].  verts[r, 0] is
+    the region's common point, the same for all regions with equal
+    centre[r].
 
-    Each is the largest of three terms: pairs within the run (one pass
-    for all regions), vertex to run (padded blocks of regions sorted by
-    run length) and vertex to vertex.  Every term evaluates
+    Each is the largest of four terms: pairs within the run (one pass
+    for all regions), common point to run (one row of distances per
+    common point), the other vertices to run (padded blocks of regions
+    sorted by run length) and vertex to vertex.  Every term evaluates
     points_diameter's dx*dx + dy*dy on the same pairs, so the square root
     equals points_diameter of the region bit for bit.
     """
@@ -236,6 +272,8 @@ def region_diameters_sq(pts, verts, start, length):
     for a, b in itertools.combinations(range(V), 2):
         d = verts[:, a] - verts[:, b]
         best = np.maximum(best, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    best = np.maximum(best, _centre_runs_sq(pts, verts[:, 0], start, length,
+                                            centre))
     order = np.argsort(length, kind="stable")
     step = max(1, _CHUNK // max(1, int(length.max(initial=0))))
     for i in range(0, len(order), step):
@@ -246,7 +284,7 @@ def region_diameters_sq(pts, verts, start, length):
                + np.minimum(np.arange(last.max() + 1), last[:, None])) % n
         px, py = pts[idx, 0], pts[idx, 1]
         far = np.zeros(len(rows))
-        for v in range(V):
+        for v in range(1, V):
             dx = px - verts[rows, v, 0, None]
             dy = py - verts[rows, v, 1, None]
             dx *= dx

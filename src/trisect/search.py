@@ -31,6 +31,8 @@ class SweepGrid:
         pts = np.asarray(self.c_points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != 2:
             raise ValueError("c_points must be a non-empty (k, 2) array")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("c_points must be finite")
         if self.curve_mode not in ("segments", "perturbed_polylines"):
             raise ValueError(f"unknown curve mode {self.curve_mode!r}")
 
@@ -131,25 +133,29 @@ def equal_area_segment_trisection(body, c, theta1):
 
 def _segment_positions(walk, theta1):
     """Arc positions (t1, t2, t3), not reduced mod n, of the equal-area
-    segment trisections whose first rays leave walk.c at the angles
-    theta1 (a 1-D array): one row per angle, NaN in a row whose solve
-    finds no root or whose third region misses a third of the area.
+    segment trisections whose first rays leave the common points of walk
+    at the angles theta1 (a 1-D array): one row per point and angle, each
+    point's rows together and in the order of theta1, NaN in a row whose
+    solve finds no root or whose third region misses a third of the area.
 
     t2 and t3 are where the area swept past t1 reaches A/3 and 2A/3,
-    solved by walk.swept_position in a few area evaluations a row.
+    solved for every row at once by walk.swept_position in a few area
+    evaluations a row.
     """
-    A, n = walk.total_area, walk.n
-    t1 = walk.ray_position(theta1)
-    f1 = walk.swept_area(t1)
-    t2 = walk.swept_position(f1, A / 3.0, t1, t1 + n)
+    n, points = walk.n, np.arange(len(walk.c))
+    ci = np.repeat(points, len(theta1))
+    A = walk.total_area[ci]
+    t1 = walk.ray_position(theta1, points[:, None]).ravel()
+    f1 = walk.swept_area(t1, ci)
+    t2 = walk.swept_position(f1, A / 3.0, t1, t1 + n, ci)
     # a failed row continues from a stand-in and is dropped at the end
     bad = np.isnan(t2)
     t2 = np.where(bad, t1, t2)
-    t3 = walk.swept_position(f1, 2.0 * A / 3.0, t2, t1 + n)
+    t3 = walk.swept_position(f1, 2.0 * A / 3.0, t2, t1 + n, ci)
     bad |= np.isnan(t3)
     t3 = np.where(bad, t2, t3)
-    third = A - (walk.swept_area(np.where(t3 >= t1, t3, t3 + n)) - f1)
-    bad |= np.abs(third - A / 3.0) > 2e-6 * max(A, 1.0)
+    third = A - (walk.swept_area(np.where(t3 >= t1, t3, t3 + n), ci) - f1)
+    bad |= np.abs(third - A / 3.0) > 2e-6 * np.maximum(A, 1.0)
     return np.where(bad[:, None], np.nan, np.column_stack((t1, t2, t3)))
 
 
@@ -174,8 +180,9 @@ def perturbed_polyline_trisection(body, c, theta1, rng, magnitude):
     return _assemble(walk, ts[0], mids[0])
 
 
-def _perturbed_rows(walk, base, jitter):
-    """Perturbed cells from rows of segment positions base (k, 3): each
+def _perturbed_rows(walk, base, jitter, ci=0):
+    """Perturbed cells from rows of segment positions base (k, 3) about
+    the common points ci of walk (an index per row, or one for all): each
     curve's mid-vertex is moved off its segment's midpoint by jitter
     (k, 3) along the unit normal, then t2 and t3 are re-solved so every
     region keeps a third of the area.  Returns the positions mod n, the
@@ -188,14 +195,15 @@ def _perturbed_rows(walk, base, jitter):
     m_b], positive when m_b is strictly inside the convex boundary, so
     the gap never decreases over the integers.
     """
-    c, A, n = walk.c, walk.total_area, walk.n
+    ci = np.broadcast_to(ci, len(base))
+    c, A, n = walk.c[ci][:, None], walk.total_area[ci], walk.n
     seg = walk.point_at(base) - c
     norm = np.maximum(np.hypot(seg[..., 0], seg[..., 1]), 1e-12)
     perp = np.stack((-seg[..., 1], seg[..., 0]), axis=-1) / norm[..., None]
     mids = c + 0.5 * seg + jitter[..., None] * perp
     # a mid-vertex is inside if it is nearer c than the boundary on its ray
     off = mids - c
-    ray = walk.ray_position(np.arctan2(off[..., 1], off[..., 0]))
+    ray = walk.ray_position(np.arctan2(off[..., 1], off[..., 0]), ci[:, None])
     hit = walk.point_at(ray) - c
     rows = np.flatnonzero(np.all(np.hypot(off[..., 0], off[..., 1])
                                  < np.hypot(hit[..., 0], hit[..., 1]), axis=1))
@@ -203,30 +211,36 @@ def _perturbed_rows(walk, base, jitter):
     for k in (1, 2):
         # area of [c, m_a, w(t_a), arc, w(t), m_b] minus A/3, per row
         t_a, m_b = ts[rows, k - 1], mids[rows, k]
-        head = _tri_area(c, mids[rows, k - 1], walk.point_at(t_a))
-        swept_a = walk.swept_area(t_a)
+        c_r, ci_r = c[rows, 0], ci[rows]
+        head = _tri_area(c_r, mids[rows, k - 1], walk.point_at(t_a))
+        swept_a = walk.swept_area(t_a, ci_r)
+        third = A[rows] / 3.0
 
         def gap(t, r=slice(None)):
-            return (head[r] + walk.swept_area(t) - swept_a[r]
-                    + _tri_area(c, walk.point_at(t), m_b[r]) - A / 3.0)
+            return (head[r] + walk.swept_area(t, ci_r[r]) - swept_a[r]
+                    + _tri_area(c_r[r], walk.point_at(t), m_b[r]) - third[r])
         ts[rows, k] = _first_root(gap, t_a + 1e-9, ts[rows, 0] + n - 1e-9,
                                   np.ceil(base[rows, k]))
         rows = rows[~np.isnan(ts[rows, k])]
-    areas = _fan_areas(walk, ts[rows], mids[rows])
+    areas = _fan_areas(walk, ts[rows], mids[rows], ci[rows])
     ok = np.zeros(len(base), dtype=bool)
-    ok[rows[np.all(np.abs(areas - A / 3.0) <= AREA_TOL * A, axis=1)]] = True
+    ok[rows[np.all(np.abs(areas - A[rows, None] / 3.0)
+                   <= AREA_TOL * A[rows, None], axis=1)]] = True
     return ts % n, mids, ok
 
 
-def _fan_areas(walk, ts, mids):
-    """Areas (k, 3) of the regions of perturbed cells, each its fan about
-    c, tri(c, m_a, w_a) + swept(t_b) - swept(t_a) + tri(c, w_b, m_b) with
-    t_b reached forward from t_a: what region_areas measures."""
+def _fan_areas(walk, ts, mids, ci=0):
+    """Areas (k, 3) of the regions of perturbed cells about the common
+    points ci of walk, each its fan about c, tri(c, m_a, w_a) + swept(t_b)
+    - swept(t_a) + tri(c, w_b, m_b) with t_b reached forward from t_a:
+    what region_areas measures."""
     nxt = [1, 2, 0]
+    ci = np.broadcast_to(ci, len(ts))[:, None]
+    c = walk.c[ci]
     ws = walk.point_at(ts)
     ends = ts + np.remainder(ts[:, nxt] - ts, walk.n)
-    return (_tri_area(walk.c, mids, ws) + walk.swept_area(ends)
-            - walk.swept_area(ts) + _tri_area(walk.c, ws[:, nxt], mids[:, nxt]))
+    return (_tri_area(c, mids, ws) + walk.swept_area(ends, ci)
+            - walk.swept_area(ts, ci) + _tri_area(c, ws[:, nxt], mids[:, nxt]))
 
 
 def trisection_dm(tri):
@@ -234,53 +248,68 @@ def trisection_dm(tri):
     return max(points_diameter(r) for r in tri.regions)
 
 
+# A sweep stacks its common points in blocks of one walk each: a block's
+# walk arrays hold k x (n + 1) floats and its solve k x theta1_count rows,
+# and k is the most that keeps their sum within this many elements.
+_BLOCK_ELEMENTS = 1 << 18
+
+
 @dataclass(frozen=True)
 class _Cells:
     """The evaluated cells of a sweep, in grid order."""
 
-    walks: list           # one per common point; None where it is exterior
-    c_index: np.ndarray   # (m,) each cell's common point
+    walks: list           # one per block of common points with an interior one
+    block: np.ndarray     # (m,) each cell's walk
+    c_index: np.ndarray   # (m,) each cell's common point in its walk
     ts: np.ndarray        # (m, 3) arc positions mod n
     mids: np.ndarray      # (m, 3, 2) curve mid-vertices, None for segments
     skipped: int
 
     def trisection(self, k):
         mids = None if self.mids is None else self.mids[k]
-        return _assemble(self.walks[self.c_index[k]], self.ts[k], mids)
+        return _assemble(self.walks[self.block[k]], self.ts[k], mids,
+                         self.c_index[k])
 
 
 def _solve_cells(boundary, grid, rng):
     """Step 1 of a sweep: the positions of every feasible cell.
 
-    The cells of one common point are solved together: first the
-    segment positions of all its angles in one call, then, in perturbed
-    mode, their jittered mid-vertices and re-solved positions, with three
-    draws per feasible cell from the one random stream in grid order.
+    The cells of a block of common points are solved together: first
+    the segment positions of all their angles in one call, then, in
+    perturbed mode, their jittered mid-vertices and re-solved positions,
+    with three draws per feasible cell from the one random stream in
+    grid order.
     """
     thetas = np.arange(grid.theta1_count) * 2.0 * math.pi / grid.theta1_count
     perturbed = grid.curve_mode != "segments"
-    walks, c_index, skipped = [], [], 0
+    size = max(1, _BLOCK_ELEMENTS // (len(boundary) + 1 + len(thetas)))
+    walks, skipped = [], 0
+    block, c_index = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     ts, mids = [np.empty((0, 3))], [np.empty((0, 3, 2))]
-    for ci, c in enumerate(grid.c_points):
+    for first in range(0, len(grid.c_points), size):
+        points = grid.c_points[first:first + size]
+        skipped += len(points) * len(thetas)
         try:
-            walk = _BoundaryWalk(boundary, c)
+            walk = _BoundaryWalk(boundary, points)
         except InfeasibleConfigurationError:
-            walks.append(None)
-            skipped += len(thetas)
             continue
-        walks.append(walk)
         base = _segment_positions(walk, thetas)
-        base = base[~np.isnan(base[:, 0])]
+        ci = np.repeat(np.arange(len(walk.c)), len(thetas))
+        solved = ~np.isnan(base[:, 0])
+        ci, base = ci[solved], base[solved]
         if perturbed and len(base):
             m = grid.perturbation_magnitude
-            t, mid, ok = _perturbed_rows(walk, base,
-                                         rng.uniform(-m, m, (len(base), 3)))
-            base = t[ok]
+            t, mid, ok = _perturbed_rows(
+                walk, base, rng.uniform(-m, m, (len(base), 3)), ci)
+            ci, base = ci[ok], t[ok]
             mids.append(mid[ok])
-        skipped += len(thetas) - len(base)
+        skipped -= len(base)
+        block.append(np.full(len(base), len(walks)))
+        walks.append(walk)
         ts.append(base % walk.n)
-        c_index += [ci] * len(base)
-    return _Cells(walks=walks, c_index=np.array(c_index, dtype=int),
+        c_index.append(ci)
+    return _Cells(walks=walks, block=np.concatenate(block),
+                  c_index=np.concatenate(c_index),
                   ts=np.concatenate(ts),
                   mids=np.concatenate(mids) if perturbed else None,
                   skipped=skipped)
@@ -290,13 +319,17 @@ def _cells_dm(boundary, cells):
     """Step 2 of a sweep: d_M of every cell, equal bit for bit to
     trisection_dm of its Trisection, scored in one pass for the body."""
     parts = []
-    for ci in np.unique(cells.c_index):
-        sel = cells.c_index == ci
+    for b, walk in enumerate(cells.walks):
+        sel = cells.block == b
         mids = None if cells.mids is None else cells.mids[sel]
-        parts.append(_cell_regions(cells.walks[ci], cells.ts[sel], mids))
+        parts.append(_cell_regions(walk, cells.ts[sel], mids,
+                                   cells.c_index[sel]))
     verts, start, length = (np.concatenate(p) for p in zip(*parts))
+    # number the common points of all walks in one sequence
+    first = np.cumsum([0] + [len(w.c) for w in cells.walks])
+    centre = np.repeat(first[cells.block] + cells.c_index, 3)
     d2 = region_diameters_sq(boundary, verts.reshape(-1, *verts.shape[2:]),
-                             start.ravel(), length.ravel())
+                             start.ravel(), length.ravel(), centre)
     return np.sqrt(d2.reshape(-1, 3).max(axis=1))
 
 

@@ -89,43 +89,60 @@ def inscribed_ball_radius(body):
 
 
 class _BoundaryWalk:
-    """Arc-position parameterization of a closed boundary as seen from c.
+    """Arc-position parameterization of a closed boundary as seen from a
+    stack of common points.
 
     A position t is a point index plus the fraction along the chord to
-    the next point, and counts whole turns past n; swept_area(t) is the
-    signed area of the fan from position 0 to t about c, piecewise linear
-    and strictly increasing for interior c.  point_at and swept_area take
-    a position or an array of positions; swept_position solves for where
-    the swept area reaches a share.
+    the next point, and counts whole turns past n; swept_area(t, ci) is
+    the signed area of the fan from position 0 to t about common point
+    ci, piecewise linear and strictly increasing for an interior point.
+    c is one point or a (k, 2) stack; the walk keeps its interior points,
+    in order, as self.c, and raises if none is.  prefix, total_area and
+    phi have one row per point of self.c.
+    point_at and swept_area take a position or an array of positions;
+    swept_area, ray_position and swept_position take each row's index
+    into self.c, broadcast against the rows, 0 by default.
+    swept_position solves for where the swept area reaches a share.
     """
 
     def __init__(self, boundary, c):
         self.pts = np.asarray(boundary, dtype=float)
-        self.c = np.asarray(c, dtype=float)
         self.n = len(self.pts)
-        rel = self.pts - self.c
-        nxt = np.roll(rel, -1, axis=0)
-        cr = rel[:, 0] * nxt[:, 1] - rel[:, 1] * nxt[:, 0]
-        if np.any(cr <= 0.0):
+        cs = np.asarray(c, dtype=float).reshape(-1, 2)
+        rel = self.pts - cs[:, None]
+        nxt = np.roll(rel, -1, axis=1)
+        # a NaN, infinite or huge coordinate gives NaN or infinite
+        # products, and such a point is not interior
+        with np.errstate(invalid="ignore", over="ignore"):
+            cr = rel[..., 0] * nxt[..., 1] - rel[..., 1] * nxt[..., 0]
+        inside = cr.min(axis=1) > 0.0
+        if not inside.any():
             raise InfeasibleConfigurationError("common point is not interior")
-        self.prefix = np.concatenate(([0.0], 0.5 * np.cumsum(cr)))
-        self.total_area = float(self.prefix[-1])
+        if not inside.all():
+            rel, cr = rel[inside], cr[inside]
+        self.c = cs[inside]
+        self.prefix = np.concatenate((np.zeros((len(cr), 1)),
+                                      0.5 * np.cumsum(cr, axis=1)), axis=1)
+        self.total_area = self.prefix[:, -1].copy()
         # polar angles of the points about c, closed by the first + 2 pi
-        phi = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
-        self.phi = np.append(phi, phi[0] + 2.0 * math.pi)
+        phi = np.unwrap(np.arctan2(rel[..., 1], rel[..., 0]), axis=1)
+        self.phi = np.concatenate((phi, phi[:, :1] + 2.0 * math.pi), axis=1)
 
-    def ray_position(self, theta):
-        """Arc positions where the rays from c at the angles theta (an
-        array) hit the boundary."""
+    def ray_position(self, theta, ci=0):
+        """Arc positions where the rays at the angles theta (an array)
+        from the points ci hit the boundary."""
         theta = np.asarray(theta, dtype=float)
-        q = self.phi[0] + (theta - self.phi[0]) % (2.0 * math.pi)
-        i = np.searchsorted(self.phi, q, side="right") - 1
-        i = np.minimum(np.maximum(i, 0), self.n - 1)
-        p1 = self.pts[i] - self.c
-        p2 = self.pts[(i + 1) % self.n] - self.c
-        # math.cos and math.sin per angle: numpy's may differ in the last bit
+        # math.cos and math.sin once per angle: numpy's may differ in the
+        # last bit
         d = np.array([(math.cos(a), math.sin(a)) for a in theta.flat])
         dx, dy = np.moveaxis(d.reshape(theta.shape + (2,)), -1, 0)
+        phi0 = self.phi[ci, 0]
+        q = phi0 + (theta - phi0) % (2.0 * math.pi)
+        i = _row_search(self.phi, ci, q, "right") - 1
+        i = np.minimum(np.maximum(i, 0), self.n - 1)
+        c = self.c[ci]
+        p1 = self.pts[i] - c
+        p2 = self.pts[(i + 1) % self.n] - c
         denom = dx * (p2[..., 1] - p1[..., 1]) - dy * (p2[..., 0] - p1[..., 0])
         flat = np.abs(denom) < 1e-15
         u = (dy * p1[..., 0] - dx * p1[..., 1]) / np.where(flat, 1.0, denom)
@@ -146,10 +163,13 @@ class _BoundaryWalk:
         a, b = self.pts[i], self.pts[i + (1 - self.n)]
         return a + np.asarray(u)[..., None] * (b - a)
 
-    def swept_area(self, t):
+    def swept_area(self, t, ci=0):
         turns, i, u = self._split(t)
-        val = self.prefix[i] + u * (self.prefix[i + 1] - self.prefix[i])
-        return val + turns * self.total_area
+        # row ci of prefix starts at ci * (n + 1) in the flat array
+        j = i + ci * (self.n + 1)
+        prefix = self.prefix.ravel()
+        val = prefix[j] + u * (prefix[j + 1] - prefix[j])
+        return val + turns * self.total_area[ci]
 
     def arc_run(self, t_a, t_b):
         """The boundary points strictly between positions t_a < t_b
@@ -162,11 +182,12 @@ class _BoundaryWalk:
         return (((first + 1.0) % self.n).astype(int),
                 (np.ceil(ta + span) - first - 1.0).astype(int))
 
-    def swept_position(self, f0, share, t_lo, t_hi):
-        """Root of (swept_area(t) - f0) - share on [t_lo, t_hi], where
+    def swept_position(self, f0, share, t_lo, t_hi, ci=0):
+        """Root of (swept_area(t, ci) - f0) - share on [t_lo, t_hi], where
         the area swept beyond f0 reaches share, given a sign change
         there; NaN in a row without one.  t_lo and t_hi are 1-D arrays,
-        one bracket per row; f0 and share are arrays like them or scalars.
+        one bracket per row; f0, share and ci are arrays like them or
+        scalars.
 
         For positions in [0, 2n] the swept area at integer j is prefix[j]
         on the first turn and prefix[j - n] + total_area on the second,
@@ -178,17 +199,36 @@ class _BoundaryWalk:
         lo, hi = np.asarray(t_lo, dtype=float), np.asarray(t_hi, dtype=float)
         f0, share = (np.broadcast_to(np.asarray(v, dtype=float), lo.shape)
                      for v in (f0, share))
+        ci = np.broadcast_to(ci, lo.shape)
 
         def gap(t, rows=slice(None)):
-            d = self.swept_area(t) - f0[rows]
+            d = self.swept_area(t, ci[rows]) - f0[rows]
             d -= share[rows]
             return d
 
         target = f0 + share
-        turns = np.floor(target / self.total_area)
-        guess = turns * self.n + np.searchsorted(
-            self.prefix, target - turns * self.total_area)
+        total = self.total_area[ci]
+        turns = np.floor(target / total)
+        guess = turns * self.n + _row_search(self.prefix, ci,
+                                             target - turns * total, "left")
         return _first_root(gap, lo, hi, guess)
+
+
+def _row_search(rows, ci, x, side):
+    """np.searchsorted(rows[ci], x, side) for each element of x and its
+    row index in ci (broadcast against x), in one search over all rows:
+    complex numbers sort by real part, then by imaginary part, so the
+    sorted rows, keyed by their indices, are one sorted array."""
+    if len(rows) == 1:  # a one-point walk needs no keys
+        return np.searchsorted(rows[0], x, side=side)
+    k, m = rows.shape
+    key = np.empty((k, m), dtype=complex)
+    key.real = np.arange(k)[:, None]
+    key.imag = rows
+    q = np.empty(np.shape(x), dtype=complex)
+    q.real = ci
+    q.imag = x
+    return np.searchsorted(key.ravel(), q, side=side) - ci * m
 
 
 def _first_root(gap, lo, hi, guess):
@@ -257,35 +297,38 @@ def _linear_root(lo, hi, k, f_k, f_prev, f_lo, f_hi):
 
 
 def _tri_area(c, a, b):
-    return 0.5 * ((a[..., 0] - c[0]) * (b[..., 1] - c[1])
-                  - (a[..., 1] - c[1]) * (b[..., 0] - c[0]))
+    return 0.5 * ((a[..., 0] - c[..., 0]) * (b[..., 1] - c[..., 1])
+                  - (a[..., 1] - c[..., 1]) * (b[..., 0] - c[..., 0]))
 
 
-def _cell_regions(walk, ts, mids=None):
-    """The regions of cells cut at positions ts (k, 3) mod n: curve
-    vertices (k, 3, V, 2), ordered [c, (m_a), w_a, w_b, (m_b)], and arc
-    runs (start, length), (k, 3) each.  A region is its first (V + 1) // 2
-    curve vertices, its arc run, then the rest of its curve vertices."""
+def _cell_regions(walk, ts, mids=None, ci=0):
+    """The regions of cells cut at positions ts (k, 3) mod n about the
+    common points ci of walk: curve vertices (k, 3, V, 2), ordered
+    [c, (m_a), w_a, w_b, (m_b)], and arc runs (start, length), (k, 3)
+    each.  A region is its first (V + 1) // 2 curve vertices, its arc
+    run, then the rest of its curve vertices."""
     nxt = [1, 2, 0]
     ws = walk.point_at(ts)
     start, length = walk.arc_run(ts, ts[:, nxt])
-    c = np.broadcast_to(walk.c, ws.shape)
+    c = np.broadcast_to(walk.c[ci].reshape(-1, 1, 2), ws.shape)
     parts = ([c, ws, ws[:, nxt]] if mids is None
              else [c, mids, ws, ws[:, nxt], mids[:, nxt]])
     return np.stack(parts, axis=2), start, length
 
 
-def _assemble(walk, ts, mids=None):
-    """Build a Trisection from three boundary positions (and optional
-    fixed curve mid-vertices); the one builder of region boundaries."""
+def _assemble(walk, ts, mids=None, ci=0):
+    """Build a Trisection about common point ci of walk from three
+    boundary positions (and optional fixed curve mid-vertices); the one
+    builder of region boundaries."""
     verts, start, length = (a[0] for a in _cell_regions(
-        walk, np.asarray(ts)[None], None if mids is None else np.asarray(mids)[None]))
+        walk, np.asarray(ts)[None],
+        None if mids is None else np.asarray(mids)[None], ci))
     h = (verts.shape[1] + 1) // 2
     regions = tuple(
         np.concatenate((v[:h], walk.pts[(s + np.arange(m)) % walk.n], v[h:]))
         for v, s, m in zip(verts, start, length))
     # curve j runs from c to its endpoint: the head of region j
-    return Trisection(common_point=walk.c.copy(),
+    return Trisection(common_point=walk.c[ci].copy(),
                       curves=tuple(v[:h] for v in verts),
                       endpoints=verts[:, h - 1], regions=regions)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trisect import search
+from trisect import geom, search
 from trisect.bodies import (H_EPS_A_MAX, SECTOR, load_body, make_h_eps,
                             make_regular_polygon, random_body)
 from trisect.cli import PRESETS
@@ -65,7 +65,7 @@ def test_broken_area_additivity_raises_and_skips_the_cell(hexagon,
     # the whole area; the check must raise a typed error, also under -O
     import trisect.search as search
     monkeypatch.setattr(search._BoundaryWalk, "swept_position",
-                        lambda self, f0, share, t_lo, t_hi: t_lo)
+                        lambda self, f0, share, t_lo, t_hi, ci=0: t_lo)
     with pytest.raises(InfeasibleConfigurationError, match="additivity"):
         equal_area_segment_trisection(hexagon, np.zeros(2), 0.3)
     # the sweep skips each such cell instead of crashing
@@ -361,19 +361,21 @@ def test_working_boundary_keeps_every_corner(tmp_path, source):
             body.max_radius(), abs=1e-12)
 
 
-def _reference_sweep(body, grid, seed, skip=(), reasons=None):
+def _reference_sweep(body, grid, seed, skip=(), reasons=None,
+                     failed_points=()):
     """The sweep as one loop over the cells, each built by _assemble or
-    _perturbed_cell and measured by trisection_dm; theta indices in skip
-    are dropped before their random draws, as a failed batched segment
-    solve drops them.  reasons, a Counter, counts the skipped cells of
-    interior common points by their error message."""
+    _perturbed_cell and measured by trisection_dm; theta indices in skip,
+    and every theta of the common points whose grid indices are in
+    failed_points, are dropped before their random draws, as a failed
+    batched segment solve drops them.  reasons, a Counter, counts the
+    skipped cells of interior common points by their error message."""
     boundary = search._dense_boundary(body)
     dm_standard = closed_form_dm_standard(body)
     thetas = (np.arange(grid.theta1_count) * 2.0 * math.pi
               / grid.theta1_count)
     rng = np.random.default_rng(seed)
     cells, skipped = [], 0
-    for c in grid.c_points:
+    for ci, c in enumerate(grid.c_points):
         try:
             walk = _BoundaryWalk(boundary, c)
         except InfeasibleConfigurationError:
@@ -381,7 +383,7 @@ def _reference_sweep(body, grid, seed, skip=(), reasons=None):
             continue
         for j, theta1 in enumerate(thetas):
             try:
-                if j in skip:
+                if j in skip or ci in failed_points:
                     raise InfeasibleConfigurationError("skipped")
                 base = search._segment_base(walk, theta1)
                 if grid.curve_mode == "segments":
@@ -412,7 +414,7 @@ def _perturbed_cell(walk, base, rng, magnitude):
     each mid-vertex lies strictly inside the boundary, each endpoint
     re-solved by a one-bracket scan, and the rebalance check on the
     areas of the assembled regions."""
-    c, A, n = walk.c, walk.total_area, walk.n
+    c, A, n = walk.c[0], walk.total_area[0], walk.n
     mids = []
     for w in walk.point_at(base):
         seg = w - c
@@ -484,8 +486,8 @@ def test_scored_cells_equal_trisection_dm_bit_for_bit(name, make, mode):
     assert cells.skipped >= grid.theta1_count  # the outside point
     for k in range(len(dm)):
         assert dm[k] == trisection_dm(cells.trisection(k)), (name, k)
-    runs = [cells.walks[ci].arc_run(ts, np.roll(ts, -1))
-            for ci, ts in zip(cells.c_index, cells.ts)]
+    runs = [cells.walks[b].arc_run(ts, np.roll(ts, -1))
+            for b, ts in zip(cells.block, cells.ts)]
     assert any(np.any(length > n // 2) for _, length in runs)
     assert any(np.any(start + length > n) for start, length in runs)
     # the whole report equals the cell-by-cell loop's
@@ -505,10 +507,11 @@ def test_rebalance_areas_equal_region_areas(name, make):
                                 np.random.default_rng(4))
     assert len(cells.ts)
     for k in range(len(cells.ts)):
-        walk = cells.walks[cells.c_index[k]]
-        fan = search._fan_areas(walk, cells.ts[k:k + 1], cells.mids[k:k + 1])
+        walk, ci = cells.walks[cells.block[k]], cells.c_index[k]
+        fan = search._fan_areas(walk, cells.ts[k:k + 1], cells.mids[k:k + 1],
+                                ci)
         assert np.all(np.abs(fan[0] - cells.trisection(k).region_areas())
-                      <= 1e-12 * walk.total_area), (name, k)
+                      <= 1e-12 * walk.total_area[ci]), (name, k)
 
 
 def test_negative_area_tol_skips_every_perturbed_cell(hexagon, monkeypatch):
@@ -546,7 +549,8 @@ def test_scorer_at_integer_positions_and_empty_arcs(h_tilde, mids):
     verts, start, length = _cell_regions(walk, ts, mid)
     assert np.any(length == 0)
     d2 = region_diameters_sq(boundary, verts.reshape(-1, *verts.shape[2:]),
-                             start.ravel(), length.ravel())
+                             start.ravel(), length.ravel(),
+                             np.zeros(length.size, dtype=int))
     regions = [r for k in range(len(ts))
                for r in _assemble(walk, ts[k],
                                   None if mid is None else mid[k]).regions]
@@ -594,8 +598,9 @@ def test_walk_positions_match_divmod(h_tilde):
     u = tm - i
     pts = walk.pts
     point = pts[i] + u[:, None] * (pts[(i + 1) % n] - pts[i])
-    swept = (walk.prefix[i] + u * (walk.prefix[i + 1] - walk.prefix[i])
-             + (t // n) * walk.total_area)
+    prefix = walk.prefix[0]
+    swept = (prefix[i] + u * (prefix[i + 1] - prefix[i])
+             + (t // n) * walk.total_area[0])
     assert np.array_equal(walk.point_at(t), point)
     assert np.array_equal(walk.swept_area(t), swept)
     assert walk.swept_area(float(t[0])) == swept[0]
@@ -697,9 +702,9 @@ def test_segment_solve_searches_instead_of_scanning(h_tilde, monkeypatch):
     swept = _BoundaryWalk.swept_area
     positions = []
 
-    def counted(self, t):
+    def counted(self, t, ci=0):
         positions.append(np.size(t))
-        return swept(self, t)
+        return swept(self, t, ci)
 
     monkeypatch.setattr(_BoundaryWalk, "swept_area", counted)
     ts = search._segment_positions(walk, np.arange(64) * 2.0 * math.pi / 64)
@@ -759,9 +764,9 @@ def test_perturbed_solve_searches_instead_of_scanning(h_tilde, monkeypatch):
     swept = _BoundaryWalk.swept_area
     positions = []
 
-    def counted(self, t):
+    def counted(self, t, ci=0):
         positions.append(np.size(t))
-        return swept(self, t)
+        return swept(self, t, ci)
 
     monkeypatch.setattr(_BoundaryWalk, "swept_area", counted)
     _, _, ok = search._perturbed_rows(walk, base, jitter)
@@ -791,3 +796,160 @@ def test_perturbed_cells_keep_their_mid_vertices_inside():
         sweep_segment_trisections(PRESETS["triangle"](), SweepGrid(
             c_points=np.zeros((1, 2)), theta1_count=8,
             curve_mode="perturbed_polylines", perturbation_magnitude=5.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("c", [[math.nan, 0.0], [0.1, math.nan],
+                               [math.inf, 0.0], [0.0, -math.inf],
+                               [1e300, -1e300]])
+def test_non_finite_common_point_is_not_interior(hexagon, c):
+    # NaN compares false, so a test for any non-positive cross product
+    # let such a point through to the solve and its RuntimeWarnings
+    with pytest.raises(InfeasibleConfigurationError, match="not interior"):
+        equal_area_segment_trisection(hexagon, np.array(c), 0.3)
+    with pytest.raises(InfeasibleConfigurationError, match="not interior"):
+        perturbed_polyline_trisection(hexagon, np.array(c), 0.3,
+                                      np.random.default_rng(0), 0.02)
+    points = np.array([[0.0, 0.0], c])
+    if np.all(np.isfinite(c)):
+        report = sweep_segment_trisections(
+            hexagon, SweepGrid(c_points=points, theta1_count=8))
+        assert report.cells_skipped == 8
+    else:
+        with pytest.raises(ValueError, match="finite"):
+            SweepGrid(c_points=points, theta1_count=8)
+    # a walk over a stack keeps only its interior points
+    walk = _BoundaryWalk(hexagon.boundary, np.array([c, [0.05, 0.0]]))
+    assert walk.c.tolist() == [[0.05, 0.0]]
+
+
+def _mixed_points(body):
+    """The center, off-center and near-boundary common points, and one
+    outside the body, last."""
+    rng = np.random.default_rng(21)
+    near = [0.985 * body.radius_at(a) * np.array([math.cos(a), math.sin(a)])
+            for a in (0.4, 2.9)]
+    far = 3.0 * body.max_radius()
+    return np.vstack([np.zeros((1, 2)), default_c_points(body, 4, rng), near,
+                      [[far, 0.0]]])
+
+
+@pytest.mark.parametrize("name", ["h_tilde", "random"])
+def test_stacked_solve_equals_one_point_walks(name):
+    # one walk over all common points solves every row as the walk of
+    # each point alone does, bit for bit, in both curve modes
+    body = (PRESETS["h_tilde"]() if name == "h_tilde"
+            else random_body(np.random.default_rng(31)))
+    boundary = search._dense_boundary(body)
+    points = _mixed_points(body)
+    thetas = np.sort(np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, 37))
+    walk = _BoundaryWalk(boundary, points)
+    assert np.array_equal(walk.c, points[:-1])
+    alone = [_BoundaryWalk(boundary, c) for c in points[:-1]]
+    got = search._segment_positions(walk, thetas)
+    want = np.concatenate([search._segment_positions(w, thetas)
+                           for w in alone])
+    assert np.array_equal(got, want, equal_nan=True)
+    each = np.arange(len(alone))
+    assert np.array_equal(walk.ray_position(thetas, each[:, None]),
+                          [w.ray_position(thetas) for w in alone])
+    ci = np.repeat(each, len(thetas))
+    ok = ~np.isnan(got[:, 0])
+    assert np.count_nonzero(ok) > len(got) // 2
+    base, ci = got[ok], ci[ok]
+    jitter = np.random.default_rng(6).uniform(-0.05, 0.05, (len(base), 3))
+    ts, mids, fine = search._perturbed_rows(walk, base, jitter, ci)
+    assert 0 < np.count_nonzero(fine) < len(base)
+    for k, w in enumerate(alone):
+        sel = ci == k
+        t_k, m_k, ok_k = search._perturbed_rows(w, base[sel], jitter[sel])
+        assert np.array_equal(ts[sel], t_k, equal_nan=True)
+        assert np.array_equal(mids[sel], m_k)
+        assert np.array_equal(fine[sel], ok_k)
+
+
+def test_segment_sweep_solves_a_block_of_points_at_once(hexagon, monkeypatch):
+    # two endpoint solves per block of common points, not per point; a
+    # smaller block changes no report
+    from trisect import trisection
+    first_root, calls = trisection._first_root, []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return first_root(*args)
+
+    monkeypatch.setattr(trisection, "_first_root", counted)
+    rng = np.random.default_rng(4)
+    for grid_c in (1, 7, 40):
+        grid = SweepGrid(c_points=default_c_points(hexagon, grid_c, rng),
+                         theta1_count=12)
+        calls.clear()
+        sweep_segment_trisections(hexagon, grid)
+        assert calls == [12 * grid_c] * 2, grid_c
+    n, budget = len(search._dense_boundary(hexagon)), search._BLOCK_ELEMENTS
+    points = _mixed_points(hexagon)
+    for mode in ("segments", "perturbed_polylines"):
+        grid = SweepGrid(c_points=points, theta1_count=12, curve_mode=mode,
+                         perturbation_magnitude=0.05)
+        monkeypatch.setattr(search, "_BLOCK_ELEMENTS", budget)
+        report = sweep_segment_trisections(hexagon, grid, seed=2).to_dict()
+        # blocks of seven points: the second holds only the outside one
+        monkeypatch.setattr(search, "_BLOCK_ELEMENTS", 7 * (n + 1 + 12))
+        calls.clear()
+        assert sweep_segment_trisections(hexagon, grid,
+                                         seed=2).to_dict() == report
+        if mode == "segments":
+            assert calls == [12 * 7] * 2
+
+
+def test_perturbed_batch_mixes_every_kind_of_skipped_point(hexagon,
+                                                          monkeypatch):
+    # one batch holds an outside point, a point whose rows all fail the
+    # segment solve, and a point so near the boundary that jitters throw
+    # mid-vertices outside; the report is the cell-by-cell loop's
+    points = _mixed_points(hexagon)
+    failing_point = points[2]
+    segment = search._segment_positions
+
+    def failing(walk, theta1):
+        ts = segment(walk, theta1)
+        ts[np.repeat(np.all(walk.c == failing_point, axis=1),
+                     len(theta1))] = np.nan
+        return ts
+
+    grid = SweepGrid(c_points=points, theta1_count=16,
+                     curve_mode="perturbed_polylines",
+                     perturbation_magnitude=0.05)
+    boundary = search._dense_boundary(hexagon)
+    monkeypatch.setattr(search, "_segment_positions", failing)
+    assert len(search._solve_cells(boundary, grid,
+                                   np.random.default_rng(5)).walks) == 1
+    report = sweep_segment_trisections(hexagon, grid, seed=5).to_dict()
+    monkeypatch.setattr(search, "_segment_positions", segment)
+    reasons = Counter()
+    assert report == _reference_sweep(hexagon, grid, seed=5, reasons=reasons,
+                                      failed_points={2})
+    assert reasons["skipped"] == 16
+    assert reasons["mid-vertex outside"] > 0
+    # the outside point's cells and those reasons counts
+    assert report["cells_skipped"] == 16 + sum(reasons.values())
+
+
+def test_scorer_rows_in_blocks_of_common_points(monkeypatch):
+    # the rows of common-point distances, made a block of points at a
+    # time, give the same scores for any block size
+    body = PRESETS["h_tilde"]()
+    boundary = search._dense_boundary(body)
+    points = np.vstack([_mixed_points(body),
+                        default_c_points(body, 9, np.random.default_rng(8))])
+    for mode in ("segments", "perturbed_polylines"):
+        grid = SweepGrid(c_points=points, theta1_count=10, curve_mode=mode,
+                         perturbation_magnitude=0.02)
+        cells = search._solve_cells(boundary, grid, np.random.default_rng(4))
+        dm = search._cells_dm(boundary, cells)
+        for k in range(0, len(dm), 7):
+            assert dm[k] == trisection_dm(cells.trisection(k)), (mode, k)
+        for size in (1, 2, 5):
+            monkeypatch.setattr(geom, "_CHUNK", size * 2 * len(boundary))
+            assert np.array_equal(search._cells_dm(boundary, cells), dm)
+        monkeypatch.undo()
