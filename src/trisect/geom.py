@@ -8,6 +8,7 @@ Conventions used throughout the package:
   * all lengths are O(1) since bodies are normalized to unit area.
 """
 
+import bisect
 import itertools
 import math
 
@@ -253,6 +254,19 @@ def _centre_runs_sq(pts, centres, start, length, centre):
     return out
 
 
+def region_bounds_sq(pts, verts, start, length, centre):
+    """Lower bounds of region_diameters_sq, on the same regions: the
+    largest squared distance between two vertices of region r, or from
+    its common point verts[r, 0] to its run.  They are the two cheap
+    terms of region_diameters_sq, a maximum over some of its pairs, so a
+    bound is never above the region's squared diameter, bit for bit."""
+    best = _centre_runs_sq(pts, verts[:, 0], start, length, centre)
+    for a, b in itertools.combinations(range(verts.shape[1]), 2):
+        d = verts[:, a] - verts[:, b]
+        best = np.maximum(best, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    return best
+
+
 def region_diameters_sq(pts, verts, start, length, centre):
     """Squared diameters of many regions that share the points pts: region
     r is the point set of its vertices verts[r] (an (R, V, 2) array) and
@@ -260,24 +274,26 @@ def region_diameters_sq(pts, verts, start, length, centre):
     the region's common point, the same for all regions with equal
     centre[r].
 
-    Each is the largest of four terms: pairs within the run (one pass
-    for all regions), common point to run (one row of distances per
-    common point), the other vertices to run (padded blocks of regions
-    sorted by run length) and vertex to vertex.  Every term evaluates
-    points_diameter's dx*dx + dy*dy on the same pairs, so the square root
-    equals points_diameter of the region bit for bit.
+    Each is the largest of four terms: vertex to vertex and common point
+    to run (region_bounds_sq), pairs within the run (one pass for all
+    regions) and the other vertices to run (padded blocks of regions
+    sorted by run length).  Every term evaluates points_diameter's
+    dx*dx + dy*dy on the same pairs, so the square root equals
+    points_diameter of the region bit for bit.
     """
     n, V = len(pts), verts.shape[1]
-    best = _run_diameters_sq(pts, start, length)
-    for a, b in itertools.combinations(range(V), 2):
-        d = verts[:, a] - verts[:, b]
-        best = np.maximum(best, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-    best = np.maximum(best, _centre_runs_sq(pts, verts[:, 0], start, length,
-                                            centre))
+    best = np.maximum(region_bounds_sq(pts, verts, start, length, centre),
+                      _run_diameters_sq(pts, start, length))
     order = np.argsort(length, kind="stable")
-    step = max(1, _CHUNK // max(1, int(length.max(initial=0))))
-    for i in range(0, len(order), step):
-        rows = order[i:i + step]
+    size = np.maximum(length[order], 1).tolist()
+    i = 0
+    while i < len(order):
+        # k rows from i pad to k x size[i + k - 1] elements, which grows
+        # with k: take the most that fit in _CHUNK, and at least one
+        k = bisect.bisect_right(range(1, len(order) - i + 1), _CHUNK,
+                                key=lambda m: m * size[i + m - 1])
+        rows = order[i:i + max(k, 1)]
+        i += len(rows)
         # pad each run to the block's longest by repeating its last point
         last = np.maximum(length[rows] - 1, 0)
         idx = (start[rows, None]

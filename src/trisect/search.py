@@ -7,7 +7,8 @@ import numpy as np
 
 from . import bodies as _bodies
 from .bodies import H_EPS_A_MAX, SECTOR
-from .geom import points_diameter, region_diameters_sq, rotate
+from .geom import (points_diameter, region_bounds_sq, region_diameters_sq,
+                   rotate)
 from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
                          _assemble, _BoundaryWalk, _cell_regions, _centre_fan,
                          _first_root, _tri_area, closed_form_dm_standard,
@@ -315,9 +316,19 @@ def _solve_cells(boundary, grid, rng):
                   skipped=skipped)
 
 
-def _cells_dm(boundary, cells):
-    """Step 2 of a sweep: d_M of every cell, equal bit for bit to
-    trisection_dm of its Trisection, scored in one pass for the body."""
+def _cells_dm(boundary, cells, floor):
+    """Step 2 of a sweep: d_M of every cell that can be the minimum or
+    below floor, equal bit for bit to trisection_dm of its Trisection,
+    and inf for every other cell.
+
+    A cell's bound, the square root of the largest region_bounds_sq of
+    its regions, is never above its d_M.  region_diameters_sq scores, in
+    rounds, the cells whose bound is at most limit, which starts at
+    max(floor, least bound) and rises to the least d_M scored, until no
+    cell is left at or below it.  A cell left out has d_M >= bound >
+    limit >= least d_M, so it is not the minimum, ties none, and is not
+    below floor.  floor = inf scores every cell.
+    """
     parts = []
     for b, walk in enumerate(cells.walks):
         sel = cells.block == b
@@ -325,29 +336,44 @@ def _cells_dm(boundary, cells):
         parts.append(_cell_regions(walk, cells.ts[sel], mids,
                                    cells.c_index[sel]))
     verts, start, length = (np.concatenate(p) for p in zip(*parts))
+    verts = verts.reshape(-1, *verts.shape[2:])
+    start, length = start.ravel(), length.ravel()
     # number the common points of all walks in one sequence
     first = np.cumsum([0] + [len(w.c) for w in cells.walks])
     centre = np.repeat(first[cells.block] + cells.c_index, 3)
-    d2 = region_diameters_sq(boundary, verts.reshape(-1, *verts.shape[2:]),
-                             start.ravel(), length.ravel(), centre)
-    return np.sqrt(d2.reshape(-1, 3).max(axis=1))
+    bound = np.sqrt(region_bounds_sq(boundary, verts, start, length,
+                                     centre).reshape(-1, 3).max(axis=1))
+    dm = np.full(len(bound), np.inf)
+    scored = np.zeros(len(bound), dtype=bool)
+    limit = max(floor, float(bound.min()))
+    todo = bound <= limit
+    while np.any(todo):
+        rows = (3 * np.flatnonzero(todo)[:, None] + np.arange(3)).ravel()
+        d2 = region_diameters_sq(boundary, verts[rows], start[rows],
+                                 length[rows], centre[rows])
+        dm[todo] = np.sqrt(d2.reshape(-1, 3).max(axis=1))
+        scored |= todo
+        limit = max(limit, float(dm.min()))
+        todo = (bound <= limit) & ~scored
+    return dm
 
 
 def sweep_segment_trisections(body, grid, seed=42):
     """Evaluate d_M over the (c, theta1) grid and report the minimum plus
     any cells falling below the closed-form standard value.
 
-    Three steps: solve every cell's positions, score every cell in one
-    pass, then build a Trisection only for the argmin and the
-    violations.  The cells run in grid order on one random stream, so a
-    report depends only on the body, the grid and the seed.
+    Three steps: solve every cell's positions, score the cells that can
+    be the minimum or a violation (any cell below dm_standard), then
+    build a Trisection only for the argmin and the violations.  The
+    cells run in grid order on one random stream, so a report depends
+    only on the body, the grid and the seed.
     """
     boundary = _dense_boundary(body)
     dm_standard = closed_form_dm_standard(body)
     cells = _solve_cells(boundary, grid, np.random.default_rng(seed))
     if not len(cells.ts):
         raise InfeasibleConfigurationError("every grid cell was infeasible")
-    dm = _cells_dm(boundary, cells)
+    dm = _cells_dm(boundary, cells, dm_standard)
     best = int(np.argmin(dm))
     violations = tuple(
         (cells.trisection(k).to_dict(dm=dm[k]), dm_standard - dm[k])
@@ -414,7 +440,8 @@ def antipodal_gap(body, sample_count=1024):
     if sample_count < 64:
         raise ValueError("sample_count must be at least 64")
     thetas = np.arange(sample_count) * math.pi / sample_count
-    d = body.radius_at(thetas) + body.radius_at(thetas + math.pi)
+    r = body.radius_at(np.concatenate((thetas, thetas + math.pi)))
+    d = r[:sample_count] + r[sample_count:]
     return float(np.min(d) - math.sqrt(3.0) * inscribed_ball_radius(body))
 
 

@@ -482,7 +482,7 @@ def test_scored_cells_equal_trisection_dm_bit_for_bit(name, make, mode):
     boundary = search._dense_boundary(body)
     n = len(boundary)
     cells = search._solve_cells(boundary, grid, np.random.default_rng(4))
-    dm = search._cells_dm(boundary, cells)
+    dm = search._cells_dm(boundary, cells, math.inf)
     assert cells.skipped >= grid.theta1_count  # the outside point
     for k in range(len(dm)):
         assert dm[k] == trisection_dm(cells.trisection(k)), (name, k)
@@ -946,10 +946,116 @@ def test_scorer_rows_in_blocks_of_common_points(monkeypatch):
         grid = SweepGrid(c_points=points, theta1_count=10, curve_mode=mode,
                          perturbation_magnitude=0.02)
         cells = search._solve_cells(boundary, grid, np.random.default_rng(4))
-        dm = search._cells_dm(boundary, cells)
+        dm = search._cells_dm(boundary, cells, math.inf)
         for k in range(0, len(dm), 7):
             assert dm[k] == trisection_dm(cells.trisection(k)), (mode, k)
         for size in (1, 2, 5):
             monkeypatch.setattr(geom, "_CHUNK", size * 2 * len(boundary))
-            assert np.array_equal(search._cells_dm(boundary, cells), dm)
+            assert np.array_equal(search._cells_dm(boundary, cells, math.inf),
+                                  dm)
         monkeypatch.undo()
+
+
+def _traced_scoring(mp):
+    """Wraps the sweep's two scorers with mp: returns a list that gets
+    each scoring's cell bounds, the square root of the largest
+    region_bounds_sq of a cell's regions, and a list that gets the
+    region count of every region_diameters_sq call."""
+    bounds, scored = [], []
+    bounds_sq = search.region_bounds_sq
+    diameters_sq = search.region_diameters_sq
+
+    def traced_bounds(*args):
+        d2 = bounds_sq(*args)
+        bounds.append(np.sqrt(d2.reshape(-1, 3).max(axis=1)))
+        return d2
+
+    def traced_diameters(*args):
+        scored.append(len(args[2]))
+        return diameters_sq(*args)
+
+    mp.setattr(search, "region_bounds_sq", traced_bounds)
+    mp.setattr(search, "region_diameters_sq", traced_diameters)
+    return bounds, scored
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["segments", "perturbed_polylines"]),
+       st.floats(-0.3, 0.3))
+def test_bounds_never_exceed_dm_and_scored_cells_are_exact(seed, mode, shift):
+    # every bound is at most its cell's d_M; every scored cell is exact
+    # bit for bit; the minimum and every cell below the floor are scored
+    body = random_body(np.random.default_rng(seed))
+    grid = SweepGrid(c_points=default_c_points(body, 4,
+                                               np.random.default_rng(seed)),
+                     theta1_count=8, curve_mode=mode,
+                     perturbation_magnitude=0.05)
+    boundary = search._dense_boundary(body)
+    cells = search._solve_cells(boundary, grid, np.random.default_rng(seed))
+    if not len(cells.ts):
+        return
+    floor = closed_form_dm_standard(body) + shift
+    with pytest.MonkeyPatch.context() as mp:
+        bounds, scored = _traced_scoring(mp)
+        dm = search._cells_dm(boundary, cells, floor)
+    exact = np.array([trisection_dm(cells.trisection(k))
+                      for k in range(len(dm))])
+    assert np.all(bounds[0] <= exact)
+    hit = np.isfinite(dm)
+    assert np.array_equal(dm[hit], exact[hit])
+    assert np.all(hit[(exact == exact.min()) | (exact < floor)])
+    assert np.all(np.isinf(dm[~hit]))
+    assert sum(scored) == 3 * np.count_nonzero(hit)
+    assert (sweep_segment_trisections(body, grid, seed=seed).to_dict()
+            == _reference_sweep(body, grid, seed=seed))
+
+
+def test_limit_rises_past_the_floor_in_a_second_round(hexagon, monkeypatch):
+    # every common point at 0.8 of the radius: every bound is above
+    # dm_standard, so the first round scores the cells of the least bound
+    # and a second round those at or below the least d_M found
+    a = np.arange(6) * math.pi / 3.0 + 0.3
+    pts = (0.8 * hexagon.radius_at(a))[:, None] * np.column_stack(
+        (np.cos(a), np.sin(a)))
+    grid = SweepGrid(c_points=pts, theta1_count=12)
+    bounds, scored = _traced_scoring(monkeypatch)
+    report = sweep_segment_trisections(hexagon, grid)
+    assert bounds[0].min() > report.dm_standard
+    assert len(scored) >= 2
+    assert sum(scored) < 3 * report.cells_evaluated
+    assert report.to_dict() == _reference_sweep(hexagon, grid, seed=42)
+
+
+@pytest.mark.parametrize("mode", ["segments", "perturbed_polylines"])
+def test_every_violation_is_scored(h_tilde, monkeypatch, mode):
+    # a closed form raised by 0.55 puts about a quarter of the cells
+    # below it: each is scored and reported as the cell-by-cell loop
+    # reports it, and the cells above it are not scored
+    closed_form = closed_form_dm_standard
+
+    def high(body):
+        return closed_form(body) + 0.55
+
+    grid = SweepGrid(c_points=default_c_points(h_tilde, 6,
+                                               np.random.default_rng(3)),
+                     theta1_count=16, curve_mode=mode,
+                     perturbation_magnitude=0.02)
+    monkeypatch.setattr(search, "closed_form_dm_standard", high)
+    _, scored = _traced_scoring(monkeypatch)
+    report = sweep_segment_trisections(h_tilde, grid).to_dict()
+    assert 10 < len(report["violations"]) < report["cells_evaluated"] // 2
+    assert sum(scored) < 3 * report["cells_evaluated"]
+    monkeypatch.setitem(globals(), "closed_form_dm_standard", high)
+    assert report == _reference_sweep(h_tilde, grid, seed=42)
+
+
+def test_default_sweep_scores_few_regions_in_full(monkeypatch, capsys):
+    # the default 50 x 120 segment sweep of h_tilde runs the full region
+    # diameter on at most 5% of its regions
+    from trisect import cli
+    _, scored = _traced_scoring(monkeypatch)
+    assert cli.main(["sweep", "--body", "h_tilde", "--mode", "segments"]) == 0
+    evaluated = json.loads(capsys.readouterr().out)["cells_evaluated"]
+    assert evaluated == 50 * 120
+    assert 0 < sum(scored) <= 0.05 * 3 * evaluated
