@@ -85,7 +85,7 @@ class SymmetricBody:
         Ties (threefold copies, flat arcs) are broken by smallest polar angle.
         """
         pts = self.boundary
-        nxt = np.roll(pts, -1, axis=0)
+        nxt = np.concatenate((pts[1:], pts[:1]))
         e = nxt - pts
         t = np.clip(-np.einsum("ij,ij->i", pts, e)
                     / np.maximum(np.einsum("ij,ij->i", e, e), 1e-30), 0.0, 1.0)

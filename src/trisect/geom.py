@@ -86,7 +86,8 @@ def polygon_area(boundary):
     """Absolute shoelace area of a closed (implicitly) boundary."""
     b = np.asarray(boundary, dtype=float)
     x, y = b[:, 0], b[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return 0.5 * abs(np.dot(x, np.concatenate((y[1:], y[:1])))
+                     - np.dot(y, np.concatenate((x[1:], x[:1]))))
 
 
 def polygon_diameter(poly):
@@ -322,7 +323,7 @@ def resample_boundary(boundary, sample_count):
     NaN or infinite coordinates.
     """
     b = _finite_points(boundary, "boundary")
-    edge = np.roll(b, -1, axis=0) - b
+    edge = np.concatenate((b[1:], b[:1])) - b
     seg_len = np.hypot(edge[:, 0], edge[:, 1])
     perim = seg_len.sum()
     if perim <= EPS:
@@ -358,8 +359,8 @@ def region_diameter(region):
 def is_ccw_convex(boundary, tol=EPS):
     """True if every turn of the closed boundary is a left turn (>= -tol)."""
     b = np.asarray(boundary, dtype=float)
-    prv = np.roll(b, 1, axis=0)
-    nxt = np.roll(b, -1, axis=0)
+    prv = np.concatenate((b[-1:], b[:-1]))
+    nxt = np.concatenate((b[1:], b[:1]))
     cr = ((b[:, 0] - prv[:, 0]) * (nxt[:, 1] - b[:, 1])
           - (b[:, 1] - prv[:, 1]) * (nxt[:, 0] - b[:, 0]))
     return bool(np.all(cr >= -tol))

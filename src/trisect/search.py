@@ -119,7 +119,7 @@ def _dense_boundary(body):
         pts = np.column_stack((r * np.cos(thetas), r * np.sin(thetas)))
     else:
         pts = body.boundary
-    step = pts - np.roll(pts, 1, axis=0)
+    step = pts - np.concatenate((pts[-1:], pts[:-1]))
     return pts[np.hypot(step[:, 0], step[:, 1]) > 1e-9]
 
 
@@ -386,13 +386,27 @@ def sweep_segment_trisections(body, grid, seed=42):
                        cells_evaluated=len(dm), cells_skipped=cells.skipped)
 
 
-def lemma_floor_checks(body, tri):
-    """Whether d_M(tri) clears the two lower bounds: the farthest boundary
-    distance R, and the endpoint distance sqrt(3)*rho."""
-    dm = trisection_dm(tri)
-    r_ok = dm >= body.max_radius() - FLOOR_TOL
-    v_ok = dm >= math.sqrt(3.0) * inscribed_ball_radius(body) - FLOOR_TOL
-    return bool(r_ok), bool(v_ok)
+def lemma_floor_checks(body):
+    """Whether d_M of the standard trisection clears the two lower bounds:
+    the farthest boundary distance R, and the endpoint distance
+    sqrt(3)*rho.
+
+    The paper's d_M is max(R, sqrt(3)*rho), attained between two
+    endpoints or between the center and the boundary: the pairs of
+    region_bounds_sq.  Their maximum is never above d_M, so where it
+    clears the larger floor both checks pass; elsewhere they are decided
+    on trisection_dm of the same regions.
+    """
+    r_floor = body.max_radius() - FLOOR_TOL
+    v_floor = math.sqrt(3.0) * inscribed_ball_radius(body) - FLOOR_TOL
+    walk, ts = _centre_fan(body, 0.0)
+    verts, start, length = (a[0] for a in _cell_regions(walk, ts[None]))
+    bound = math.sqrt(region_bounds_sq(walk.pts, verts, start, length,
+                                       np.zeros(3, dtype=int)).max())
+    if bound >= max(r_floor, v_floor):
+        return True, True
+    dm = trisection_dm(_assemble(walk, ts))
+    return bool(dm >= r_floor), bool(dm >= v_floor)
 
 
 def sweep_h_eps(count):

@@ -110,7 +110,7 @@ class _BoundaryWalk:
         self.n = len(self.pts)
         cs = np.asarray(c, dtype=float).reshape(-1, 2)
         rel = self.pts - cs[:, None]
-        nxt = np.roll(rel, -1, axis=1)
+        nxt = np.concatenate((rel[:, 1:], rel[:, :1]), axis=1)
         # a NaN, infinite or huge coordinate gives NaN or infinite
         # products, and such a point is not interior
         with np.errstate(invalid="ignore", over="ignore"):

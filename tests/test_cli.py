@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trisect import cli
+from trisect import cli, search
 from trisect.bodies import SECTOR, make_h_eps, make_regular_polygon
 from trisect.search import FLOOR_TOL
 
@@ -449,3 +449,16 @@ def test_infinite_angle_stderr_holds_only_the_usage_lines(tmp_path):
                            + f"trisect: error: cannot load body file {path}: "
                            "sector_profile has a NaN or infinite angle or an "
                            "infinite radius\n")
+
+
+def test_verify_decides_floors_without_the_full_dm(capsys, monkeypatch):
+    # every pool body's bound reaches its larger floor, so no region
+    # diameter is computed
+    calls = []
+    exact = search.trisection_dm
+    monkeypatch.setattr(search, "trisection_dm",
+                        lambda tri: calls.append(tri) or exact(tri))
+    code, out = run(capsys, "verify", "--heps-samples", "2", "--random", "3")
+    assert code == 0
+    assert out.count("PASS floors[") == 10
+    assert not calls

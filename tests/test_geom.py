@@ -402,3 +402,33 @@ def test_triangle_area_cross_formula():
         expected = 0.5 * abs((b[0] - a[0]) * (c[1] - a[1])
                              - (b[1] - a[1]) * (c[0] - a[0]))
         assert polygon_area([a, b, c]) == pytest.approx(expected, abs=1e-12)
+
+
+def roll_polygon_area(boundary):
+    b = np.asarray(boundary, dtype=float)
+    x, y = b[:, 0], b[:, 1]
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def roll_is_ccw_convex(boundary, tol):
+    b = np.asarray(boundary, dtype=float)
+    prv, nxt = np.roll(b, 1, axis=0), np.roll(b, -1, axis=0)
+    cr = ((b[:, 0] - prv[:, 0]) * (nxt[:, 1] - b[:, 1])
+          - (b[:, 1] - prv[:, 1]) * (nxt[:, 0] - b[:, 0]))
+    return bool(np.all(cr >= -tol))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=80),
+       st.sampled_from([0.0, 1e-12, 1e-3]))
+def test_cyclic_neighbours_equal_their_roll_forms(coords, tol):
+    # raw point lists and, where there is one, their CCW hull
+    pts = np.asarray(coords, dtype=float)
+    polygons = [pts]
+    hull = hull_or_error(convex_hull, pts)
+    if not isinstance(hull, str):
+        polygons.append(hull)
+    for poly in polygons:
+        assert (np.float64(polygon_area(poly)).tobytes()
+                == np.float64(roll_polygon_area(poly)).tobytes())
+        assert is_ccw_convex(poly, tol) == roll_is_ccw_convex(poly, tol)

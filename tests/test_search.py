@@ -21,7 +21,7 @@ from trisect.search import (FLOOR_TOL, VIOLATION_TOL,
                             trisection_dm, uniqueness_probe,
                             verify_h_tilde_optimal)
 from trisect.trisection import (AREA_TOL, _assemble, _BoundaryWalk,
-                                _cell_regions, _tri_area,
+                                _cell_regions, _centre_fan, _tri_area,
                                 closed_form_dm_standard, inscribed_ball_radius,
                                 max_relative_diameter, solve_a0,
                                 standard_trisection)
@@ -223,9 +223,56 @@ def test_sweep_report_roundtrip(hexagon):
 
 def test_lemma_floors(hexagon, reuleaux, h_tilde):
     for body in (hexagon, reuleaux, h_tilde):
-        tri = standard_trisection(body)
-        far_ok, end_ok = lemma_floor_checks(body, tri)
+        far_ok, end_ok = lemma_floor_checks(body)
         assert far_ok and end_ok
+
+
+def _exact_floors(body):
+    """The floor checks decided on the standard trisection's full d_M."""
+    dm = trisection_dm(standard_trisection(body))
+    return (bool(dm >= body.max_radius() - search.FLOOR_TOL),
+            bool(dm >= SQRT3 * inscribed_ball_radius(body) - search.FLOOR_TOL))
+
+
+def test_standard_dm_is_an_endpoint_or_centre_pair():
+    # the paper's case split: the standard trisection's d_M is attained
+    # between two endpoints or between the centre and the boundary, the
+    # pairs region_bounds_sq measures, so its bound is d_M bit for bit
+    rng = np.random.default_rng(11)
+    pool = ([make() for make in PRESETS.values()]
+            + [make_h_eps(a) for a in np.linspace(0.0, H_EPS_A_MAX, 10)]
+            + [random_body(rng) for _ in range(20)])
+    for body in pool:
+        walk, ts = _centre_fan(body, 0.0)
+        verts, start, length = (a[0] for a in _cell_regions(walk, ts[None]))
+        bound_sq = geom.region_bounds_sq(walk.pts, verts, start, length,
+                                         np.zeros(3, dtype=int))
+        assert (math.sqrt(bound_sq.max())
+                == trisection_dm(standard_trisection(body))), body.label
+
+
+def test_floors_fall_back_to_the_full_dm(monkeypatch):
+    # zeros are still lower bounds: every body then takes the fallback
+    calls = []
+
+    def counted(tri):
+        calls.append(tri)
+        return trisection_dm(tri)
+    monkeypatch.setattr(search, "region_bounds_sq",
+                        lambda pts, verts, *rest: np.zeros(len(verts)))
+    monkeypatch.setattr(search, "trisection_dm", counted)
+    for make in PRESETS.values():
+        body = make()
+        before = len(calls)
+        assert lemma_floor_checks(body) == _exact_floors(body), body.label
+        assert len(calls) == before + 1
+
+
+def test_floors_fail_above_the_full_dm(monkeypatch):
+    monkeypatch.setattr(search, "FLOOR_TOL", -0.5)
+    for make in PRESETS.values():
+        body = make()
+        assert lemma_floor_checks(body) == _exact_floors(body) == (False, False)
 
 
 def test_lemma_floors_off_center(hexagon):
