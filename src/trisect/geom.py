@@ -132,7 +132,17 @@ def points_diameter(points):
     """Max pairwise distance of a point set; exact, equal bit for bit to
     the all-pairs maximum of dx*dx + dy*dy.
 
-    All pairs are run only on the points that can reach the diameter.
+    All pairs are run only on the points that can reach the diameter
+    (_candidates).  Raises DegenerateGeometryError on NaN or infinite
+    coordinates; squared distances that overflow give inf.
+    """
+    return math.sqrt(_pairs_max_sq(_candidates(
+        _finite_points(points, "point set"))))
+
+
+def _candidates(p):
+    """The points of the finite set p that can end a diameter pair.
+
     With support values h_k = max_q q.u_k over the unit directions u_k,
     every q - p lies within pi/K of some u_k, so
     |q - p| cos(pi/K) <= (q - p).u_k <= h_k - p.u_k, and
@@ -142,12 +152,9 @@ def points_diameter(points):
     ub >= L; a point with ub < L cannot be one.  The test keeps a slack of
     1e-9 of L plus the coordinate scale for rounding.  The survivors'
     all-pairs maximum evaluates the same expression on the same winning
-    pair, so the result does not depend on the pruning.  Sets of at most
-    K points skip the bound; all pairs is cheaper there.  Raises
-    DegenerateGeometryError on NaN or infinite coordinates; squared
-    distances that overflow give inf.
+    pair, so it does not depend on the pruning.  Sets of at most K points
+    are returned whole; all pairs is cheaper there.
     """
-    p = _finite_points(points, "point set")
     if len(p) > _K:
         proj = _DIRS @ p.T
         ext = np.argmax(proj, axis=1)
@@ -161,6 +168,12 @@ def points_diameter(points):
             # in place: a second (K, n) array would double the peak memory
             reach = np.max(np.subtract(h[:, None], proj, out=proj), axis=0)
             p = p[reach >= (low - slack) * _COS]
+    return p
+
+
+def _pairs_max_sq(p):
+    """All-pairs maximum of dx*dx + dy*dy over the points p, 0 for fewer
+    than two."""
     d2 = 0.0
     # chunk rows so the distance matrix never exceeds a few MB
     step = max(1, 2_000_000 // max(len(p), 1))
@@ -173,7 +186,7 @@ def points_diameter(points):
         dy *= dy
         dx += dy
         d2 = max(d2, float(np.max(dx)))
-    return math.sqrt(d2)
+    return d2
 
 
 # Blocks of region_diameters_sq: elements per padded array or per block of
@@ -255,6 +268,14 @@ def _centre_runs_sq(pts, centres, start, length, centre):
     return out
 
 
+def _region_points(pts, verts, start, length):
+    """One region of region_diameters_sq as a point list: the first
+    (V + 1) // 2 of its vertices verts, its run of pts, then the rest."""
+    h = (len(verts) + 1) // 2
+    return np.concatenate((verts[:h], pts[(start + np.arange(length))
+                                          % len(pts)], verts[h:]))
+
+
 def region_bounds_sq(pts, verts, start, length, centre):
     """Lower bounds of region_diameters_sq, on the same regions: the
     largest squared distance between two vertices of region r, or from
@@ -275,14 +296,25 @@ def region_diameters_sq(pts, verts, start, length, centre):
     the region's common point, the same for all regions with equal
     centre[r].
 
-    Each is the largest of four terms: vertex to vertex and common point
-    to run (region_bounds_sq), pairs within the run (one pass for all
-    regions) and the other vertices to run (padded blocks of regions
-    sorted by run length).  Every term evaluates points_diameter's
-    dx*dx + dy*dy on the same pairs, so the square root equals
-    points_diameter of the region bit for bit.
+    A call takes the cheaper of two evaluations.  The run pass below
+    costs about n x (longest run) pairs.  Where the regions' projections
+    on the _K directions of points_diameter's pruning, and then the pairs
+    of the points that survive it, cost no more, each region goes alone
+    through points_diameter's kernel.  Otherwise each is the largest of
+    four terms: vertex to vertex and common point to run
+    (region_bounds_sq), pairs within the run (one pass for all regions)
+    and the other vertices to run (padded blocks of regions sorted by run
+    length).  Both evaluate points_diameter's dx*dx + dy*dy on the same
+    pairs, so the square root equals points_diameter of the region bit
+    for bit.
     """
     n, V = len(pts), verts.shape[1]
+    work = n * int(length.max(initial=0))
+    if _K * int(length.sum()) <= work:
+        kept = [_candidates(_region_points(pts, v, s, m))
+                for v, s, m in zip(verts, start.tolist(), length.tolist())]
+        if sum(len(p) ** 2 for p in kept) <= work:
+            return np.array([_pairs_max_sq(p) for p in kept])
     best = np.maximum(region_bounds_sq(pts, verts, start, length, centre),
                       _run_diameters_sq(pts, start, length))
     order = np.argsort(length, kind="stable")

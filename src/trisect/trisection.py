@@ -9,7 +9,7 @@ import numpy as np
 
 from .bodies import (H_EPS_A_MAX, SECTOR, check_h_eps_a,
                      regular_polygon_apothem)
-from .geom import polygon_area, region_diameter
+from .geom import _region_points, polygon_area, region_diameter
 
 AREA_TOL = 1e-4  # relative area slack for a trisection to count as valid
 
@@ -324,9 +324,8 @@ def _assemble(walk, ts, mids=None, ci=0):
         walk, np.asarray(ts)[None],
         None if mids is None else np.asarray(mids)[None], ci))
     h = (verts.shape[1] + 1) // 2
-    regions = tuple(
-        np.concatenate((v[:h], walk.pts[(s + np.arange(m)) % walk.n], v[h:]))
-        for v, s, m in zip(verts, start, length))
+    regions = tuple(_region_points(walk.pts, v, s, m)
+                    for v, s, m in zip(verts, start, length))
     # curve j runs from c to its endpoint: the head of region j
     return Trisection(common_point=walk.c[ci].copy(),
                       curves=tuple(v[:h] for v in verts),

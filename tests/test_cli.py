@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trisect import cli, search
+from trisect import cli, geom, search
 from trisect.bodies import SECTOR, make_h_eps, make_regular_polygon
 from trisect.search import FLOOR_TOL
 
@@ -200,6 +200,35 @@ def test_sweep_small(tmp_path, capsys):
     assert doc["violations"] == []
     assert doc["dm_standard"] == pytest.approx(0.930605, abs=1e-5)
     assert doc["min_dm"] >= doc["dm_standard"] - 1e-3
+
+
+def test_sweep_scores_small_rounds_region_by_region(capsys, monkeypatch):
+    # the hexagon's one round of 9 regions goes region by region, the
+    # triangle's of 39 through the run pass; with no pruning the hexagon's
+    # pairs cost more than the run pass, and the report is the same
+    runs = []
+    run_pass = geom._run_diameters_sq
+    monkeypatch.setattr(geom, "_run_diameters_sq",
+                        lambda *args: runs.append(1) or run_pass(*args))
+    argv = ["sweep", "--grid-c", "5", "--grid-theta", "24", "--body"]
+    hexagon = run(capsys, *argv, "hexagon")
+    assert hexagon[0] == 0 and not runs
+    assert run(capsys, *argv, "triangle")[0] == 0 and len(runs) == 1
+    monkeypatch.setattr(geom, "_candidates", lambda p: p)
+    assert run(capsys, *argv, "hexagon") == hexagon and len(runs) == 2
+
+
+@pytest.mark.parametrize("seed", ["1", "42"])
+@pytest.mark.parametrize("body", ["triangle", "hexagon", "h_tilde",
+                                  "reuleaux"])
+def test_all_infeasible_sweep_exits_1(body, seed):
+    # a jitter of 5 takes every mid-vertex out of the body
+    proc = run_module(["sweep", "--body", body, "--grid-c", "3",
+                       "--grid-theta", "8", "--mode", "perturbed_polylines",
+                       "--magnitude", "5", "--seed", seed])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "sweep infeasible: every grid cell was infeasible\n"
 
 
 def _turned_triangle_profile(angle):

@@ -578,7 +578,8 @@ def test_negative_area_tol_skips_every_perturbed_cell(hexagon, monkeypatch):
 
 
 @pytest.mark.parametrize("mids", [False, True])
-def test_scorer_at_integer_positions_and_empty_arcs(h_tilde, mids):
+def test_scorer_at_integer_positions_and_empty_arcs(h_tilde, mids,
+                                                    monkeypatch):
     boundary = search._dense_boundary(h_tilde)
     n = len(boundary)
     walk = _BoundaryWalk(boundary, np.array([0.03, -0.02]))
@@ -602,6 +603,17 @@ def test_scorer_at_integer_positions_and_empty_arcs(h_tilde, mids):
                for r in _assemble(walk, ts[k],
                                   None if mid is None else mid[k]).regions]
     assert [math.sqrt(v) for v in d2] == [points_diameter(r) for r in regions]
+    # one cell's three regions alone go region by region, not the run pass
+    runs = []
+    run_pass = geom._run_diameters_sq
+    monkeypatch.setattr(geom, "_run_diameters_sq",
+                        lambda *args: runs.append(1) or run_pass(*args))
+    for k in range(len(ts)):
+        alone = region_diameters_sq(boundary, verts[k], start[k], length[k],
+                                    np.zeros(3, dtype=int))
+        assert ([math.sqrt(v) for v in alone]
+                == [points_diameter(r) for r in regions[3 * k:3 * k + 3]])
+    assert not runs
 
 
 @pytest.mark.parametrize("mode", ["segments", "perturbed_polylines"])
