@@ -13,11 +13,9 @@ from .search import (InfeasibleConfigurationError, OptimalityReport, SweepGrid,
                      lemma_floor_checks, perturbed_polyline_trisection,
                      sweep_h_eps, sweep_segment_trisections, trisection_dm,
                      uniqueness_probe, verify_h_tilde_optimal)
-from .trisection import (EquiTriangle, InvalidTrisectionError, Trisection,
+from .trisection import (InvalidTrisectionError, Trisection,
                          closed_form_dm_standard, dm_regular_closed_form,
                          h_eps_dpx, h_eps_dv12, inscribed_ball_radius,
-                         max_relative_diameter, nearest_boundary_point,
-                         smallest_enclosing_triangle, solve_a0,
-                         standard_trisection)
+                         max_relative_diameter, solve_a0, standard_trisection)
 
 __version__ = "0.1.0"

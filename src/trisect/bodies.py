@@ -271,7 +271,10 @@ def _h_eps_vertices(a):
 
 
 def make_h_eps(a):
-    """Unit-area 3-symmetric hexagon with alternating side lengths a, b."""
+    """Unit-area 3-symmetric hexagon with alternating side lengths a, b;
+    an a in check_h_eps_a's slack is clamped into range (-0 gives 0)."""
+    check_h_eps_a(a)
+    a = 0.0 if a <= 0.0 else min(a, H_EPS_A_MAX)
     verts = _h_eps_vertices(a)
     # drop duplicated vertices at the triangle endpoint a = 0
     keep = [v for i, v in enumerate(verts)

@@ -1,12 +1,22 @@
 """Deterministic SVG rendering of bodies, triangles, and trisections."""
 
+import math
+
 import numpy as np
 
-from .trisection import smallest_enclosing_triangle
+from .bodies import SECTOR
 
 
 def _fmt(x):
     return f"{x:.4f}"
+
+
+def _enclosing_triangle_corners(body):
+    """Corners of the smallest equilateral triangle containing the body,
+    one edge tangent at the boundary point nearest the center."""
+    m, rho = body.nearest_point
+    angles = math.atan2(m[1], m[0]) + math.pi / 3.0 + SECTOR * np.arange(3)
+    return 2.0 * rho * np.column_stack((np.cos(angles), np.sin(angles)))
 
 
 class _View:
@@ -58,10 +68,9 @@ def render_svg(body, what="body", trisection=None):
         f'<path class="body" d="{_body_path(body, view)}" '
         'fill="#dce9f5" stroke="#23486d" stroke-width="1.5"/>',
     ]
-    tri = smallest_enclosing_triangle(body)
 
     if what == "triangle":
-        corners = tri.corners()
+        corners = _enclosing_triangle_corners(body)
         for k in range(3):
             x1, y1 = view.xy(corners[k])
             x2, y2 = view.xy(corners[(k + 1) % 3])
@@ -70,8 +79,9 @@ def render_svg(body, what="body", trisection=None):
 
     if what in ("standard", "sweep_argmin"):
         cx, cy = view.xy(np.zeros(2))
+        rho = body.nearest_point[1]
         parts.append(f'<circle class="inscribed-ball" cx="{cx}" cy="{cy}" '
-                     f'r="{_fmt(tri.apothem * view.scale)}" fill="none" '
+                     f'r="{_fmt(rho * view.scale)}" fill="none" '
                      'stroke="#999999" stroke-dasharray="4 3" stroke-width="0.8"/>')
         if trisection is not None:
             for curve in trisection.curves:

@@ -12,8 +12,7 @@ from .geom import (points_diameter, region_bounds_sq, region_diameters_sq,
 from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
                          _assemble, _BoundaryWalk, _cell_regions, _centre_fan,
                          _first_root, _tri_area, closed_form_dm_standard,
-                         h_eps_dpx, h_eps_dv12, inscribed_ball_radius,
-                         rotate_trisection)
+                         h_eps_dpx, h_eps_dv12, inscribed_ball_radius)
 
 VIOLATION_TOL = 1e-3  # slack below the closed form before a sweep cell counts
 FLOOR_TOL = 1e-6
@@ -123,28 +122,20 @@ def _dense_boundary(body):
     return pts[np.hypot(step[:, 0], step[:, 1]) > 1e-9]
 
 
-def equal_area_segment_trisection(body, c, theta1):
-    """Trisection by three segments from c, first endpoint at polar angle
-    theta1 as seen from c; the other endpoints are solved exactly on
-    boundary arc-position (the swept area is piecewise linear in it) so
-    every region encloses a third of the area."""
-    walk = _BoundaryWalk(body.boundary, c)
-    return _assemble(walk, _segment_base(walk, theta1) % walk.n)
-
-
 def _segment_positions(walk, theta1):
     """Arc positions (t1, t2, t3), not reduced mod n, of the equal-area
     segment trisections whose first rays leave the common points of walk
-    at the angles theta1 (a 1-D array): one row per point and angle, each
-    point's rows together and in the order of theta1, NaN in a row whose
-    solve finds no root or whose third region misses a third of the area.
+    at the angles theta1, a 1-D array shared by every point or one row
+    per point: one row per point and angle, each point's rows together
+    and in the order of its angles, NaN in a row whose solve finds no
+    root or whose third region misses a third of the area.
 
     t2 and t3 are where the area swept past t1 reaches A/3 and 2A/3,
     solved for every row at once by walk.swept_position in a few area
     evaluations a row.
     """
     n, points = walk.n, np.arange(len(walk.c))
-    ci = np.repeat(points, len(theta1))
+    ci = np.repeat(points, np.shape(theta1)[-1])
     A = walk.total_area[ci]
     t1 = walk.ray_position(theta1, points[:, None]).ravel()
     f1 = walk.swept_area(t1, ci)
@@ -158,27 +149,6 @@ def _segment_positions(walk, theta1):
     third = A - (walk.swept_area(np.where(t3 >= t1, t3, t3 + n), ci) - f1)
     bad |= np.abs(third - A / 3.0) > 2e-6 * np.maximum(A, 1.0)
     return np.where(bad[:, None], np.nan, np.column_stack((t1, t2, t3)))
-
-
-def _segment_base(walk, theta1):
-    """_segment_positions of one angle; raises where it gives NaN."""
-    ts = _segment_positions(walk, np.array([theta1]))[0]
-    if np.isnan(ts[0]):
-        raise InfeasibleConfigurationError(
-            "no equal-area split: no sign change or area additivity broken")
-    return ts
-
-
-def perturbed_polyline_trisection(body, c, theta1, rng, magnitude):
-    """Segment trisection with curve mid-vertices jittered, areas restored
-    by re-solving the second and third endpoints only."""
-    walk = _BoundaryWalk(body.boundary, c)
-    ts, mids, ok = _perturbed_rows(walk, _segment_base(walk, theta1)[None],
-                                   rng.uniform(-magnitude, magnitude, (1, 3)))
-    if not ok[0]:
-        raise InfeasibleConfigurationError(
-            "perturbed curve leaves the body or could not be rebalanced")
-    return _assemble(walk, ts[0], mids[0])
 
 
 def _perturbed_rows(walk, base, jitter, ci=0):
@@ -249,22 +219,27 @@ def trisection_dm(tri):
     return max(points_diameter(r) for r in tri.regions)
 
 
-# A sweep stacks its common points in blocks of one walk each: a block's
-# walk arrays hold k x (n + 1) floats and its solve k x theta1_count rows,
+# _solve_cells stacks its common points in blocks of one walk each: a
+# block's walk arrays hold k x (n + 1) floats and its solve k x m rows,
 # and k is the most that keeps their sum within this many elements.
 _BLOCK_ELEMENTS = 1 << 18
+
+# Why a row of _solve_cells failed, by its stage 1, 2 or 3 (0: solved).
+_FAILURES = ("common point is not interior",
+             "no equal-area split: no sign change or area additivity broken",
+             "perturbed curve leaves the body or could not be rebalanced")
 
 
 @dataclass(frozen=True)
 class _Cells:
-    """The evaluated cells of a sweep, in grid order."""
+    """The solved cells of a list of cells, in row order."""
 
     walks: list           # one per block of common points with an interior one
     block: np.ndarray     # (m,) each cell's walk
     c_index: np.ndarray   # (m,) each cell's common point in its walk
     ts: np.ndarray        # (m, 3) arc positions mod n
     mids: np.ndarray      # (m, 3, 2) curve mid-vertices, None for segments
-    skipped: int
+    stage: np.ndarray     # one per input row: 0, or where it failed
 
     def trisection(self, k):
         mids = None if self.mids is None else self.mids[k]
@@ -272,39 +247,49 @@ class _Cells:
                          self.c_index[k])
 
 
-def _solve_cells(boundary, grid, rng):
-    """Step 1 of a sweep: the positions of every feasible cell.
+def _uniform_jitter(rng, magnitude):
+    """A jitter source for _solve_cells: three uniform draws a row."""
+    return lambda rows: rng.uniform(-magnitude, magnitude, (len(rows), 3))
 
-    The cells of a block of common points are solved together: first
-    the segment positions of all their angles in one call, then, in
-    perturbed mode, their jittered mid-vertices and re-solved positions,
-    with three draws per feasible cell from the one random stream in
-    grid order.
+
+def _solve_cells(boundary, c_points, theta1, jitter):
+    """Solve a list of cells on boundary, a row per common point of
+    c_points (k, 2) and angle of theta1: one 1-D array shared by every
+    point or one row (k, m) per point.  jitter is None for segments, or
+    called with the indices of the rows whose segments solved, once a
+    block, to give their mid-vertex jitters (len(rows), 3).
+
+    A block of points is one walk: its segment positions in one call,
+    then its perturbed ones.  stage[r] is 0 where row r solved, or the
+    stage where it failed, 1 + the index of its reason in _FAILURES.
     """
-    thetas = np.arange(grid.theta1_count) * 2.0 * math.pi / grid.theta1_count
-    perturbed = grid.curve_mode != "segments"
-    size = max(1, _BLOCK_ELEMENTS // (len(boundary) + 1 + len(thetas)))
-    walks, skipped = [], 0
+    c_points = np.asarray(c_points, dtype=float).reshape(-1, 2)
+    theta1 = np.asarray(theta1, dtype=float)
+    m = theta1.shape[-1]
+    size = max(1, _BLOCK_ELEMENTS // (len(boundary) + 1 + m))
+    stage = np.ones(len(c_points) * m, dtype=int)
+    walks = []
     block, c_index = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     ts, mids = [np.empty((0, 3))], [np.empty((0, 3, 2))]
-    for first in range(0, len(grid.c_points), size):
-        points = grid.c_points[first:first + size]
-        skipped += len(points) * len(thetas)
+    for first in range(0, len(c_points), size):
         try:
-            walk = _BoundaryWalk(boundary, points)
+            walk = _BoundaryWalk(boundary, c_points[first:first + size])
         except InfeasibleConfigurationError:
             continue
-        base = _segment_positions(walk, thetas)
-        ci = np.repeat(np.arange(len(walk.c)), len(thetas))
+        points = first + walk.kept
+        rows = (points[:, None] * m + np.arange(m)).ravel()
+        base = _segment_positions(
+            walk, theta1 if theta1.ndim == 1 else theta1[points])
+        ci = np.repeat(np.arange(len(walk.c)), m)
+        stage[rows] = 2
         solved = ~np.isnan(base[:, 0])
-        ci, base = ci[solved], base[solved]
-        if perturbed and len(base):
-            m = grid.perturbation_magnitude
-            t, mid, ok = _perturbed_rows(
-                walk, base, rng.uniform(-m, m, (len(base), 3)), ci)
-            ci, base = ci[ok], t[ok]
+        ci, base, rows = ci[solved], base[solved], rows[solved]
+        if jitter is not None and len(base):
+            stage[rows] = 3
+            t, mid, ok = _perturbed_rows(walk, base, jitter(rows), ci)
+            ci, base, rows = ci[ok], t[ok], rows[ok]
             mids.append(mid[ok])
-        skipped -= len(base)
+        stage[rows] = 0
         block.append(np.full(len(base), len(walks)))
         walks.append(walk)
         ts.append(base % walk.n)
@@ -312,14 +297,37 @@ def _solve_cells(boundary, grid, rng):
     return _Cells(walks=walks, block=np.concatenate(block),
                   c_index=np.concatenate(c_index),
                   ts=np.concatenate(ts),
-                  mids=np.concatenate(mids) if perturbed else None,
-                  skipped=skipped)
+                  mids=None if jitter is None else np.concatenate(mids),
+                  stage=stage)
+
+
+def _one_cell(body, c, theta1, jitter):
+    """_solve_cells of one row on the body's boundary, or its failure."""
+    cells = _solve_cells(body.boundary, c, [[theta1]], jitter)
+    if cells.stage[0]:
+        raise InfeasibleConfigurationError(_FAILURES[cells.stage[0] - 1])
+    return cells.trisection(0)
+
+
+def equal_area_segment_trisection(body, c, theta1):
+    """Trisection by three segments from c, first endpoint at polar angle
+    theta1 as seen from c; the other endpoints are solved exactly on
+    boundary arc-position (the swept area is piecewise linear in it) so
+    every region encloses a third of the area."""
+    return _one_cell(body, c, theta1, None)
+
+
+def perturbed_polyline_trisection(body, c, theta1, rng, magnitude):
+    """Segment trisection with curve mid-vertices jittered by three draws
+    from rng, areas restored by re-solving the second and third endpoints
+    only."""
+    return _one_cell(body, c, theta1, _uniform_jitter(rng, magnitude))
 
 
 def _cells_dm(boundary, cells, floor):
-    """Step 2 of a sweep: d_M of every cell that can be the minimum or
-    below floor, equal bit for bit to trisection_dm of its Trisection,
-    and inf for every other cell.
+    """d_M of every cell of _solve_cells that can be the minimum or below
+    floor, equal bit for bit to trisection_dm of its Trisection, and inf
+    for every other cell.
 
     A cell's bound, the square root of the largest region_bounds_sq of
     its regions, is never above its d_M.  region_diameters_sq scores, in
@@ -370,7 +378,10 @@ def sweep_segment_trisections(body, grid, seed=42):
     """
     boundary = _dense_boundary(body)
     dm_standard = closed_form_dm_standard(body)
-    cells = _solve_cells(boundary, grid, np.random.default_rng(seed))
+    thetas = np.arange(grid.theta1_count) * 2.0 * math.pi / grid.theta1_count
+    jitter = (None if grid.curve_mode == "segments" else _uniform_jitter(
+        np.random.default_rng(seed), grid.perturbation_magnitude))
+    cells = _solve_cells(boundary, grid.c_points, thetas, jitter)
     if not len(cells.ts):
         raise InfeasibleConfigurationError("every grid cell was infeasible")
     dm = _cells_dm(boundary, cells, dm_standard)
@@ -383,7 +394,8 @@ def sweep_segment_trisections(body, grid, seed=42):
                        argmin=cells.trisection(best), dm_standard=dm_standard,
                        violations=violations,
                        floor_margin=float(np.min(dm - dm_standard)),
-                       cells_evaluated=len(dm), cells_skipped=cells.skipped)
+                       cells_evaluated=len(dm),
+                       cells_skipped=np.count_nonzero(cells.stage))
 
 
 def lemma_floor_checks(body):
@@ -488,7 +500,7 @@ def uniqueness_probe(body, samples=10, seed=42):
             tri = _assemble(walk, ts, mids)
         else:
             delta = rng.uniform(-magnitude, magnitude)
-            tri = rotate_trisection(body, delta)
+            tri = _assemble(*_centre_fan(body, delta))
         dm = trisection_dm(tri)
         if abs(dm - dm_std) <= 1e-4:
             minimizers.append(tri)

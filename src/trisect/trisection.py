@@ -1,5 +1,4 @@
-"""Trisections built on one boundary walk, the enclosing triangle, and the
-d_M functional."""
+"""Trisections built on one boundary walk, and the d_M functional."""
 
 import math
 from dataclasses import dataclass
@@ -20,21 +19,6 @@ class InvalidTrisectionError(ValueError):
 
 class InfeasibleConfigurationError(ValueError):
     """No equal-area trisection exists for the requested configuration."""
-
-
-@dataclass(frozen=True)
-class EquiTriangle:
-    """Equilateral triangle: center, apothem, and the direction from the
-    center to one edge midpoint."""
-
-    center: np.ndarray
-    apothem: float
-    orientation: float
-
-    def corners(self):
-        angles = self.orientation + math.pi / 3.0 + SECTOR * np.arange(3)
-        return self.center + 2.0 * self.apothem * np.column_stack(
-            (np.cos(angles), np.sin(angles)))
 
 
 @dataclass(frozen=True)
@@ -64,25 +48,6 @@ class Trisection:
         return doc
 
 
-def nearest_boundary_point(body):
-    """Boundary point closest to the center, and its distance rho.
-
-    Ties (threefold copies, flat arcs) are broken by smallest polar angle.
-    Computed once per body; the point is a copy the caller may modify.
-    """
-    m, rho = body.nearest_point
-    return m.copy(), rho
-
-
-def smallest_enclosing_triangle(body):
-    """Smallest equilateral triangle containing the body: one edge is
-    tangent at the boundary point nearest the center, the other two
-    follow from the threefold symmetry."""
-    m, rho = nearest_boundary_point(body)
-    return EquiTriangle(center=np.zeros(2), apothem=rho,
-                        orientation=math.atan2(m[1], m[0]))
-
-
 def inscribed_ball_radius(body):
     """Radius of the inscribed ball (apothem of the enclosing triangle)."""
     return body.nearest_point[1]
@@ -97,8 +62,9 @@ class _BoundaryWalk:
     the signed area of the fan from position 0 to t about common point
     ci, piecewise linear and strictly increasing for an interior point.
     c is one point or a (k, 2) stack; the walk keeps its interior points,
-    in order, as self.c, and raises if none is.  prefix, total_area and
-    phi have one row per point of self.c.
+    in order, as self.c and their indices into c as self.kept, and raises
+    if none is.  prefix, total_area and phi have one row per point of
+    self.c.
     point_at and swept_area take a position or an array of positions;
     swept_area, ray_position and swept_position take each row's index
     into self.c, broadcast against the rows, 0 by default.
@@ -120,12 +86,12 @@ class _BoundaryWalk:
             raise InfeasibleConfigurationError("common point is not interior")
         if not inside.all():
             rel, cr = rel[inside], cr[inside]
-        self.c = cs[inside]
+        self.c, self.kept = cs[inside], np.flatnonzero(inside)
         self.prefix = np.concatenate((np.zeros((len(cr), 1)),
                                       0.5 * np.cumsum(cr, axis=1)), axis=1)
         self.total_area = self.prefix[:, -1].copy()
         # polar angles of the points about c, closed by the first + 2 pi
-        phi = np.unwrap(np.arctan2(rel[..., 1], rel[..., 0]), axis=1)
+        phi = _unwrap(np.arctan2(rel[..., 1], rel[..., 0]))
         self.phi = np.concatenate((phi, phi[:, :1] + 2.0 * math.pi), axis=1)
 
     def ray_position(self, theta, ci=0):
@@ -212,6 +178,22 @@ class _BoundaryWalk:
         guess = turns * self.n + _row_search(self.prefix, ci,
                                              target - turns * total, "left")
         return _first_root(gap, lo, hi, guess)
+
+
+def _unwrap(ang):
+    """np.unwrap(ang, axis=1) bit for bit: the running sum of its step
+    corrections, kept only where |dd| >= pi, where the angles about an
+    interior point wrap, once a row at most."""
+    dd = np.diff(ang, axis=1)
+    rows, steps = np.nonzero(np.abs(dd) >= math.pi)
+    d = dd[rows, steps]
+    jump = np.mod(d + math.pi, 2.0 * math.pi) - math.pi
+    jump[(jump == -math.pi) & (d > 0.0)] = math.pi  # np.unwrap's tie rule
+    phi, run = ang.copy(), np.zeros(len(ang))
+    for r, j, x in zip(rows.tolist(), steps.tolist(), (jump - d).tolist()):
+        run[r] += x
+        phi[r, j + 1:] = ang[r, j + 1:] + run[r]
+    return phi
 
 
 def _row_search(rows, ci, x, side):
@@ -336,19 +318,15 @@ def _centre_fan(body, delta):
     """Boundary walk about the center, and the arc positions of the three
     rays in the standard endpoint directions turned by delta."""
     walk = _BoundaryWalk(body.boundary, np.zeros(2))
-    theta0 = smallest_enclosing_triangle(body).orientation + delta
+    m, _ = body.nearest_point
+    theta0 = math.atan2(m[1], m[0]) + delta
     return walk, walk.ray_position(theta0 + np.arange(3) * SECTOR)
-
-
-def rotate_trisection(body, delta):
-    """Standard trisection with its three segments rotated by delta."""
-    return _assemble(*_centre_fan(body, delta))
 
 
 def standard_trisection(body):
     """Trisection joining the center to the edge midpoints of the smallest
     enclosing equilateral triangle."""
-    return rotate_trisection(body, 0.0)
+    return _assemble(*_centre_fan(body, 0.0))
 
 
 def max_relative_diameter(body, tri):

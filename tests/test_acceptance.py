@@ -14,11 +14,11 @@ from test_geom import naive_hull_vertices
 from trisect.bodies import (H_EPS_A_MAX, make_h_eps, make_h_tilde,
                             make_regular_polygon, make_reuleaux, random_body,
                             h_eps_side_b, validate)
+from trisect import search
 from trisect.geom import convex_hull, points_diameter, polygon_diameter
 from trisect.search import (SweepGrid, antipodal_gap, default_c_points,
-                            functional_quotient, perturbed_polyline_trisection,
-                            sweep_h_eps, sweep_segment_trisections,
-                            trisection_dm, uniqueness_probe)
+                            functional_quotient, sweep_h_eps,
+                            sweep_segment_trisections, uniqueness_probe)
 from trisect.trisection import (closed_form_dm_standard,
                                 inscribed_ball_radius, max_relative_diameter,
                                 solve_a0, standard_trisection)
@@ -99,15 +99,28 @@ def test_criterion_3_minimality_sweeps(named_bodies, sweep_reports):
             failures.append(f"{label}: {len(rep.violations)} segment cells")
         floor = closed_form_dm_standard(body) - 1e-3
         rho = inscribed_ball_radius(body)
+        # 500 polyline probes, each drawn as r, phi, theta1, three jitters
+        probes = []
         for _ in range(500):
             r = 0.8 * rho * math.sqrt(rng.uniform())
             phi = rng.uniform(0, 2 * math.pi)
-            c = np.array([r * math.cos(phi), r * math.sin(phi)])
             theta1 = rng.uniform(0, 2 * math.pi)
-            tri = perturbed_polyline_trisection(body, c, theta1, rng, 0.02)
-            if trisection_dm(tri) < floor:
-                failures.append(f"{label}: polyline probe at c={c}")
-                break
+            probes.append([r * math.cos(phi), r * math.sin(phi), theta1,
+                           *rng.uniform(-0.02, 0.02, 3)])
+        probes = np.array(probes)
+        c, jitter = probes[:, :2], probes[:, 3:]
+        # solved in one call, scored where d_M can be below the floor
+        cells = search._solve_cells(body.boundary, c, probes[:, 2:3],
+                                    lambda rows: jitter[rows])
+        solved = np.flatnonzero(cells.stage == 0)
+        if len(solved) < len(probes):
+            failures.append(f"{label}: {len(probes) - len(solved)} polyline "
+                            "probes unsolved")
+        if len(solved):
+            below = solved[search._cells_dm(body.boundary, cells, floor)
+                           < floor]
+            if len(below):
+                failures.append(f"{label}: polyline probe at c={c[below[0]]}")
     elapsed = time.perf_counter() - t0
     report("criterion 3: no trisection beats the standard one",
            not failures, f"{elapsed:.0f}s" +

@@ -9,8 +9,7 @@ from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody, h_eps_side_b,
                             load_body, make_h_eps, make_h_tilde,
                             make_regular_polygon, make_reuleaux,
                             normalize_unit_area, random_body, validate)
-from trisect.trisection import (h_eps_dpx, inscribed_ball_radius,
-                                nearest_boundary_point, solve_a0)
+from trisect.trisection import h_eps_dpx, inscribed_ball_radius, solve_a0
 
 REULEAUX_WIDTH = (2.0 / (math.pi - math.sqrt(3.0))) ** 0.5
 
@@ -22,8 +21,8 @@ def hausdorff(a, b):
 def profiles_match_up_to_rotation(b1, b2, tol=1e-6):
     """Compare radius functions after aligning the min-radius directions."""
     thetas = np.linspace(0, 2 * math.pi, 720, endpoint=False)
-    m1, _ = nearest_boundary_point(b1)
-    m2, _ = nearest_boundary_point(b2)
+    m1, _ = b1.nearest_point
+    m2, _ = b2.nearest_point
     shift = math.atan2(m1[1], m1[0]) - math.atan2(m2[1], m2[0])
     r1 = b1.radius_at(thetas)
     r2 = b2.radius_at(thetas - shift)
@@ -191,3 +190,16 @@ def test_random_bodies_are_clean():
     rng = np.random.default_rng(42)
     for _ in range(10):
         assert validate(random_body(rng)).clean
+
+
+@pytest.mark.parametrize("a,want", [(-0.0, 0.0), (-1e-13, 0.0),
+                                    (H_EPS_A_MAX + 1e-13, H_EPS_A_MAX)])
+def test_h_eps_clamps_a_into_range(a, want):
+    # an a within the slack past either end of the range builds the body
+    # and label of that end: no h_eps:-0.000000, no corner outside the
+    # triangle
+    got, end = make_h_eps(a), make_h_eps(want)
+    assert got.label == end.label
+    assert np.array_equal(got.boundary, end.boundary)
+    assert got.vertices_hint == end.vertices_hint
+    assert got.outline_hint == end.outline_hint

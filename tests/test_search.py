@@ -16,8 +16,7 @@ from trisect.search import (FLOOR_TOL, VIOLATION_TOL,
                             SweepGrid, SweepReport, antipodal_gap,
                             default_c_points, equal_area_segment_trisection,
                             functional_quotient, lemma_floor_checks,
-                            perturbed_polyline_trisection, rotate_trisection,
-                            sweep_h_eps, sweep_segment_trisections,
+                            perturbed_polyline_trisection, sweep_h_eps, sweep_segment_trisections,
                             trisection_dm, uniqueness_probe,
                             verify_h_tilde_optimal)
 from trisect.trisection import (AREA_TOL, _assemble, _BoundaryWalk,
@@ -376,7 +375,7 @@ def test_uniqueness_probe_trisections_are_valid(name):
 
 def test_rotate_trisection_preserves_dm(triangle):
     base = max_relative_diameter(triangle, standard_trisection(triangle))
-    tri = rotate_trisection(triangle, 0.01)
+    tri = _assemble(*_centre_fan(triangle, 0.01))
     assert trisection_dm(tri) == pytest.approx(base, abs=1e-4)
     assert np.allclose(tri.region_areas(), triangle.area / 3.0, atol=1e-4)
 
@@ -432,7 +431,9 @@ def _reference_sweep(body, grid, seed, skip=(), reasons=None,
             try:
                 if j in skip or ci in failed_points:
                     raise InfeasibleConfigurationError("skipped")
-                base = search._segment_base(walk, theta1)
+                base = search._segment_positions(walk, np.array([theta1]))[0]
+                if np.isnan(base[0]):
+                    raise InfeasibleConfigurationError("no equal-area split")
                 if grid.curve_mode == "segments":
                     tri = _assemble(walk, base % walk.n)
                 else:
@@ -495,6 +496,18 @@ def _perturbed_cell(walk, base, rng, magnitude):
     return tri
 
 
+def _grid_cells(boundary, grid, rng):
+    """search._solve_cells on the cells of grid, as the sweep solves them:
+    the grid's angles shared by every common point, and for perturbed
+    cells three draws from rng per row that solved."""
+    thetas = (np.arange(grid.theta1_count) * 2.0 * math.pi
+              / grid.theta1_count)
+    jitter = None
+    if grid.curve_mode != "segments":
+        jitter = search._uniform_jitter(rng, grid.perturbation_magnitude)
+    return search._solve_cells(boundary, grid.c_points, thetas, jitter)
+
+
 def _scorer_bodies():
     bodies = [(name, make) for name, make in PRESETS.items()]
     bodies += [(f"h_eps:{a}", lambda a=a: make_h_eps(a))
@@ -528,9 +541,10 @@ def test_scored_cells_equal_trisection_dm_bit_for_bit(name, make, mode):
     grid = _scorer_grid(body, mode)
     boundary = search._dense_boundary(body)
     n = len(boundary)
-    cells = search._solve_cells(boundary, grid, np.random.default_rng(4))
+    cells = _grid_cells(boundary, grid, np.random.default_rng(4))
     dm = search._cells_dm(boundary, cells, math.inf)
-    assert cells.skipped >= grid.theta1_count  # the outside point
+    # the outside point
+    assert np.count_nonzero(cells.stage) >= grid.theta1_count
     for k in range(len(dm)):
         assert dm[k] == trisection_dm(cells.trisection(k)), (name, k)
     runs = [cells.walks[b].arc_run(ts, np.roll(ts, -1))
@@ -549,9 +563,8 @@ def test_rebalance_areas_equal_region_areas(name, make):
     # assembled regions, on every evaluated cell
     body = make()
     boundary = search._dense_boundary(body)
-    cells = search._solve_cells(boundary, _scorer_grid(body,
-                                                       "perturbed_polylines"),
-                                np.random.default_rng(4))
+    cells = _grid_cells(boundary, _scorer_grid(body, "perturbed_polylines"),
+                        np.random.default_rng(4))
     assert len(cells.ts)
     for k in range(len(cells.ts)):
         walk, ci = cells.walks[cells.block[k]], cells.c_index[k]
@@ -843,7 +856,7 @@ def test_perturbed_cells_keep_their_mid_vertices_inside():
         grid = SweepGrid(c_points=default_c_points(
             body, 6, np.random.default_rng(2)), theta1_count=16,
             curve_mode="perturbed_polylines", perturbation_magnitude=0.4)
-        cells = search._solve_cells(boundary, grid, np.random.default_rng(3))
+        cells = _grid_cells(boundary, grid, np.random.default_rng(3))
         assert 0 < len(cells.ts) < 6 * 16
         edge = np.roll(boundary, -1, axis=0) - boundary
         m = cells.mids.reshape(-1, 1, 2) - boundary
@@ -981,8 +994,7 @@ def test_perturbed_batch_mixes_every_kind_of_skipped_point(hexagon,
                      perturbation_magnitude=0.05)
     boundary = search._dense_boundary(hexagon)
     monkeypatch.setattr(search, "_segment_positions", failing)
-    assert len(search._solve_cells(boundary, grid,
-                                   np.random.default_rng(5)).walks) == 1
+    assert len(_grid_cells(boundary, grid, np.random.default_rng(5)).walks) == 1
     report = sweep_segment_trisections(hexagon, grid, seed=5).to_dict()
     monkeypatch.setattr(search, "_segment_positions", segment)
     reasons = Counter()
@@ -1004,7 +1016,7 @@ def test_scorer_rows_in_blocks_of_common_points(monkeypatch):
     for mode in ("segments", "perturbed_polylines"):
         grid = SweepGrid(c_points=points, theta1_count=10, curve_mode=mode,
                          perturbation_magnitude=0.02)
-        cells = search._solve_cells(boundary, grid, np.random.default_rng(4))
+        cells = _grid_cells(boundary, grid, np.random.default_rng(4))
         dm = search._cells_dm(boundary, cells, math.inf)
         for k in range(0, len(dm), 7):
             assert dm[k] == trisection_dm(cells.trisection(k)), (mode, k)
@@ -1051,7 +1063,7 @@ def test_bounds_never_exceed_dm_and_scored_cells_are_exact(seed, mode, shift):
                      theta1_count=8, curve_mode=mode,
                      perturbation_magnitude=0.05)
     boundary = search._dense_boundary(body)
-    cells = search._solve_cells(boundary, grid, np.random.default_rng(seed))
+    cells = _grid_cells(boundary, grid, np.random.default_rng(seed))
     if not len(cells.ts):
         return
     floor = closed_form_dm_standard(body) + shift
@@ -1118,3 +1130,135 @@ def test_default_sweep_scores_few_regions_in_full(monkeypatch, capsys):
     evaluated = json.loads(capsys.readouterr().out)["cells_evaluated"]
     assert evaluated == 50 * 120
     assert 0 < sum(scored) <= 0.05 * 3 * evaluated
+
+
+@pytest.mark.parametrize("name", ["triangle", "hexagon", "enneagon",
+                                  "dodecagon", "reuleaux", "h_tilde",
+                                  "random"])
+def test_walk_angles_equal_np_unwrap(name):
+    # the walk unwraps its polar angles without np.unwrap, bit for bit,
+    # about the center and off-center points, one point or a stack
+    if name == "random":
+        bodies = [random_body(np.random.default_rng(s)) for s in range(30)]
+    else:
+        bodies = [PRESETS[name]()]
+    rng = np.random.default_rng(13)
+    for body in bodies:
+        a = rng.uniform(0.0, 2.0 * math.pi, 5)
+        off = (rng.uniform(0.0, 0.95, 5) * body.radius_at(a))[:, None] * \
+            np.column_stack((np.cos(a), np.sin(a)))
+        points = np.vstack([np.zeros((1, 2)), off])
+        for boundary in (body.boundary, search._dense_boundary(body)):
+            walks = [_BoundaryWalk(boundary, points)]
+            walks += [_BoundaryWalk(boundary, c) for c in points]
+            for walk in walks:
+                rel = boundary - walk.c[:, None]
+                want = np.unwrap(np.arctan2(rel[..., 1], rel[..., 0]), axis=1)
+                got = walk.phi[:, :-1]
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)), body.label
+                assert np.array_equal(walk.phi[:, -1],
+                                      want[:, 0] + 2.0 * math.pi)
+
+
+# the words of each failure stage's message, as the one-row functions
+# raise it
+_STAGE_WORDS = {1: "not interior", 2: "additivity", 3: "rebalanced"}
+
+
+def _probe_rows(body, count, seed):
+    """Rows of cells: common points, a quarter of them outside the body,
+    angles, and per-row jitter magnitudes and seeds, some magnitudes
+    large enough to throw a mid-vertex outside."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 2.0 * math.pi, count)
+    scale = np.where(rng.uniform(size=count) < 0.25,
+                     rng.uniform(1.01, 1.3, count),
+                     rng.uniform(0.0, 0.9, count))
+    c = (scale * body.radius_at(a))[:, None] * np.column_stack(
+        (np.cos(a), np.sin(a)))
+    theta1 = rng.uniform(0.0, 2.0 * math.pi, count)
+    magnitude = np.where(rng.uniform(size=count) < 0.3, 0.8, 0.02)
+    seeds = rng.integers(0, 2 ** 32, count)
+    jitter = np.array([np.random.default_rng(s).uniform(-m, m, (1, 3))[0]
+                       for s, m in zip(seeds, magnitude)])
+    return c, theta1, magnitude, seeds, jitter
+
+
+def _one_row_mismatches(body, rows, cells, perturbed):
+    """The rows where the block solve's cells differ from the one-row
+    functions': stage against the raised message, and for a solved row
+    the common point, curves, endpoints, regions and d_M bit for bit."""
+    c, theta1, magnitude, seeds, _ = rows
+    dm = search._cells_dm(body.boundary, cells, math.inf)
+    solved = np.flatnonzero(cells.stage == 0)
+    bad = []
+    for r in range(len(c)):
+        try:
+            if perturbed:
+                tri = perturbed_polyline_trisection(
+                    body, c[r], theta1[r], np.random.default_rng(seeds[r]),
+                    magnitude[r])
+            else:
+                tri = equal_area_segment_trisection(body, c[r], theta1[r])
+        except InfeasibleConfigurationError as exc:
+            if _STAGE_WORDS.get(cells.stage[r], "solved") not in str(exc):
+                bad.append(r)
+            continue
+        if cells.stage[r]:
+            bad.append(r)
+            continue
+        k = int(np.searchsorted(solved, r))
+        got = cells.trisection(k)
+        same = (np.array_equal(got.common_point, tri.common_point)
+                and np.array_equal(got.endpoints, tri.endpoints)
+                and all(np.array_equal(p, q) for p, q in
+                        zip(got.curves + got.regions,
+                            tri.curves + tri.regions))
+                and dm[k] == trisection_dm(tri))
+        if not same:
+            bad.append(r)
+    return bad
+
+
+@pytest.mark.parametrize("perturbed", [False, True],
+                         ids=["segments", "perturbed_polylines"])
+@pytest.mark.parametrize("name", ["hexagon", "h_tilde", "random"])
+def test_block_solver_equals_one_row_functions(name, perturbed, monkeypatch):
+    # one block-solver call over rows of every kind of failure gives,
+    # row by row, the one-row functions' cells and failures
+    body = (PRESETS[name]() if name != "random"
+            else random_body(np.random.default_rng(41)))
+    rows = _probe_rows(body, 40, seed=len(name) + perturbed)
+    c, theta1, _, _, jitter = rows
+    segment = search._segment_positions
+
+    def failing(walk, angles):
+        # no equal-area split for an angle in a band of each radian
+        ts = segment(walk, angles)
+        band = np.broadcast_to(angles, (len(walk.c), np.shape(angles)[-1]))
+        ts[band.ravel() % 1.0 < 0.15] = np.nan
+        return ts
+
+    monkeypatch.setattr(search, "_segment_positions", failing)
+    # blocks of three points: rows map to cells across several walks
+    monkeypatch.setattr(search, "_BLOCK_ELEMENTS",
+                        3 * (len(body.boundary) + 2))
+
+    def solve(jitter):
+        return search._solve_cells(
+            body.boundary, c, theta1[:, None],
+            (lambda r: jitter[r]) if perturbed else None)
+
+    cells = solve(jitter)
+    stages = set(cells.stage.tolist())
+    assert stages == ({0, 1, 2, 3} if perturbed else {0, 1, 2})
+    assert len(cells.walks) > 3
+    assert _one_row_mismatches(body, rows, cells, perturbed) == []
+    if perturbed:
+        # the check sees two solved rows' jitters swapped
+        a, b = np.flatnonzero(cells.stage == 0)[[0, -1]]
+        swapped = jitter.copy()
+        swapped[[a, b]] = swapped[[b, a]]
+        assert _one_row_mismatches(body, rows, solve(swapped),
+                                   perturbed) != []

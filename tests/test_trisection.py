@@ -9,23 +9,32 @@ from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody, make_h_eps,
                             make_regular_polygon)
 from trisect.cli import PRESETS
 from trisect.geom import polygon_area, rotate
+from trisect.render import _enclosing_triangle_corners
 from trisect.trisection import (InvalidTrisectionError, Trisection,
+                                _assemble, _centre_fan,
                                 closed_form_dm_standard, dm_regular_closed_form,
                                 h_eps_dpx, h_eps_dv12, inscribed_ball_radius,
-                                max_relative_diameter, nearest_boundary_point,
-                                rotate_trisection, smallest_enclosing_triangle,
-                                solve_a0, standard_trisection)
+                                max_relative_diameter, solve_a0,
+                                standard_trisection)
 
 SQRT3 = math.sqrt(3.0)
 
 
-def triangle_contains(tri, points):
-    """Whether the points lie in the EquiTriangle tri, up to 1e-9 past
-    each edge."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float)) - tri.center
-    angles = tri.orientation + SECTOR * np.arange(3)
-    normals = np.column_stack((np.cos(angles), np.sin(angles)))
-    return bool(np.all(pts @ normals.T <= tri.apothem + 1e-9))
+def triangle_contains(corners, points):
+    """Whether the points lie in the triangle of counter-clockwise corners,
+    up to 1e-9 past each edge."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        e = b - a
+        side = e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])
+        if np.any(side < -1e-9 * np.hypot(*e)):
+            return False
+    return True
+
+
+def apothem(corners):
+    """Distance from the center to the midpoint of the first edge."""
+    return float(np.hypot(*(0.5 * (corners[0] + corners[1]))))
 
 
 def rotated(body, angle):
@@ -42,47 +51,45 @@ def hausdorff(a, b):
 
 
 def test_nearest_point_hexagon(hexagon):
-    _, rho = nearest_boundary_point(hexagon)
+    _, rho = hexagon.nearest_point
     assert rho == pytest.approx(6 ** -0.5 * (1 / math.tan(math.pi / 6)) ** 0.5,
                                 abs=1e-9)
 
 
 def test_nearest_point_triangle(triangle):
-    _, rho = nearest_boundary_point(triangle)
+    _, rho = triangle.nearest_point
     assert rho == pytest.approx(3 ** -0.75, abs=1e-9)
 
 
 def test_nearest_point_reuleaux(reuleaux):
     a = (2 / (math.pi - SQRT3)) ** 0.5
-    _, rho = nearest_boundary_point(reuleaux)
+    _, rho = reuleaux.nearest_point
     assert rho == pytest.approx(a * (1 - 1 / SQRT3), abs=1e-6)
 
 
 def test_nearest_point_lies_on_boundary(hexagon):
-    m, rho = nearest_boundary_point(hexagon)
+    m, rho = hexagon.nearest_point
     theta = math.atan2(m[1], m[0])
     assert np.hypot(*m) == pytest.approx(rho, abs=1e-12)
     assert hexagon.radius_at(theta) == pytest.approx(rho, abs=1e-9)
 
 
-def test_nearest_point_is_cached_and_copied():
+def test_nearest_point_is_cached():
     body = make_regular_polygon(2)
-    m, rho = nearest_boundary_point(body)
-    m[:] = 0.0  # the caller's copy; the body's cached point is untouched
-    again, rho_again = nearest_boundary_point(body)
-    assert np.hypot(*again) == pytest.approx(rho, abs=1e-12)
-    assert rho_again == rho == inscribed_ball_radius(body)
-    assert body.nearest_point[0] is not again
+    m, rho = body.nearest_point
+    assert body.nearest_point[0] is m
+    assert np.hypot(*m) == pytest.approx(rho, abs=1e-12)
+    assert rho == inscribed_ball_radius(body)
 
 
 def test_enclosing_triangle_of_triangle_is_itself(triangle):
-    tri = smallest_enclosing_triangle(triangle)
-    assert tri.apothem == pytest.approx(3 ** -0.75, abs=1e-9)
-    corners = tri.corners()
+    # the corners the renderer draws
+    corners = _enclosing_triangle_corners(triangle)
+    assert apothem(corners) == pytest.approx(3 ** -0.75, abs=1e-9)
     # the triangle body's own corners are the enclosing triangle's corners
     r = np.hypot(corners[:, 0], corners[:, 1])
     assert np.allclose(r, triangle.max_radius(), atol=1e-9)
-    assert triangle_contains(tri, triangle.boundary)
+    assert triangle_contains(corners, triangle.boundary)
 
 
 @pytest.mark.parametrize("maker", [
@@ -91,14 +98,17 @@ def test_enclosing_triangle_of_triangle_is_itself(triangle):
 ])
 def test_enclosing_triangle_contains_body(maker):
     body = maker()
-    tri = smallest_enclosing_triangle(body)
-    assert triangle_contains(tri, body.boundary)
+    corners = _enclosing_triangle_corners(body)
+    assert triangle_contains(corners, body.boundary)
+    # a triangle shrunk by 1e-6 no longer contains the body
+    assert not triangle_contains((1.0 - 1e-6) * corners, body.boundary)
 
 
 def test_hexagon_triangle_edges_contain_alternate_edges(hexagon):
     # the enclosing triangle's apothem equals the hexagon's
-    tri = smallest_enclosing_triangle(hexagon)
-    assert tri.apothem == pytest.approx(inscribed_ball_radius(hexagon), abs=1e-12)
+    corners = _enclosing_triangle_corners(hexagon)
+    assert apothem(corners) == pytest.approx(inscribed_ball_radius(hexagon),
+                                             abs=1e-12)
 
 
 def test_inscribed_ball_excludes_boundary(hexagon, reuleaux, h_tilde):
@@ -131,8 +141,9 @@ def test_standard_trisection_equal_areas():
     for make in PRESETS.values():
         body = make()
         A = body.area
-        for tri in (standard_trisection(body), rotate_trisection(body, 0.01),
-                    rotate_trisection(body, -0.01)):
+        for tri in (standard_trisection(body),
+                    _assemble(*_centre_fan(body, 0.01)),
+                    _assemble(*_centre_fan(body, -0.01))):
             assert np.all(np.abs(tri.region_areas() - A / 3.0)
                           <= 1e-12 * A), body.label
 
