@@ -141,7 +141,8 @@ def cmd_sweep(args, parser):
     grid = SweepGrid(c_points=default_c_points(body, args.grid_c, rng),
                      theta1_count=args.grid_theta,
                      curve_mode=args.mode,
-                     perturbation_magnitude=args.magnitude)
+                     # + 0.0 turns -0.0 into 0.0
+                     perturbation_magnitude=args.magnitude + 0.0)
     try:
         report = sweep_segment_trisections(body, grid, seed=args.seed)
     except InfeasibleConfigurationError as exc:

@@ -236,19 +236,22 @@ def _run_diameters_sq(pts, start, length):
     return out
 
 
-def _centre_runs_sq(pts, centres, start, length, centre):
+def _centre_runs_sq(pts, centres, start, length):
     """Largest squared distance from each region's common point
     centres[r] to its run pts[start[r] : start[r] + length[r]], 0 for an
-    empty run.  Regions with equal centre[r] share their common point, and
-    one row of its squared distances to pts, doubled so that no run
-    wraps, gives all their runs' maxima by np.maximum.reduceat.  The rows
-    are made for a block of common points at a time, and the runs are
-    taken in order of where they start in the block's rows, so the spans
-    between them, which reduceat also reduces, add up to one pass over
-    the rows."""
+    empty run.  Consecutive regions with equal centres share their common
+    point, and one row of its squared distances to pts, doubled so that
+    no run wraps, gives all their runs' maxima by np.maximum.reduceat; a
+    point whose regions are not consecutive gets a row per group, with
+    the same values.  The rows are made for a block of common points at
+    a time, and the runs are taken in order of where they start in the
+    block's rows, so the spans between them, which reduceat also reduces,
+    add up to one pass over the rows."""
     n = len(pts)
-    _, first, slot = np.unique(centre, return_index=True, return_inverse=True)
-    points = centres[first]
+    new = np.ones(len(centres), dtype=bool)
+    new[1:] = np.any(centres[1:] != centres[:-1], axis=1)
+    slot = np.cumsum(new) - 1
+    points = centres[new]
     order = np.lexsort((start, slot))
     slot, start, length = slot[order], start[order], length[order]
     out = np.zeros(len(order))
@@ -276,25 +279,25 @@ def _region_points(pts, verts, start, length):
                                           % len(pts)], verts[h:]))
 
 
-def region_bounds_sq(pts, verts, start, length, centre):
+def region_bounds_sq(pts, verts, start, length):
     """Lower bounds of region_diameters_sq, on the same regions: the
     largest squared distance between two vertices of region r, or from
     its common point verts[r, 0] to its run.  They are the two cheap
     terms of region_diameters_sq, a maximum over some of its pairs, so a
     bound is never above the region's squared diameter, bit for bit."""
-    best = _centre_runs_sq(pts, verts[:, 0], start, length, centre)
+    best = _centre_runs_sq(pts, verts[:, 0], start, length)
     for a, b in itertools.combinations(range(verts.shape[1]), 2):
         d = verts[:, a] - verts[:, b]
         best = np.maximum(best, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
     return best
 
 
-def region_diameters_sq(pts, verts, start, length, centre):
+def region_diameters_sq(pts, verts, start, length):
     """Squared diameters of many regions that share the points pts: region
     r is the point set of its vertices verts[r] (an (R, V, 2) array) and
     the cyclic run pts[start[r] : start[r] + length[r]].  verts[r, 0] is
-    the region's common point, the same for all regions with equal
-    centre[r].
+    the region's common point; regions that share one go faster next to
+    each other (_centre_runs_sq).
 
     A call takes the cheaper of two evaluations.  The run pass below
     costs about n x (longest run) pairs.  Where the regions' projections
@@ -315,7 +318,7 @@ def region_diameters_sq(pts, verts, start, length, centre):
                 for v, s, m in zip(verts, start.tolist(), length.tolist())]
         if sum(len(p) ** 2 for p in kept) <= work:
             return np.array([_pairs_max_sq(p) for p in kept])
-    best = np.maximum(region_bounds_sq(pts, verts, start, length, centre),
+    best = np.maximum(region_bounds_sq(pts, verts, start, length),
                       _run_diameters_sq(pts, start, length))
     order = np.argsort(length, kind="stable")
     size = np.maximum(length[order], 1).tolist()

@@ -11,8 +11,9 @@ from .geom import (points_diameter, region_bounds_sq, region_diameters_sq,
                    rotate)
 from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
                          _assemble, _BoundaryWalk, _cell_regions, _centre_fan,
-                         _first_root, _tri_area, closed_form_dm_standard,
-                         h_eps_dpx, h_eps_dv12, inscribed_ball_radius)
+                         _first_root, _tri_area, _trisection,
+                         closed_form_dm_standard, h_eps_dpx, h_eps_dv12,
+                         inscribed_ball_radius)
 
 VIOLATION_TOL = 1e-3  # slack below the closed form before a sweep cell counts
 FLOOR_TOL = 1e-6
@@ -232,19 +233,19 @@ _FAILURES = ("common point is not interior",
 
 @dataclass(frozen=True)
 class _Cells:
-    """The solved cells of a list of cells, in row order."""
+    """The solved cells of a list of cells, in row order, as the regions
+    of _cell_regions on the boundary points pts."""
 
-    walks: list           # one per block of common points with an interior one
-    block: np.ndarray     # (m,) each cell's walk
-    c_index: np.ndarray   # (m,) each cell's common point in its walk
-    ts: np.ndarray        # (m, 3) arc positions mod n
-    mids: np.ndarray      # (m, 3, 2) curve mid-vertices, None for segments
+    pts: np.ndarray       # (n, 2) the boundary
+    verts: np.ndarray     # (m, 3, V, 2) curve vertices
+    start: np.ndarray     # (m, 3) arc runs' first points
+    length: np.ndarray    # (m, 3) and lengths
     stage: np.ndarray     # one per input row: 0, or where it failed
 
     def trisection(self, k):
-        mids = None if self.mids is None else self.mids[k]
-        return _assemble(self.walks[self.block[k]], self.ts[k], mids,
-                         self.c_index[k])
+        # a copy, so that the Trisection keeps no other cell alive
+        return _trisection(self.pts, self.verts[k].copy(), self.start[k],
+                           self.length[k])
 
 
 def _uniform_jitter(rng, magnitude):
@@ -260,17 +261,17 @@ def _solve_cells(boundary, c_points, theta1, jitter):
     block, to give their mid-vertex jitters (len(rows), 3).
 
     A block of points is one walk: its segment positions in one call,
-    then its perturbed ones.  stage[r] is 0 where row r solved, or the
-    stage where it failed, 1 + the index of its reason in _FAILURES.
+    then its perturbed ones, then its cells' regions; the walk is dropped
+    when its block ends.  stage[r] is 0 where row r solved, or the stage
+    where it failed, 1 + the index of its reason in _FAILURES.
     """
     c_points = np.asarray(c_points, dtype=float).reshape(-1, 2)
     theta1 = np.asarray(theta1, dtype=float)
     m = theta1.shape[-1]
     size = max(1, _BLOCK_ELEMENTS // (len(boundary) + 1 + m))
     stage = np.ones(len(c_points) * m, dtype=int)
-    walks = []
-    block, c_index = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-    ts, mids = [np.empty((0, 3))], [np.empty((0, 3, 2))]
+    parts = [(np.empty((0, 3, 3 if jitter is None else 5, 2)),
+              np.empty((0, 3), dtype=int), np.empty((0, 3), dtype=int))]
     for first in range(0, len(c_points), size):
         try:
             walk = _BoundaryWalk(boundary, c_points[first:first + size])
@@ -284,21 +285,18 @@ def _solve_cells(boundary, c_points, theta1, jitter):
         stage[rows] = 2
         solved = ~np.isnan(base[:, 0])
         ci, base, rows = ci[solved], base[solved], rows[solved]
-        if jitter is not None and len(base):
+        if not len(rows):
+            continue
+        mids = None
+        if jitter is not None:
             stage[rows] = 3
-            t, mid, ok = _perturbed_rows(walk, base, jitter(rows), ci)
-            ci, base, rows = ci[ok], t[ok], rows[ok]
-            mids.append(mid[ok])
+            t, mids, ok = _perturbed_rows(walk, base, jitter(rows), ci)
+            ci, base, rows, mids = ci[ok], t[ok], rows[ok], mids[ok]
         stage[rows] = 0
-        block.append(np.full(len(base), len(walks)))
-        walks.append(walk)
-        ts.append(base % walk.n)
-        c_index.append(ci)
-    return _Cells(walks=walks, block=np.concatenate(block),
-                  c_index=np.concatenate(c_index),
-                  ts=np.concatenate(ts),
-                  mids=None if jitter is None else np.concatenate(mids),
-                  stage=stage)
+        parts.append(_cell_regions(walk, base % walk.n, mids, ci))
+    verts, start, length = (np.concatenate(p) for p in zip(*parts))
+    return _Cells(pts=np.asarray(boundary, dtype=float), verts=verts,
+                  start=start, length=length, stage=stage)
 
 
 def _one_cell(body, c, theta1, jitter):
@@ -324,7 +322,7 @@ def perturbed_polyline_trisection(body, c, theta1, rng, magnitude):
     return _one_cell(body, c, theta1, _uniform_jitter(rng, magnitude))
 
 
-def _cells_dm(boundary, cells, floor):
+def _cells_dm(cells, floor):
     """d_M of every cell of _solve_cells that can be the minimum or below
     floor, equal bit for bit to trisection_dm of its Trisection, and inf
     for every other cell.
@@ -337,28 +335,18 @@ def _cells_dm(boundary, cells, floor):
     limit >= least d_M, so it is not the minimum, ties none, and is not
     below floor.  floor = inf scores every cell.
     """
-    parts = []
-    for b, walk in enumerate(cells.walks):
-        sel = cells.block == b
-        mids = None if cells.mids is None else cells.mids[sel]
-        parts.append(_cell_regions(walk, cells.ts[sel], mids,
-                                   cells.c_index[sel]))
-    verts, start, length = (np.concatenate(p) for p in zip(*parts))
-    verts = verts.reshape(-1, *verts.shape[2:])
-    start, length = start.ravel(), length.ravel()
-    # number the common points of all walks in one sequence
-    first = np.cumsum([0] + [len(w.c) for w in cells.walks])
-    centre = np.repeat(first[cells.block] + cells.c_index, 3)
-    bound = np.sqrt(region_bounds_sq(boundary, verts, start, length,
-                                     centre).reshape(-1, 3).max(axis=1))
+    verts = cells.verts.reshape(-1, *cells.verts.shape[2:])
+    start, length = cells.start.ravel(), cells.length.ravel()
+    bound = np.sqrt(region_bounds_sq(cells.pts, verts, start, length)
+                    .reshape(-1, 3).max(axis=1))
     dm = np.full(len(bound), np.inf)
     scored = np.zeros(len(bound), dtype=bool)
     limit = max(floor, float(bound.min()))
     todo = bound <= limit
     while np.any(todo):
         rows = (3 * np.flatnonzero(todo)[:, None] + np.arange(3)).ravel()
-        d2 = region_diameters_sq(boundary, verts[rows], start[rows],
-                                 length[rows], centre[rows])
+        d2 = region_diameters_sq(cells.pts, verts[rows], start[rows],
+                                 length[rows])
         dm[todo] = np.sqrt(d2.reshape(-1, 3).max(axis=1))
         scored |= todo
         limit = max(limit, float(dm.min()))
@@ -382,9 +370,9 @@ def sweep_segment_trisections(body, grid, seed=42):
     jitter = (None if grid.curve_mode == "segments" else _uniform_jitter(
         np.random.default_rng(seed), grid.perturbation_magnitude))
     cells = _solve_cells(boundary, grid.c_points, thetas, jitter)
-    if not len(cells.ts):
+    if not len(cells.verts):
         raise InfeasibleConfigurationError("every grid cell was infeasible")
-    dm = _cells_dm(boundary, cells, dm_standard)
+    dm = _cells_dm(cells, dm_standard)
     best = int(np.argmin(dm))
     violations = tuple(
         (cells.trisection(k).to_dict(dm=dm[k]), dm_standard - dm[k])
@@ -413,11 +401,10 @@ def lemma_floor_checks(body):
     v_floor = math.sqrt(3.0) * inscribed_ball_radius(body) - FLOOR_TOL
     walk, ts = _centre_fan(body, 0.0)
     verts, start, length = (a[0] for a in _cell_regions(walk, ts[None]))
-    bound = math.sqrt(region_bounds_sq(walk.pts, verts, start, length,
-                                       np.zeros(3, dtype=int)).max())
+    bound = math.sqrt(region_bounds_sq(walk.pts, verts, start, length).max())
     if bound >= max(r_floor, v_floor):
         return True, True
-    dm = trisection_dm(_assemble(walk, ts))
+    dm = trisection_dm(_trisection(walk.pts, verts, start, length))
     return bool(dm >= r_floor), bool(dm >= v_floor)
 
 

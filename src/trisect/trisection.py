@@ -298,20 +298,25 @@ def _cell_regions(walk, ts, mids=None, ci=0):
     return np.stack(parts, axis=2), start, length
 
 
-def _assemble(walk, ts, mids=None, ci=0):
-    """Build a Trisection about common point ci of walk from three
-    boundary positions (and optional fixed curve mid-vertices); the one
-    builder of region boundaries."""
-    verts, start, length = (a[0] for a in _cell_regions(
-        walk, np.asarray(ts)[None],
-        None if mids is None else np.asarray(mids)[None], ci))
+def _trisection(pts, verts, start, length):
+    """The Trisection of one cell of _cell_regions on the boundary points
+    pts: its curve vertices verts (3, V, 2) and arc runs (start, length);
+    the one builder of region boundaries."""
     h = (verts.shape[1] + 1) // 2
-    regions = tuple(_region_points(walk.pts, v, s, m)
+    regions = tuple(_region_points(pts, v, s, m)
                     for v, s, m in zip(verts, start, length))
     # curve j runs from c to its endpoint: the head of region j
-    return Trisection(common_point=walk.c[ci].copy(),
+    return Trisection(common_point=verts[0, 0].copy(),
                       curves=tuple(v[:h] for v in verts),
                       endpoints=verts[:, h - 1], regions=regions)
+
+
+def _assemble(walk, ts, mids=None):
+    """Build a Trisection about the common point of walk from three
+    boundary positions (and optional fixed curve mid-vertices)."""
+    return _trisection(walk.pts, *(a[0] for a in _cell_regions(
+        walk, np.asarray(ts)[None],
+        None if mids is None else np.asarray(mids)[None])))
 
 
 def _centre_fan(body, delta):

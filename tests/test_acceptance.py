@@ -117,8 +117,7 @@ def test_criterion_3_minimality_sweeps(named_bodies, sweep_reports):
             failures.append(f"{label}: {len(probes) - len(solved)} polyline "
                             "probes unsolved")
         if len(solved):
-            below = solved[search._cells_dm(body.boundary, cells, floor)
-                           < floor]
+            below = solved[search._cells_dm(cells, floor) < floor]
             if len(below):
                 failures.append(f"{label}: polyline probe at c={c[below[0]]}")
     elapsed = time.perf_counter() - t0

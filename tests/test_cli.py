@@ -218,6 +218,30 @@ def test_sweep_scores_small_rounds_region_by_region(capsys, monkeypatch):
     assert run(capsys, *argv, "hexagon") == hexagon and len(runs) == 2
 
 
+@pytest.mark.parametrize("mode", ["segments", "perturbed_polylines"])
+def test_negative_zero_magnitude_sweeps_as_zero(capsys, mode):
+    # -0 passes the non-negative check; it once reached the jitter draws
+    # as uniform(0.0, -0.0) and printed as -0.0
+    argv = ["sweep", "--body", "hexagon", "--grid-c", "5", "--grid-theta",
+            "24", "--mode", mode, "--magnitude"]
+    zero = run(capsys, *argv, "0")
+    assert zero[0] == 0
+    assert run(capsys, *argv, "-0") == zero
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test extra only: the package and its CLI run without it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, trisect, trisect.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("seed", ["1", "42"])
 @pytest.mark.parametrize("body", ["triangle", "hexagon", "h_tilde",
                                   "reuleaux"])

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -244,8 +246,7 @@ def test_standard_dm_is_an_endpoint_or_centre_pair():
     for body in pool:
         walk, ts = _centre_fan(body, 0.0)
         verts, start, length = (a[0] for a in _cell_regions(walk, ts[None]))
-        bound_sq = geom.region_bounds_sq(walk.pts, verts, start, length,
-                                         np.zeros(3, dtype=int))
+        bound_sq = geom.region_bounds_sq(walk.pts, verts, start, length)
         assert (math.sqrt(bound_sq.max())
                 == trisection_dm(standard_trisection(body))), body.label
 
@@ -496,6 +497,19 @@ def _perturbed_cell(walk, base, rng, magnitude):
     return tri
 
 
+def _walk_refs(monkeypatch):
+    """Wraps search._BoundaryWalk with monkeypatch: returns a list that
+    gets a weak reference to each walk made."""
+    refs = []
+
+    def made(*args):
+        walk = _BoundaryWalk(*args)
+        refs.append(weakref.ref(walk))
+        return walk
+    monkeypatch.setattr(search, "_BoundaryWalk", made)
+    return refs
+
+
 def _grid_cells(boundary, grid, rng):
     """search._solve_cells on the cells of grid, as the sweep solves them:
     the grid's angles shared by every common point, and for perturbed
@@ -542,15 +556,13 @@ def test_scored_cells_equal_trisection_dm_bit_for_bit(name, make, mode):
     boundary = search._dense_boundary(body)
     n = len(boundary)
     cells = _grid_cells(boundary, grid, np.random.default_rng(4))
-    dm = search._cells_dm(boundary, cells, math.inf)
+    dm = search._cells_dm(cells, math.inf)
     # the outside point
     assert np.count_nonzero(cells.stage) >= grid.theta1_count
     for k in range(len(dm)):
         assert dm[k] == trisection_dm(cells.trisection(k)), (name, k)
-    runs = [cells.walks[b].arc_run(ts, np.roll(ts, -1))
-            for b, ts in zip(cells.block, cells.ts)]
-    assert any(np.any(length > n // 2) for _, length in runs)
-    assert any(np.any(start + length > n) for start, length in runs)
+    assert np.any(cells.length > n // 2)
+    assert np.any(cells.start + cells.length > n)
     # the whole report equals the cell-by-cell loop's
     assert (sweep_segment_trisections(body, grid, seed=4).to_dict()
             == _reference_sweep(body, grid, seed=4))
@@ -560,18 +572,31 @@ def test_scored_cells_equal_trisection_dm_bit_for_bit(name, make, mode):
                          ids=[name for name, _ in _scorer_bodies()])
 def test_rebalance_areas_equal_region_areas(name, make):
     # the perturbed rows' closed-form fan areas are the areas of the
-    # assembled regions, on every evaluated cell
+    # assembled regions, on every rebalanced cell of each common point's
+    # own walk
     body = make()
     boundary = search._dense_boundary(body)
-    cells = _grid_cells(boundary, _scorer_grid(body, "perturbed_polylines"),
-                        np.random.default_rng(4))
-    assert len(cells.ts)
-    for k in range(len(cells.ts)):
-        walk, ci = cells.walks[cells.block[k]], cells.c_index[k]
-        fan = search._fan_areas(walk, cells.ts[k:k + 1], cells.mids[k:k + 1],
-                                ci)
-        assert np.all(np.abs(fan[0] - cells.trisection(k).region_areas())
-                      <= 1e-12 * walk.total_area[ci]), (name, k)
+    grid = _scorer_grid(body, "perturbed_polylines")
+    thetas = (np.arange(grid.theta1_count) * 2.0 * math.pi
+              / grid.theta1_count)
+    rng = np.random.default_rng(4)
+    checked = 0
+    for c in grid.c_points:
+        try:
+            walk = _BoundaryWalk(boundary, c)
+        except InfeasibleConfigurationError:
+            continue
+        base = search._segment_positions(walk, thetas)
+        base = base[~np.isnan(base[:, 0])]
+        ts, mids, ok = search._perturbed_rows(
+            walk, base, rng.uniform(-0.02, 0.02, (len(base), 3)))
+        for k in np.flatnonzero(ok):
+            fan = search._fan_areas(walk, ts[k:k + 1], mids[k:k + 1])
+            tri = _assemble(walk, ts[k], mids[k])
+            assert np.all(np.abs(fan[0] - tri.region_areas())
+                          <= 1e-12 * walk.total_area[0]), (name, k)
+            checked += 1
+    assert checked
 
 
 def test_negative_area_tol_skips_every_perturbed_cell(hexagon, monkeypatch):
@@ -610,8 +635,7 @@ def test_scorer_at_integer_positions_and_empty_arcs(h_tilde, mids,
     verts, start, length = _cell_regions(walk, ts, mid)
     assert np.any(length == 0)
     d2 = region_diameters_sq(boundary, verts.reshape(-1, *verts.shape[2:]),
-                             start.ravel(), length.ravel(),
-                             np.zeros(length.size, dtype=int))
+                             start.ravel(), length.ravel())
     regions = [r for k in range(len(ts))
                for r in _assemble(walk, ts[k],
                                   None if mid is None else mid[k]).regions]
@@ -622,8 +646,7 @@ def test_scorer_at_integer_positions_and_empty_arcs(h_tilde, mids,
     monkeypatch.setattr(geom, "_run_diameters_sq",
                         lambda *args: runs.append(1) or run_pass(*args))
     for k in range(len(ts)):
-        alone = region_diameters_sq(boundary, verts[k], start[k], length[k],
-                                    np.zeros(3, dtype=int))
+        alone = region_diameters_sq(boundary, verts[k], start[k], length[k])
         assert ([math.sqrt(v) for v in alone]
                 == [points_diameter(r) for r in regions[3 * k:3 * k + 3]])
     assert not runs
@@ -857,9 +880,9 @@ def test_perturbed_cells_keep_their_mid_vertices_inside():
             body, 6, np.random.default_rng(2)), theta1_count=16,
             curve_mode="perturbed_polylines", perturbation_magnitude=0.4)
         cells = _grid_cells(boundary, grid, np.random.default_rng(3))
-        assert 0 < len(cells.ts) < 6 * 16
+        assert 0 < len(cells.verts) < 6 * 16
         edge = np.roll(boundary, -1, axis=0) - boundary
-        m = cells.mids.reshape(-1, 1, 2) - boundary
+        m = cells.verts[:, :, 1].reshape(-1, 1, 2) - boundary
         side = edge[:, 0] * m[..., 1] - edge[:, 1] * m[..., 0]
         assert np.all(side > 0.0), name
     # with a jitter of 5, every cell has a mid-vertex outside the triangle
@@ -994,7 +1017,9 @@ def test_perturbed_batch_mixes_every_kind_of_skipped_point(hexagon,
                      perturbation_magnitude=0.05)
     boundary = search._dense_boundary(hexagon)
     monkeypatch.setattr(search, "_segment_positions", failing)
-    assert len(_grid_cells(boundary, grid, np.random.default_rng(5)).walks) == 1
+    walks = _walk_refs(monkeypatch)
+    _grid_cells(boundary, grid, np.random.default_rng(5))
+    assert len(walks) == 1
     report = sweep_segment_trisections(hexagon, grid, seed=5).to_dict()
     monkeypatch.setattr(search, "_segment_positions", segment)
     reasons = Counter()
@@ -1017,14 +1042,57 @@ def test_scorer_rows_in_blocks_of_common_points(monkeypatch):
         grid = SweepGrid(c_points=points, theta1_count=10, curve_mode=mode,
                          perturbation_magnitude=0.02)
         cells = _grid_cells(boundary, grid, np.random.default_rng(4))
-        dm = search._cells_dm(boundary, cells, math.inf)
+        dm = search._cells_dm(cells, math.inf)
         for k in range(0, len(dm), 7):
             assert dm[k] == trisection_dm(cells.trisection(k)), (mode, k)
         for size in (1, 2, 5):
             monkeypatch.setattr(geom, "_CHUNK", size * 2 * len(boundary))
-            assert np.array_equal(search._cells_dm(boundary, cells, math.inf),
-                                  dm)
+            assert np.array_equal(search._cells_dm(cells, math.inf), dm)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("mode", ["segments", "perturbed_polylines"])
+def test_solved_cells_keep_no_walk_alive(hexagon, monkeypatch, mode):
+    # blocks of two common points: six walks, each dropped with its block
+    boundary = search._dense_boundary(hexagon)
+    monkeypatch.setattr(search, "_BLOCK_ELEMENTS",
+                        2 * (len(boundary) + 1 + 8))
+    walks = _walk_refs(monkeypatch)
+    grid = SweepGrid(c_points=default_c_points(
+        hexagon, 12, np.random.default_rng(6)), theta1_count=8,
+        curve_mode=mode, perturbation_magnitude=0.02)
+    cells = _grid_cells(boundary, grid, np.random.default_rng(6))
+    gc.collect()
+    assert len(cells.verts) and len(walks) == 6
+    assert [ref() for ref in walks] == [None] * 6
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_region_scores_do_not_depend_on_region_order(seed, mids):
+    # the regions of several common points, mixed and permuted: the
+    # bounds and diameters are those of the regions in order, permuted,
+    # bit for bit, though regions sharing a point are no longer together
+    rng = np.random.default_rng(seed)
+    body = random_body(rng)
+    boundary = search._dense_boundary(body)
+    walk = _BoundaryWalk(boundary, default_c_points(body, 4, rng))
+    thetas = rng.uniform(0.0, 2.0 * math.pi, (len(walk.c), 5))
+    ts = search._segment_positions(walk, thetas)
+    ci = np.repeat(np.arange(len(walk.c)), 5)[~np.isnan(ts[:, 0])]
+    ts = ts[~np.isnan(ts[:, 0])] % walk.n
+    mid = None
+    if mids:
+        mid = (0.5 * (walk.c[ci, None] + walk.point_at(ts))
+               + rng.uniform(-0.02, 0.02, (len(ts), 3, 2)))
+    verts, start, length = _cell_regions(walk, ts, mid, ci)
+    verts = verts.reshape(-1, *verts.shape[2:])
+    start, length = start.ravel(), length.ravel()
+    perm = rng.permutation(len(start))
+    for score in (geom.region_bounds_sq, geom.region_diameters_sq):
+        want = score(boundary, verts, start, length)[perm]
+        got = score(boundary, verts[perm], start[perm], length[perm])
+        assert np.array_equal(got, want), score.__name__
 
 
 def _traced_scoring(mp):
@@ -1064,12 +1132,12 @@ def test_bounds_never_exceed_dm_and_scored_cells_are_exact(seed, mode, shift):
                      perturbation_magnitude=0.05)
     boundary = search._dense_boundary(body)
     cells = _grid_cells(boundary, grid, np.random.default_rng(seed))
-    if not len(cells.ts):
+    if not len(cells.verts):
         return
     floor = closed_form_dm_standard(body) + shift
     with pytest.MonkeyPatch.context() as mp:
         bounds, scored = _traced_scoring(mp)
-        dm = search._cells_dm(boundary, cells, floor)
+        dm = search._cells_dm(cells, floor)
     exact = np.array([trisection_dm(cells.trisection(k))
                       for k in range(len(dm))])
     assert np.all(bounds[0] <= exact)
@@ -1190,7 +1258,7 @@ def _one_row_mismatches(body, rows, cells, perturbed):
     functions': stage against the raised message, and for a solved row
     the common point, curves, endpoints, regions and d_M bit for bit."""
     c, theta1, magnitude, seeds, _ = rows
-    dm = search._cells_dm(body.boundary, cells, math.inf)
+    dm = search._cells_dm(cells, math.inf)
     solved = np.flatnonzero(cells.stage == 0)
     bad = []
     for r in range(len(c)):
@@ -1250,10 +1318,11 @@ def test_block_solver_equals_one_row_functions(name, perturbed, monkeypatch):
             body.boundary, c, theta1[:, None],
             (lambda r: jitter[r]) if perturbed else None)
 
+    walks = _walk_refs(monkeypatch)
     cells = solve(jitter)
     stages = set(cells.stage.tolist())
     assert stages == ({0, 1, 2, 3} if perturbed else {0, 1, 2})
-    assert len(cells.walks) > 3
+    assert len(walks) > 3
     assert _one_row_mismatches(body, rows, cells, perturbed) == []
     if perturbed:
         # the check sees two solved rows' jitters swapped
