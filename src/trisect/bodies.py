@@ -9,11 +9,12 @@ bodies centered at the origin.
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geom import DegenerateGeometryError, is_ccw_convex, polygon_area, rotate
+from .geom import (DegenerateGeometryError, convex_hull, is_ccw_convex,
+                   polygon_area, rotate)
 
 SECTOR = 2.0 * math.pi / 3.0
 # profile samples per sector: polygons (and random hulls), curved bodies
@@ -132,14 +133,19 @@ class ValidationReport:
                 and self.positive_ok and self.area_ok)
 
 
-def _make_body(thetas, radii, label, vertices_hint=(), outline_hint=()):
-    thetas = np.asarray(thetas, dtype=float)
-    radii = np.asarray(radii, dtype=float)
-    order = np.argsort(thetas)
-    thetas, radii = thetas[order], radii[order]
+def _profile_body(label, r_fn, corners, corner_angles, samples,
+                  outline_hint=()):
+    """Body whose profile samples r_fn on `samples` even angles of the
+    sector plus every corner's angle; the corners (points at the polar
+    angles corner_angles) inside the sector become its vertices_hint."""
+    thetas = _sector_angles(corner_angles, samples)
+    radii = r_fn(thetas)
     keep = np.concatenate(([True], np.diff(thetas) > 1e-12))
+    in_sector = np.mod(corner_angles, 2 * math.pi) < SECTOR - 1e-12
+    hint = tuple((float(x), float(y))
+                 for (x, y), inside in zip(corners, in_sector) if inside)
     return SymmetricBody(sector_theta=thetas[keep], sector_r=radii[keep],
-                         label=label, vertices_hint=tuple(vertices_hint),
+                         label=label, vertices_hint=hint,
                          outline_hint=tuple(outline_hint))
 
 
@@ -196,15 +202,10 @@ def make_regular_polygon(n):
     verts = r_vert * np.column_stack((np.cos(vert_angles), np.sin(vert_angles)))
 
     def r_fn(theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        delta = np.mod(theta, 2.0 * math.pi / m) - math.pi / m
-        return apo / np.cos(delta)
+        return apo / np.cos(np.mod(theta, 2.0 * math.pi / m) - math.pi / m)
 
-    thetas = _sector_angles(vert_angles, POLYGON_SECTOR_SAMPLES)
-    hint = [(float(r_vert * math.cos(a)), float(r_vert * math.sin(a)))
-            for a in vert_angles if 0.0 <= a % (2 * math.pi) < SECTOR - 1e-12]
-    return _make_body(thetas, r_fn(thetas), f"regular:{m}",
-                      vertices_hint=hint, outline_hint=_polygon_outline_hint(verts))
+    return _profile_body(f"regular:{m}", r_fn, verts, vert_angles,
+                         POLYGON_SECTOR_SAMPLES, _polygon_outline_hint(verts))
 
 
 def make_reuleaux():
@@ -215,7 +216,6 @@ def make_reuleaux():
     verts = r0 * np.column_stack((np.cos(vert_angles), np.sin(vert_angles)))
 
     def r_fn(theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
         # each arc of radius a is centered at the opposite vertex; arc
         # midpoints lie at the antipodes of the vertex directions
         offset = np.mod(theta + math.pi / 2.0 + SECTOR / 2.0, SECTOR) - SECTOR / 2.0
@@ -225,14 +225,11 @@ def make_reuleaux():
         b = np.einsum("ij,ij->i", d, center)
         return b + np.sqrt(b * b - r0 * r0 + a * a)
 
-    thetas = _sector_angles(vert_angles, CURVED_SECTOR_SAMPLES)
     hint = [("M", float(verts[0, 0]), float(verts[0, 1]))]
     for k in (1, 2, 0):
         hint.append(("A", a, float(verts[k, 0]), float(verts[k, 1])))
-    hints_in_sector = [tuple(v) for v, ang in zip(verts, vert_angles)
-                       if 0.0 <= ang % (2 * math.pi) < SECTOR - 1e-12]
-    return _make_body(thetas, r_fn(thetas), "reuleaux",
-                      vertices_hint=hints_in_sector, outline_hint=tuple(hint))
+    return _profile_body("reuleaux", r_fn, verts, vert_angles,
+                         CURVED_SECTOR_SAMPLES, hint)
 
 
 def check_h_eps_a(a):
@@ -246,6 +243,40 @@ def h_eps_side_b(a):
     """Long-side length making the alternating-side hexagon unit area."""
     check_h_eps_a(a)
     return -2.0 * a + math.sqrt(4.0 / math.sqrt(3.0) + 3.0 * a * a)
+
+
+def h_eps_dpx(a):
+    """Center-to-vertex distance of the unit-area alternating hexagon."""
+    check_h_eps_a(a)
+    s3 = math.sqrt(3.0)
+    inner = 4.0 * s3 + 18.0 * a * a - 3.0 * a * math.sqrt(12.0 * s3 + 27.0 * a * a)
+    return math.sqrt(inner) / 3.0
+
+
+def h_eps_dv12(a):
+    """Distance between two standard-trisection endpoints of the hexagon."""
+    check_h_eps_a(a)
+    return 0.5 * math.sqrt(3.0 * a * a + 4.0 / math.sqrt(3.0))
+
+
+@lru_cache(maxsize=1)
+def solve_a0():
+    """Parameter where the two hexagon distances cross, by bisection.
+
+    The difference d(p,x) - d(v1,v2) is strictly decreasing on the
+    parameter range, so the sign-change bracket is safe.
+    """
+    lo, hi = 0.0, H_EPS_A_MAX
+    f = lambda a: h_eps_dpx(a) - h_eps_dv12(a)
+    if not f(lo) > 0.0 > f(hi):
+        raise RuntimeError("bisection bracket lost for the crossing parameter")
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def _h_eps_vertices(a):
@@ -280,22 +311,16 @@ def make_h_eps(a):
     keep = [v for i, v in enumerate(verts)
             if np.hypot(*(v - verts[(i + 1) % len(verts)])) > 1e-12]
     verts = np.array(keep)
-    r_fn = _radius_on_polygon(verts)
     vert_angles = np.mod(np.arctan2(verts[:, 1], verts[:, 0]), 2 * math.pi)
-    thetas = _sector_angles(vert_angles, POLYGON_SECTOR_SAMPLES)
-    hints = [tuple(v) for v, ang in zip(verts, vert_angles)
-             if 0.0 <= ang % (2 * math.pi) < SECTOR - 1e-12]
     order = np.argsort(vert_angles)
-    return _make_body(thetas, r_fn(thetas), f"h_eps:{a:.6f}",
-                      vertices_hint=hints,
-                      outline_hint=_polygon_outline_hint(verts[order]))
+    return _profile_body(f"h_eps:{a:.6f}", _radius_on_polygon(verts), verts,
+                         vert_angles, POLYGON_SECTOR_SAMPLES,
+                         _polygon_outline_hint(verts[order]))
 
 
 def make_h_tilde():
     """Optimal body: H_eps at the crossing parameter with its short edges
     replaced by circular arcs about the center, rescaled to unit area."""
-    from .trisection import h_eps_dpx, solve_a0
-
     a0 = solve_a0()
     verts = _h_eps_vertices(a0)
     r0 = h_eps_dpx(a0)
@@ -305,33 +330,22 @@ def make_h_tilde():
     edge_fn = _radius_on_polygon(verts)
 
     # the short edges straddle the corner directions of the enclosing triangle
-    corner_dirs = np.array([math.pi / 2.0 + k * SECTOR for k in range(3)])
     half_span = math.asin(0.5 * a0 / r0)
 
     def r_fn(theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
         offset = np.abs(np.mod(theta - math.pi / 2.0 + SECTOR / 2.0, SECTOR)
                         - SECTOR / 2.0)
         return np.where(offset <= half_span, r0, edge_fn(theta))
 
-    thetas = _sector_angles(vert_angles, CURVED_SECTOR_SAMPLES)
-    raw = _make_body(thetas, r_fn(thetas), "h_tilde",
-                     vertices_hint=[tuple(v) for v, ang in zip(verts, vert_angles)
-                                    if ang < SECTOR - 1e-12])
-    body = normalize_unit_area(raw)
-    # exact outline: alternating long edges and corner arcs, post-scaling
-    s = 1.0 / math.sqrt(raw.area)
-    sv = verts * s
-    hint = [("M", float(sv[0, 0]), float(sv[0, 1]))]
-    for i in range(1, len(sv) + 1):
-        v = sv[i % len(sv)]
-        prev_ang, ang = vert_angles[i - 1], vert_angles[i % len(sv)]
-        gap = (ang - prev_ang) % (2 * math.pi)
-        kind = ("A", s * r0) if gap < 2.2 * half_span else ("L",)
+    # exact outline: alternating long edges and corner arcs
+    hint = [("M", float(verts[0, 0]), float(verts[0, 1]))]
+    for i in range(1, len(verts) + 1):
+        v = verts[i % len(verts)]
+        gap = (vert_angles[i % len(verts)] - vert_angles[i - 1]) % (2 * math.pi)
+        kind = ("A", r0) if gap < 2.2 * half_span else ("L",)
         hint.append(kind + (float(v[0]), float(v[1])))
-    return SymmetricBody(sector_theta=body.sector_theta, sector_r=body.sector_r,
-                         label="h_tilde", vertices_hint=body.vertices_hint,
-                         outline_hint=tuple(hint))
+    return normalize_unit_area(_profile_body(
+        "h_tilde", r_fn, verts, vert_angles, CURVED_SECTOR_SAMPLES, hint))
 
 
 def normalize_unit_area(body):
@@ -398,16 +412,12 @@ def load_body(path):
 
 def random_body(rng):
     """Random unit-area convex 3-symmetric body (hull of a symmetrized set)."""
-    from .geom import convex_hull
-
     angles = np.sort(rng.uniform(0.0, SECTOR, RANDOM_BASE_POINTS))
     radii = rng.uniform(0.8, 1.2, RANDOM_BASE_POINTS)
     sector = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
     cloud = np.concatenate([rotate(sector, k * SECTOR) for k in range(3)])
     hull = convex_hull(cloud)
-    r_fn = _radius_on_polygon(hull)
     hull_angles = np.mod(np.arctan2(hull[:, 1], hull[:, 0]), 2 * math.pi)
-    thetas = _sector_angles(hull_angles, POLYGON_SECTOR_SAMPLES)
-    hints = [tuple(v) for v, ang in zip(hull, hull_angles) if ang < SECTOR - 1e-12]
-    body = _make_body(thetas, r_fn(thetas), "random", vertices_hint=hints)
-    return normalize_unit_area(body)
+    return normalize_unit_area(_profile_body(
+        "random", _radius_on_polygon(hull), hull, hull_angles,
+        POLYGON_SECTOR_SAMPLES))

@@ -8,16 +8,17 @@ import sys
 import numpy as np
 
 from . import bodies, search
-from .bodies import (load_body, make_h_eps, make_h_tilde,
-                     make_regular_polygon, make_reuleaux, validate)
+from .bodies import (h_eps_dpx, h_eps_dv12, load_body, make_h_eps,
+                     make_h_tilde, make_regular_polygon, make_reuleaux,
+                     solve_a0, validate)
 from .render import render_svg
 from .search import (InfeasibleConfigurationError, SweepGrid, antipodal_gap,
-                     default_c_points, functional_quotient, lemma_floor_checks,
-                     sweep_h_eps, sweep_segment_trisections,
+                     check_magnitude, default_c_points, functional_quotient,
+                     lemma_floor_checks, sweep_h_eps, sweep_segment_trisections,
                      verify_h_tilde_optimal)
 from .trisection import (closed_form_dm_standard, dm_regular_closed_form,
-                         h_eps_dpx, h_eps_dv12, inscribed_ball_radius,
-                         max_relative_diameter, solve_a0, standard_trisection)
+                         inscribed_ball_radius, max_relative_diameter,
+                         standard_trisection)
 
 PRESETS = {
     "triangle": lambda: make_regular_polygon(1),
@@ -134,15 +135,16 @@ def cmd_dm(args, parser):
 
 
 def cmd_sweep(args, parser):
-    if not (math.isfinite(args.magnitude) and args.magnitude >= 0.0):
-        parser.error("--magnitude must be a finite non-negative number")
+    try:
+        check_magnitude(args.magnitude)
+    except ValueError as exc:
+        parser.error(f"--{exc}")
     body = _checked_body(args.body, parser)
     rng = np.random.default_rng(args.seed)
     grid = SweepGrid(c_points=default_c_points(body, args.grid_c, rng),
                      theta1_count=args.grid_theta,
                      curve_mode=args.mode,
-                     # + 0.0 turns -0.0 into 0.0
-                     perturbation_magnitude=args.magnitude + 0.0)
+                     perturbation_magnitude=args.magnitude)
     try:
         report = sweep_segment_trisections(body, grid, seed=args.seed)
     except InfeasibleConfigurationError as exc:

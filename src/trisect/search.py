@@ -6,14 +6,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bodies as _bodies
-from .bodies import H_EPS_A_MAX, SECTOR
+from .bodies import H_EPS_A_MAX, SECTOR, h_eps_dpx, h_eps_dv12
 from .geom import (points_diameter, region_bounds_sq, region_diameters_sq,
                    rotate)
 from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
                          _assemble, _BoundaryWalk, _cell_regions, _centre_fan,
                          _first_root, _tri_area, _trisection,
-                         closed_form_dm_standard, h_eps_dpx, h_eps_dv12,
-                         inscribed_ball_radius)
+                         closed_form_dm_standard, inscribed_ball_radius)
 
 VIOLATION_TOL = 1e-3  # slack below the closed form before a sweep cell counts
 FLOOR_TOL = 1e-6
@@ -36,6 +35,8 @@ class SweepGrid:
             raise ValueError("c_points must be finite")
         if self.curve_mode not in ("segments", "perturbed_polylines"):
             raise ValueError(f"unknown curve mode {self.curve_mode!r}")
+        object.__setattr__(self, "perturbation_magnitude",
+                           check_magnitude(self.perturbation_magnitude))
 
     def to_dict(self):
         return {
@@ -248,8 +249,19 @@ class _Cells:
                            self.length[k])
 
 
+def check_magnitude(magnitude):
+    """magnitude, with -0.0 read as 0.0; a ValueError unless it is finite,
+    at least 0, and 2 * magnitude is finite, the span that
+    rng.uniform(-magnitude, magnitude) draws across."""
+    if not (magnitude >= 0.0 and math.isfinite(2.0 * magnitude)):
+        raise ValueError("magnitude must be finite, at least 0 and at most "
+                         "half the largest float")
+    return magnitude + 0.0
+
+
 def _uniform_jitter(rng, magnitude):
     """A jitter source for _solve_cells: three uniform draws a row."""
+    magnitude = check_magnitude(magnitude)
     return lambda rows: rng.uniform(-magnitude, magnitude, (len(rows), 3))
 
 

@@ -2,12 +2,10 @@
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .bodies import (H_EPS_A_MAX, SECTOR, check_h_eps_a,
-                     regular_polygon_apothem)
+from .bodies import SECTOR, regular_polygon_apothem
 from .geom import _region_points, polygon_area, region_diameter
 
 AREA_TOL = 1e-4  # relative area slack for a trisection to count as valid
@@ -366,38 +364,3 @@ def dm_regular_closed_form(m):
     if m == 3:
         return apothem / math.cos(math.pi / 3.0)
     return math.sqrt(3.0) * apothem
-
-
-def h_eps_dpx(a):
-    """Center-to-vertex distance of the unit-area alternating hexagon."""
-    check_h_eps_a(a)
-    s3 = math.sqrt(3.0)
-    inner = 4.0 * s3 + 18.0 * a * a - 3.0 * a * math.sqrt(12.0 * s3 + 27.0 * a * a)
-    return math.sqrt(inner) / 3.0
-
-
-def h_eps_dv12(a):
-    """Distance between two standard-trisection endpoints of the hexagon."""
-    check_h_eps_a(a)
-    return 0.5 * math.sqrt(3.0 * a * a + 4.0 / math.sqrt(3.0))
-
-
-@lru_cache(maxsize=1)
-def solve_a0():
-    """Parameter where the two hexagon distances cross, by bisection.
-
-    The difference d(p,x) - d(v1,v2) is strictly decreasing on the
-    parameter range, so the sign-change bracket is safe.
-    """
-    lo, hi = 0.0, H_EPS_A_MAX
-    f = lambda a: h_eps_dpx(a) - h_eps_dv12(a)
-    if not f(lo) > 0.0 > f(hi):
-        raise RuntimeError("bisection bracket lost for the crossing parameter")
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-

@@ -13,7 +13,7 @@ from test_geom import naive_hull_vertices
 
 from trisect.bodies import (H_EPS_A_MAX, make_h_eps, make_h_tilde,
                             make_regular_polygon, make_reuleaux, random_body,
-                            h_eps_side_b, validate)
+                            h_eps_side_b, solve_a0, validate)
 from trisect import search
 from trisect.geom import convex_hull, points_diameter, polygon_diameter
 from trisect.search import (SweepGrid, antipodal_gap, default_c_points,
@@ -21,7 +21,7 @@ from trisect.search import (SweepGrid, antipodal_gap, default_c_points,
                             sweep_segment_trisections, uniqueness_probe)
 from trisect.trisection import (closed_form_dm_standard,
                                 inscribed_ball_radius, max_relative_diameter,
-                                solve_a0, standard_trisection)
+                                standard_trisection)
 
 SQRT3 = math.sqrt(3.0)
 

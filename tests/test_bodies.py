@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import directed_hausdorff
 
-from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody, h_eps_side_b,
-                            load_body, make_h_eps, make_h_tilde,
+from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody, h_eps_dpx,
+                            h_eps_side_b, load_body, make_h_eps, make_h_tilde,
                             make_regular_polygon, make_reuleaux,
-                            normalize_unit_area, random_body, validate)
-from trisect.trisection import h_eps_dpx, inscribed_ball_radius, solve_a0
+                            normalize_unit_area, random_body, solve_a0,
+                            validate)
+from trisect.cli import PRESETS
+from trisect.trisection import inscribed_ball_radius
 
 REULEAUX_WIDTH = (2.0 / (math.pi - math.sqrt(3.0))) ** 0.5
 
@@ -203,3 +205,27 @@ def test_h_eps_clamps_a_into_range(a, want):
     assert np.array_equal(got.boundary, end.boundary)
     assert got.vertices_hint == end.vertices_hint
     assert got.outline_hint == end.outline_hint
+
+
+def _random_bodies(count):
+    rng = np.random.default_rng(5)
+    return [random_body(rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("family", [
+    lambda: [make() for make in PRESETS.values()],
+    lambda: [make_regular_polygon(m // 3) for m in (3, 6, 9, 12, 21, 300, 3072)],
+    lambda: [make_h_eps(a) for a in np.linspace(0.0, H_EPS_A_MAX, 11)],
+    lambda: _random_bodies(200)], ids=["presets", "regular", "h_eps", "random"])
+def test_every_hint_is_a_profile_corner(family):
+    # the sweep's dense boundary keeps the hints exact, so each must be a
+    # corner the profile samples, in the fundamental sector
+    for body in family():
+        assert body.vertices_hint, body.label
+        for x, y in body.vertices_hint:
+            assert type(x) is float and type(y) is float
+            ang = math.atan2(y, x) % (2 * math.pi)
+            assert 0.0 <= ang < SECTOR
+            k = np.argmin(np.abs(body.sector_theta - ang))
+            assert abs(body.sector_theta[k] - ang) <= 1e-12, body.label
+            assert abs(math.hypot(x, y) - body.sector_r[k]) <= 1e-12, body.label

@@ -140,7 +140,10 @@ def test_bad_grid_size_exits_2(capsys, argv):
     (["render", "--body", "hexagon", "--what", "sweep_argmin", "--seed", "-2"],
      "--seed must be at least 0"),
     (["verify", "--seed", "-3", "--heps-samples", "0", "--random", "1"],
-     "--seed must be at least 0")])
+     "--seed must be at least 0"),
+    (["sweep", "--body", "hexagon", "--mode", "perturbed_polylines",
+      "--grid-c", "1", "--grid-theta", "8", "--magnitude", "1e308"],
+     "--magnitude must")])
 def test_bad_verify_or_sweep_value_exits_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)

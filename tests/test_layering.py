@@ -1,0 +1,29 @@
+"""The trisect modules' import layering, read from their source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "trisect"
+# each module may import only the modules before it
+LAYERS = ("geom", "bodies", "trisection", "search", "render", "cli")
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.stem != "__init__"),
+                         ids=lambda p: p.stem)
+def test_module_imports_at_top_level_from_lower_layers(path):
+    assert path.stem in LAYERS
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = [n for n in ast.walk(node)
+                     if isinstance(n, (ast.Import, ast.ImportFrom))]
+            assert not inner, f"{path.stem}.{node.name} imports inside it"
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = ([node.module] if node.module
+                     else [alias.name for alias in node.names])
+            for name in names:
+                assert name in LAYERS[:LAYERS.index(path.stem)], \
+                    f"{path.stem} imports {name}"

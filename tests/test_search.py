@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from trisect import geom, search
 from trisect.bodies import (H_EPS_A_MAX, SECTOR, load_body, make_h_eps,
-                            make_regular_polygon, random_body)
+                            make_regular_polygon, random_body, solve_a0)
 from trisect.cli import PRESETS
 from trisect.geom import points_diameter, polygon_area, region_diameters_sq
 from trisect.search import (FLOOR_TOL, VIOLATION_TOL,
@@ -24,8 +24,7 @@ from trisect.search import (FLOOR_TOL, VIOLATION_TOL,
 from trisect.trisection import (AREA_TOL, _assemble, _BoundaryWalk,
                                 _cell_regions, _centre_fan, _tri_area,
                                 closed_form_dm_standard, inscribed_ball_radius,
-                                max_relative_diameter, solve_a0,
-                                standard_trisection)
+                                max_relative_diameter, standard_trisection)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -167,6 +166,32 @@ def test_sweep_grid_validation():
     with pytest.raises(ValueError):
         SweepGrid(c_points=np.zeros((3, 2)), theta1_count=8,
                   curve_mode="squiggles")
+
+
+@pytest.mark.parametrize("magnitude",
+                         [-0.1, -1e-300, math.nan, math.inf, -math.inf, 1e308])
+def test_bad_perturbation_magnitude_raises_value_error(hexagon, magnitude):
+    # rng.uniform(-m, m) once raised numpy's ValueError or OverflowError;
+    # from m = 1e308 up its span 2m is not finite
+    with pytest.raises(ValueError, match="magnitude must"):
+        SweepGrid(c_points=np.zeros((1, 2)), theta1_count=8,
+                  curve_mode="perturbed_polylines",
+                  perturbation_magnitude=magnitude)
+    with pytest.raises(ValueError, match="magnitude must"):
+        perturbed_polyline_trisection(hexagon, np.zeros(2), 0.3,
+                                      np.random.default_rng(0), magnitude)
+
+
+def test_negative_zero_perturbation_magnitude_reads_zero(hexagon):
+    grid = SweepGrid(c_points=np.zeros((1, 2)), theta1_count=8,
+                     curve_mode="perturbed_polylines",
+                     perturbation_magnitude=-0.0)
+    got = grid.to_dict()["perturbation_magnitude"]
+    assert got == 0.0 and math.copysign(1.0, got) == 1.0
+    tris = [perturbed_polyline_trisection(hexagon, np.zeros(2), 0.3,
+                                          np.random.default_rng(0), m)
+            for m in (-0.0, 0.0)]
+    assert np.array_equal(tris[0].endpoints, tris[1].endpoints)
 
 
 def test_default_c_points_inside_body(hexagon):

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import directed_hausdorff
 
-from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody, make_h_eps,
-                            make_regular_polygon)
+from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody, h_eps_dpx,
+                            h_eps_dv12, make_h_eps, make_regular_polygon,
+                            solve_a0)
 from trisect.cli import PRESETS
 from trisect.geom import polygon_area, rotate
 from trisect.render import _enclosing_triangle_corners
 from trisect.trisection import (InvalidTrisectionError, Trisection,
                                 _assemble, _centre_fan,
                                 closed_form_dm_standard, dm_regular_closed_form,
-                                h_eps_dpx, h_eps_dv12, inscribed_ball_radius,
-                                max_relative_diameter, solve_a0,
+                                inscribed_ball_radius, max_relative_diameter,
                                 standard_trisection)
 
 SQRT3 = math.sqrt(3.0)
