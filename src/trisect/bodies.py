@@ -85,17 +85,17 @@ class SymmetricBody:
 
         Ties (threefold copies, flat arcs) are broken by smallest polar angle.
         """
-        pts = self.boundary
-        nxt = np.concatenate((pts[1:], pts[:1]))
-        e = nxt - pts
-        t = np.clip(-np.einsum("ij,ij->i", pts, e)
-                    / np.maximum(np.einsum("ij,ij->i", e, e), 1e-30), 0.0, 1.0)
-        feet = pts + t[:, None] * e
-        dist = np.hypot(feet[:, 0], feet[:, 1])
+        x, y = self.boundary.T
+        ex = np.concatenate((x[1:], x[:1])) - x
+        ey = np.concatenate((y[1:], y[:1])) - y
+        t = np.clip(-(x * ex + y * ey)
+                    / np.maximum(ex * ex + ey * ey, 1e-30), 0.0, 1.0)
+        fx, fy = x + t * ex, y + t * ey
+        dist = np.hypot(fx, fy)
         rho = float(np.min(dist))
         tied = np.nonzero(dist <= rho + 1e-12)[0]
-        angles = np.mod(np.arctan2(feet[tied, 1], feet[tied, 0]), 2 * math.pi)
-        return feet[tied[np.argmin(angles)]].copy(), rho
+        i = tied[np.argmin(np.mod(np.arctan2(fy[tied], fx[tied]), 2 * math.pi))]
+        return np.array([fx[i], fy[i]]), rho
 
     def scaled(self, factor):
         """Uniform dilation about the center."""
@@ -158,16 +158,19 @@ def _sector_angles(corner_thetas, samples):
 def _ray_chord_radius(pts, ang, theta):
     """Distance from the origin along direction(s) theta to the closed
     polygon pts, whose vertices sit at increasing polar angles ang in
-    [0, 2pi): the ray meets the chord between the vertices either side."""
+    [0, 2pi): the ray meets the chord between the vertices either side.
+    The result has theta's shape, at least 1-D."""
     theta = np.mod(np.atleast_1d(np.asarray(theta, dtype=float)), 2.0 * math.pi)
-    n = len(pts)
     idx = np.searchsorted(ang, theta)
-    p1, p2 = pts[(idx - 1) % n], pts[idx % n]
-    d = np.column_stack((np.cos(theta), np.sin(theta)))
-    num = p1[:, 0] * p2[:, 1] - p1[:, 1] * p2[:, 0]
-    den = d[:, 0] * (p2[:, 1] - p1[:, 1]) - d[:, 1] * (p2[:, 0] - p1[:, 0])
+    x, y = pts[:, 0], pts[:, 1]
+    x1, y1 = x.take(idx - 1, mode="wrap"), y.take(idx - 1, mode="wrap")
+    x2, y2 = x.take(idx, mode="wrap"), y.take(idx, mode="wrap")
+    den = np.cos(theta) * (y2 - y1) - np.sin(theta) * (x2 - x1)
     exact = np.abs(den) < 1e-14
-    return np.where(exact, np.hypot(*p1.T), num / np.where(exact, 1.0, den))
+    r = (x1 * y2 - y1 * x2) / np.where(exact, 1.0, den)
+    if exact.any():
+        r[exact] = np.hypot(x1[exact], y1[exact])
+    return r
 
 
 def _radius_on_polygon(vertices):

@@ -5,7 +5,13 @@ Conventions used throughout the package:
   * a polygon / region boundary is an (n, 2) array of vertices in
     counterclockwise order, closed implicitly (last vertex connects
     back to the first),
-  * all lengths are O(1) since bodies are normalized to unit area.
+  * all lengths are O(1) since bodies are normalized to unit area,
+  * functions take and return (n, 2) arrays, but element-wise kernels
+    compute on separate x and y columns (1-D or (k, n)), which is faster
+    than on (..., 2) views; convex_hull, polygon_area's np.dot, rotate's
+    matmul, SymmetricBody.boundary and make_reuleaux's einsum keep their
+    interleaved inputs, since another summation order or FMA could
+    change their bits.
 """
 
 import bisect
@@ -286,9 +292,10 @@ def region_bounds_sq(pts, verts, start, length):
     terms of region_diameters_sq, a maximum over some of its pairs, so a
     bound is never above the region's squared diameter, bit for bit."""
     best = _centre_runs_sq(pts, verts[:, 0], start, length)
+    vx, vy = verts[..., 0].T.copy(), verts[..., 1].T.copy()
     for a, b in itertools.combinations(range(verts.shape[1]), 2):
-        d = verts[:, a] - verts[:, b]
-        best = np.maximum(best, d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        dx, dy = vx[a] - vx[b], vy[a] - vy[b]
+        best = np.maximum(best, dx * dx + dy * dy)
     return best
 
 
@@ -394,8 +401,10 @@ def region_diameter(region):
 def is_ccw_convex(boundary, tol=EPS):
     """True if every turn of the closed boundary is a left turn (>= -tol)."""
     b = np.asarray(boundary, dtype=float)
-    prv = np.concatenate((b[-1:], b[:-1]))
-    nxt = np.concatenate((b[1:], b[:1]))
-    cr = ((b[:, 0] - prv[:, 0]) * (nxt[:, 1] - b[:, 1])
-          - (b[:, 1] - prv[:, 1]) * (nxt[:, 0] - b[:, 0]))
+    x, y = b[:, 0], b[:, 1]
+    # edge i runs from vertex i to i + 1; cr[i] is the turn at vertex i + 1
+    ex = np.concatenate((x[1:], x[:1])) - x
+    ey = np.concatenate((y[1:], y[:1])) - y
+    cr = (ex * np.concatenate((ey[1:], ey[:1]))
+          - ey * np.concatenate((ex[1:], ex[:1])))
     return bool(np.all(cr >= -tol))

@@ -73,23 +73,26 @@ class _BoundaryWalk:
         self.pts = np.asarray(boundary, dtype=float)
         self.n = len(self.pts)
         cs = np.asarray(c, dtype=float).reshape(-1, 2)
-        rel = self.pts - cs[:, None]
-        nxt = np.concatenate((rel[:, 1:], rel[:, :1]), axis=1)
+        # (k, n) rows of coordinates about each point
+        x = self.pts[:, 0] - cs[:, 0, None]
+        y = self.pts[:, 1] - cs[:, 1, None]
+        nx = np.concatenate((x[:, 1:], x[:, :1]), axis=1)
+        ny = np.concatenate((y[:, 1:], y[:, :1]), axis=1)
         # a NaN, infinite or huge coordinate gives NaN or infinite
         # products, and such a point is not interior
         with np.errstate(invalid="ignore", over="ignore"):
-            cr = rel[..., 0] * nxt[..., 1] - rel[..., 1] * nxt[..., 0]
+            cr = x * ny - y * nx
         inside = cr.min(axis=1) > 0.0
         if not inside.any():
             raise InfeasibleConfigurationError("common point is not interior")
         if not inside.all():
-            rel, cr = rel[inside], cr[inside]
+            x, y, cr = x[inside], y[inside], cr[inside]
         self.c, self.kept = cs[inside], np.flatnonzero(inside)
         self.prefix = np.concatenate((np.zeros((len(cr), 1)),
                                       0.5 * np.cumsum(cr, axis=1)), axis=1)
         self.total_area = self.prefix[:, -1].copy()
         # polar angles of the points about c, closed by the first + 2 pi
-        phi = _unwrap(np.arctan2(rel[..., 1], rel[..., 0]))
+        phi = _unwrap(np.arctan2(y, x))
         self.phi = np.concatenate((phi, phi[:, :1] + 2.0 * math.pi), axis=1)
 
     def ray_position(self, theta, ci=0):

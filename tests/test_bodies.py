@@ -1,12 +1,15 @@
 import json
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import directed_hausdorff
 
-from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody, h_eps_dpx,
-                            h_eps_side_b, load_body, make_h_eps, make_h_tilde,
+from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody,
+                            _ray_chord_radius, h_eps_dpx, h_eps_side_b,
+                            load_body, make_h_eps, make_h_tilde,
                             make_regular_polygon, make_reuleaux,
                             normalize_unit_area, random_body, solve_a0,
                             validate)
@@ -212,11 +215,14 @@ def _random_bodies(count):
     return [random_body(rng) for _ in range(count)]
 
 
-@pytest.mark.parametrize("family", [
+FAMILIES = pytest.mark.parametrize("family", [
     lambda: [make() for make in PRESETS.values()],
     lambda: [make_regular_polygon(m // 3) for m in (3, 6, 9, 12, 21, 300, 3072)],
     lambda: [make_h_eps(a) for a in np.linspace(0.0, H_EPS_A_MAX, 11)],
     lambda: _random_bodies(200)], ids=["presets", "regular", "h_eps", "random"])
+
+
+@FAMILIES
 def test_every_hint_is_a_profile_corner(family):
     # the sweep's dense boundary keeps the hints exact, so each must be a
     # corner the profile samples, in the fundamental sector
@@ -229,3 +235,90 @@ def test_every_hint_is_a_profile_corner(family):
             k = np.argmin(np.abs(body.sector_theta - ang))
             assert abs(body.sector_theta[k] - ang) <= 1e-12, body.label
             assert abs(math.hypot(x, y) - body.sector_r[k]) <= 1e-12, body.label
+
+
+def interleaved_ray_chord_radius(pts, ang, theta):
+    """_ray_chord_radius on (n, 2) rows of points, for 1-D theta."""
+    theta = np.mod(np.atleast_1d(np.asarray(theta, dtype=float)), 2.0 * math.pi)
+    n = len(pts)
+    idx = np.searchsorted(ang, theta)
+    p1, p2 = pts[(idx - 1) % n], pts[idx % n]
+    d = np.column_stack((np.cos(theta), np.sin(theta)))
+    num = p1[:, 0] * p2[:, 1] - p1[:, 1] * p2[:, 0]
+    den = d[:, 0] * (p2[:, 1] - p1[:, 1]) - d[:, 1] * (p2[:, 0] - p1[:, 0])
+    exact = np.abs(den) < 1e-14
+    return np.where(exact, np.hypot(*p1.T), num / np.where(exact, 1.0, den))
+
+
+def einsum_nearest_point(body):
+    """SymmetricBody.nearest_point on (n, 2) rows of points, with einsum
+    dot products."""
+    pts = body.boundary
+    e = np.concatenate((pts[1:], pts[:1])) - pts
+    t = np.clip(-np.einsum("ij,ij->i", pts, e)
+                / np.maximum(np.einsum("ij,ij->i", e, e), 1e-30), 0.0, 1.0)
+    feet = pts + t[:, None] * e
+    dist = np.hypot(feet[:, 0], feet[:, 1])
+    rho = float(np.min(dist))
+    tied = np.nonzero(dist <= rho + 1e-12)[0]
+    angles = np.mod(np.arctan2(feet[tied, 1], feet[tied, 0]), 2 * math.pi)
+    return feet[tied[np.argmin(angles)]].copy(), rho
+
+
+@lru_cache(maxsize=64)
+def _body(kind, arg):
+    if kind == "preset":
+        return PRESETS[arg]()
+    if kind == "regular":
+        return make_regular_polygon(arg)
+    if kind == "h_eps":
+        return make_h_eps(arg)
+    return random_body(np.random.default_rng(arg))
+
+
+_BODY_KEYS = st.one_of(
+    st.tuples(st.just("preset"), st.sampled_from(sorted(PRESETS))),
+    st.tuples(st.just("regular"), st.integers(1, 1024)),
+    st.tuples(st.just("h_eps"), st.floats(0.0, H_EPS_A_MAX)),
+    st.tuples(st.just("random"), st.integers(0, 2 ** 32 - 1)))
+# an angle, or ("vertex", i, turns): the polar angle of boundary point i
+# plus a whole number of turns
+_ANGLES = st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 2 * math.pi, 4 * math.pi, -2 * math.pi,
+                     math.nan, 5e-324, -5e-324, SECTOR, -SECTOR]),
+    st.floats(-50.0, 50.0),
+    st.tuples(st.just("vertex"), st.integers(0, 10 ** 6),
+              st.integers(-2, 2))), min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_BODY_KEYS, _ANGLES)
+def test_ray_chord_radius_equals_interleaved_form(key, angles):
+    # negative, signed-zero, whole-turn, NaN and exact vertex angles
+    body = _body(*key)
+    pts, ang = body.boundary, body.boundary_angles
+    theta = np.array([a if isinstance(a, float)
+                      else ang[a[1] % len(ang)] + a[2] * 2.0 * math.pi
+                      for a in angles])
+    got = _ray_chord_radius(pts, ang, theta)
+    assert got.tobytes() == interleaved_ray_chord_radius(pts, ang,
+                                                         theta).tobytes()
+    assert body.radius_at(theta).tobytes() == got.tobytes()
+
+
+@FAMILIES
+def test_nearest_point_equals_einsum_form(family):
+    for body in family():
+        got, rho = body.nearest_point
+        want, want_rho = einsum_nearest_point(body)
+        assert got.tobytes() == want.tobytes(), body.label
+        assert type(rho) is float and rho == want_rho
+
+
+def test_radius_at_keeps_the_shape_of_its_angles():
+    body = make_regular_polygon(2)
+    theta = np.linspace(0.0, 6.0, 12).reshape(3, 4)
+    got = body.radius_at(theta)
+    assert got.shape == (3, 4)
+    assert got.tobytes() == body.radius_at(theta.ravel()).reshape(3, 4).tobytes()
+    assert type(body.radius_at(1.0)) is float

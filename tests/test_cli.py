@@ -463,7 +463,8 @@ def run_module(argv, flags=()):
     ["sweep", "--body", "hexagon", "--grid-c", "2", "--grid-theta", "8",
      "--mode", "perturbed_polylines"],
     ["render", "--body", "reuleaux", "--what", "sweep_argmin",
-     "--grid-c", "2", "--grid-theta", "8"]])
+     "--grid-c", "2", "--grid-theta", "8"],
+    ["verify", "--heps-samples", "2", "--random", "2"]])
 def test_output_does_not_depend_on_python_O(argv):
     outs = [run_module(argv, flags) for flags in ([], ["-O"])]
     assert [out.returncode for out in outs] == [0, 0]

@@ -21,8 +21,9 @@ from trisect.search import (FLOOR_TOL, VIOLATION_TOL,
                             perturbed_polyline_trisection, sweep_h_eps, sweep_segment_trisections,
                             trisection_dm, uniqueness_probe,
                             verify_h_tilde_optimal)
-from trisect.trisection import (AREA_TOL, _assemble, _BoundaryWalk,
-                                _cell_regions, _centre_fan, _tri_area,
+from trisect.trisection import (AREA_TOL, InfeasibleConfigurationError,
+                                _assemble, _BoundaryWalk, _cell_regions,
+                                _centre_fan, _tri_area, _unwrap,
                                 closed_form_dm_standard, inscribed_ball_radius,
                                 max_relative_diameter, standard_trisection)
 
@@ -1252,6 +1253,57 @@ def test_walk_angles_equal_np_unwrap(name):
                                       want.view(np.int64)), body.label
                 assert np.array_equal(walk.phi[:, -1],
                                       want[:, 0] + 2.0 * math.pi)
+
+
+def interleaved_walk_fields(boundary, c):
+    """_BoundaryWalk's phi, prefix, total_area and kept, computed on
+    (k, n, 2) coordinates about the points c; None if none is interior."""
+    pts = np.asarray(boundary, dtype=float)
+    cs = np.asarray(c, dtype=float).reshape(-1, 2)
+    rel = pts - cs[:, None]
+    nxt = np.concatenate((rel[:, 1:], rel[:, :1]), axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        cr = rel[..., 0] * nxt[..., 1] - rel[..., 1] * nxt[..., 0]
+    inside = cr.min(axis=1) > 0.0
+    if not inside.any():
+        return None
+    rel, cr = rel[inside], cr[inside]
+    prefix = np.concatenate((np.zeros((len(cr), 1)),
+                             0.5 * np.cumsum(cr, axis=1)), axis=1)
+    phi = _unwrap(np.arctan2(rel[..., 1], rel[..., 0]))
+    phi = np.concatenate((phi, phi[:, :1] + 2.0 * math.pi), axis=1)
+    return phi, prefix, prefix[:, -1].copy(), np.flatnonzero(inside)
+
+
+@pytest.mark.parametrize("name", ["triangle", "hexagon", "enneagon",
+                                  "dodecagon", "reuleaux", "h_tilde",
+                                  "random"])
+def test_walk_fields_equal_interleaved_form(name):
+    # one point and a 50-point stack, a fifth of it outside the body
+    if name == "random":
+        bodies = [random_body(np.random.default_rng(s)) for s in range(10)]
+    else:
+        bodies = [PRESETS[name]()]
+    rng = np.random.default_rng(29)
+    for body in bodies:
+        a = rng.uniform(0.0, 2.0 * math.pi, 50)
+        scale = np.where(np.arange(50) % 5 == 4, rng.uniform(1.05, 2.0, 50),
+                         rng.uniform(0.0, 0.95, 50))
+        stack = (scale * body.radius_at(a))[:, None] * \
+            np.column_stack((np.cos(a), np.sin(a)))
+        for boundary in (body.boundary, search._dense_boundary(body)):
+            for c in (np.zeros(2), stack[0], stack[4], stack):
+                want = interleaved_walk_fields(boundary, c)
+                if want is None:
+                    with pytest.raises(InfeasibleConfigurationError):
+                        _BoundaryWalk(boundary, c)
+                    continue
+                walk = _BoundaryWalk(boundary, c)
+                got = (walk.phi, walk.prefix, walk.total_area, walk.kept)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), body.label
+                if c is stack:  # the exterior points are dropped
+                    assert len(walk.kept) == 40
 
 
 # the words of each failure stage's message, as the one-row functions
