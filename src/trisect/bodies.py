@@ -9,7 +9,7 @@ bodies centered at the origin.
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -22,6 +22,7 @@ POLYGON_SECTOR_SAMPLES = 1024
 CURVED_SECTOR_SAMPLES = 4 * POLYGON_SECTOR_SAMPLES
 RANDOM_BASE_POINTS = 6  # random points per sector of a random_body
 MAX_PROFILE_SPACING = SECTOR / 256.0
+SWEEP_SECTOR_SAMPLES = 256  # grid angles a sector of a curved body's sweep
 # a unit-area body has every radius below 1; from about 1e154 up, squares
 # overflow and numpy warns while the body is checked
 MAX_PROFILE_RADIUS = 1e6
@@ -34,17 +35,24 @@ H_EPS_A_MAX = 2.0 ** 0.5 * 3.0 ** -0.75
 class SymmetricBody:
     """Unit-area convex body with threefold rotational symmetry.
 
-    sector_theta/sector_r: sampled radial profile over [0, 2*pi/3).
-    vertices_hint: exact corner points inside the fundamental sector.
-    outline_hint: optional exact drawing path for the full boundary,
-        a tuple of ("M", x, y) / ("L", x, y) / ("A", radius, x, y)
+    sector_theta/sector_r: sampled radial profile over [0, 2*pi/3), the
+        body's definition: validate, area, nearest_point and max_radius
+        are computed on it.
+    corners: a polygonal body's complete corner list, (k, 2), CCW from
+        the polar angle 0: its polygon, which walks and radius_at use.
+    sweep_rows: a curved body's indices into sector_theta of its sweep
+        polygon.  A body with neither, such as a body file, uses its
+        boundary for everything.
+    outline_hint: a curved body's exact drawing path for the full
+        boundary, a tuple of ("M", x, y) / ("A", radius, x, y) / ("L", x, y)
         segments (arc segments sweep CCW about the origin).
     """
 
     sector_theta: np.ndarray
     sector_r: np.ndarray
     label: str
-    vertices_hint: tuple = ()
+    corners: np.ndarray = None
+    sweep_rows: np.ndarray = None
     outline_hint: tuple = ()
 
     @cached_property
@@ -57,21 +65,37 @@ class SymmetricBody:
         return np.concatenate([rotate(sector, k * SECTOR) for k in range(3)])
 
     @cached_property
-    def boundary_angles(self):
-        return np.concatenate([self.sector_theta + k * SECTOR for k in range(3)])
+    def polygon(self):
+        """The polygon walks run on: the corners, or the boundary."""
+        return self.boundary if self.corners is None else self.corners
+
+    @cached_property
+    def polygon_angles(self):
+        """Polar angles of the polygon's points, increasing in [0, 2pi)."""
+        if self.corners is None:
+            return np.concatenate([self.sector_theta + k * SECTOR
+                                   for k in range(3)])
+        x, y = self.corners[:, 0], self.corners[:, 1]
+        return np.mod(np.arctan2(y, x), 2.0 * math.pi)
+
+    @cached_property
+    def sweep_polygon(self):
+        """The polygon the sweep runs on: a curved body's boundary rows at
+        sweep_rows in each sector, which it inscribes; else polygon."""
+        if self.sweep_rows is None:
+            return self.polygon
+        return self.boundary.reshape(3, -1, 2)[:, self.sweep_rows].reshape(-1, 2)
 
     @cached_property
     def area(self):
         return polygon_area(self.boundary)
 
     def radius_at(self, theta):
-        """Boundary distance from the origin along direction(s) theta.
-
-        The boundary between profile samples is the straight chord, so
-        this is exact for polygonal bodies whose corners are samples.
-        """
+        """Distance from the origin along direction(s) theta to the
+        body's polygon, exact on its chords: an array of theta's shape,
+        or a float for a scalar theta."""
         theta = np.asarray(theta, dtype=float)
-        r = _ray_chord_radius(self.boundary, self.boundary_angles, theta)
+        r = _ray_chord_radius(self.polygon, self.polygon_angles, theta)
         return float(r[0]) if theta.ndim == 0 else r
 
     def max_radius(self):
@@ -103,7 +127,8 @@ class SymmetricBody:
             sector_theta=self.sector_theta,
             sector_r=self.sector_r * factor,
             label=self.label,
-            vertices_hint=tuple((x * factor, y * factor) for x, y in self.vertices_hint),
+            corners=None if self.corners is None else self.corners * factor,
+            sweep_rows=self.sweep_rows,
             outline_hint=tuple(
                 (seg[0],) + tuple(v * factor for v in seg[1:]) for seg in self.outline_hint
             ),
@@ -136,57 +161,54 @@ class ValidationReport:
 def _profile_body(label, r_fn, corners, corner_angles, samples,
                   outline_hint=()):
     """Body whose profile samples r_fn on `samples` even angles of the
-    sector plus every corner's angle; the corners (points at the polar
-    angles corner_angles) inside the sector become its vertices_hint."""
-    thetas = _sector_angles(corner_angles, samples)
-    radii = r_fn(thetas)
+    sector and on corner_angles, the polar angles of the points corners.
+    A curved body passes its exact outline_hint, and keeps as sweep_rows
+    its profile rows at every (samples // SWEEP_SECTOR_SAMPLES)-th grid
+    angle and at its corners.  A polygonal body passes none: it keeps its
+    corners, sorted by polar angle, and r_fn None samples their polygon."""
+    thetas, first = _sector_angles(corner_angles, samples)
     keep = np.concatenate(([True], np.diff(thetas) > 1e-12))
-    in_sector = np.mod(corner_angles, 2 * math.pi) < SECTOR - 1e-12
-    hint = tuple((float(x), float(y))
-                 for (x, y), inside in zip(corners, in_sector) if inside)
-    return SymmetricBody(sector_theta=thetas[keep], sector_r=radii[keep],
-                         label=label, vertices_hint=hint,
+    sweep_rows = None
+    if outline_hint:
+        sweep = (first % (samples // SWEEP_SECTOR_SAMPLES) == 0) | (first >= samples)
+        sweep_rows, corners = np.flatnonzero(sweep[keep]), None
+    else:
+        corners = np.asarray(corners, dtype=float)
+        ang = np.mod(np.arctan2(corners[:, 1], corners[:, 0]), 2.0 * math.pi)
+        order = np.argsort(ang)
+        corners, ang = corners[order], ang[order]
+        r_fn = r_fn or partial(_ray_chord_radius, corners, ang)
+    return SymmetricBody(sector_theta=thetas[keep], sector_r=r_fn(thetas)[keep],
+                         label=label, corners=corners, sweep_rows=sweep_rows,
                          outline_hint=tuple(outline_hint))
 
 
 def _sector_angles(corner_thetas, samples):
+    """The sorted distinct angles of `samples` even grid angles of the
+    sector and of the corner angles mod SECTOR, and for each the index of
+    its first source: i < samples for grid angle i, samples + j for
+    corner j."""
     grid = np.arange(samples) * SECTOR / samples
     corners = np.mod(np.asarray(corner_thetas, dtype=float), SECTOR)
-    return np.union1d(grid, corners)
+    return np.unique(np.concatenate((grid, corners)), return_index=True)
 
 
 def _ray_chord_radius(pts, ang, theta):
     """Distance from the origin along direction(s) theta to the closed
     polygon pts, whose vertices sit at increasing polar angles ang in
-    [0, 2pi): the ray meets the chord between the vertices either side.
-    The result has theta's shape, at least 1-D."""
+    [0, 2pi): the ray meets the chord from p1 to p2, the vertices either
+    side, at p1 + s (p2 - p1), with s clamped to [0, 1] so that the hit
+    stays on the chord however short it is.  The result has theta's
+    shape, at least 1-D."""
     theta = np.mod(np.atleast_1d(np.asarray(theta, dtype=float)), 2.0 * math.pi)
     idx = np.searchsorted(ang, theta)
     x, y = pts[:, 0], pts[:, 1]
     x1, y1 = x.take(idx - 1, mode="wrap"), y.take(idx - 1, mode="wrap")
-    x2, y2 = x.take(idx, mode="wrap"), y.take(idx, mode="wrap")
-    den = np.cos(theta) * (y2 - y1) - np.sin(theta) * (x2 - x1)
-    exact = np.abs(den) < 1e-14
-    r = (x1 * y2 - y1 * x2) / np.where(exact, 1.0, den)
-    if exact.any():
-        r[exact] = np.hypot(x1[exact], y1[exact])
-    return r
-
-
-def _radius_on_polygon(vertices):
-    """Radius function of a convex polygon (CCW, origin interior)."""
-    pts = np.asarray(vertices, dtype=float)
-    ang = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * math.pi)
-    order = np.argsort(ang)
-    pts, ang = pts[order], ang[order]
-    return lambda theta: _ray_chord_radius(pts, ang, theta)
-
-
-def _polygon_outline_hint(vertices):
-    pts = np.asarray(vertices, dtype=float)
-    hint = [("M", float(pts[0, 0]), float(pts[0, 1]))]
-    hint += [("L", float(x), float(y)) for x, y in pts[1:]]
-    return tuple(hint)
+    ex, ey = x.take(idx, mode="wrap") - x1, y.take(idx, mode="wrap") - y1
+    dx, dy = np.cos(theta), np.sin(theta)
+    den = dx * ey - dy * ex
+    s = np.clip((dy * x1 - dx * y1) / np.where(den == 0.0, 1.0, den), 0.0, 1.0)
+    return np.hypot(x1 + s * ex, y1 + s * ey)
 
 
 def regular_polygon_apothem(m):
@@ -208,7 +230,7 @@ def make_regular_polygon(n):
         return apo / np.cos(np.mod(theta, 2.0 * math.pi / m) - math.pi / m)
 
     return _profile_body(f"regular:{m}", r_fn, verts, vert_angles,
-                         POLYGON_SECTOR_SAMPLES, _polygon_outline_hint(verts))
+                         POLYGON_SECTOR_SAMPLES)
 
 
 def make_reuleaux():
@@ -315,10 +337,8 @@ def make_h_eps(a):
             if np.hypot(*(v - verts[(i + 1) % len(verts)])) > 1e-12]
     verts = np.array(keep)
     vert_angles = np.mod(np.arctan2(verts[:, 1], verts[:, 0]), 2 * math.pi)
-    order = np.argsort(vert_angles)
-    return _profile_body(f"h_eps:{a:.6f}", _radius_on_polygon(verts), verts,
-                         vert_angles, POLYGON_SECTOR_SAMPLES,
-                         _polygon_outline_hint(verts[order]))
+    return _profile_body(f"h_eps:{a:.6f}", None, verts, vert_angles,
+                         POLYGON_SECTOR_SAMPLES)
 
 
 def make_h_tilde():
@@ -330,7 +350,7 @@ def make_h_tilde():
     vert_angles = np.mod(np.arctan2(verts[:, 1], verts[:, 0]), 2 * math.pi)
     order = np.argsort(vert_angles)
     verts, vert_angles = verts[order], vert_angles[order]
-    edge_fn = _radius_on_polygon(verts)
+    edge_fn = partial(_ray_chord_radius, verts, vert_angles)
 
     # the short edges straddle the corner directions of the enclosing triangle
     half_span = math.asin(0.5 * a0 / r0)
@@ -422,5 +442,4 @@ def random_body(rng):
     hull = convex_hull(cloud)
     hull_angles = np.mod(np.arctan2(hull[:, 1], hull[:, 0]), 2 * math.pi)
     return normalize_unit_area(_profile_body(
-        "random", _radius_on_polygon(hull), hull, hull_angles,
-        POLYGON_SECTOR_SAMPLES))
+        "random", None, hull, hull_angles, POLYGON_SECTOR_SAMPLES))

@@ -103,27 +103,6 @@ def default_c_points(body, count, rng):
     return np.array(pts[:count])
 
 
-def _dense_boundary(body):
-    """The sweep's working boundary: 256 samples per sector with the
-    hint corners kept exact, or the body's own boundary if it has no
-    hints, since a coarser grid could cut off its unknown corners.
-
-    A point within 1e-9 of the one before it is dropped: a corner on a
-    grid angle up to rounding would leave a zero-length edge, and no
-    common point sees such a boundary as star-shaped about it.
-    """
-    if body.vertices_hint:
-        corner_angles = [math.atan2(y, x) for x, y in body.vertices_hint]
-        sector = _bodies._sector_angles(corner_angles, 256)
-        thetas = np.concatenate([sector + k * SECTOR for k in range(3)])
-        r = body.radius_at(thetas)
-        pts = np.column_stack((r * np.cos(thetas), r * np.sin(thetas)))
-    else:
-        pts = body.boundary
-    step = pts - np.concatenate((pts[-1:], pts[:-1]))
-    return pts[np.hypot(step[:, 0], step[:, 1]) > 1e-9]
-
-
 def _segment_positions(walk, theta1):
     """Arc positions (t1, t2, t3), not reduced mod n, of the equal-area
     segment trisections whose first rays leave the common points of walk
@@ -312,8 +291,8 @@ def _solve_cells(boundary, c_points, theta1, jitter):
 
 
 def _one_cell(body, c, theta1, jitter):
-    """_solve_cells of one row on the body's boundary, or its failure."""
-    cells = _solve_cells(body.boundary, c, [[theta1]], jitter)
+    """_solve_cells of one row on the body's polygon, or its failure."""
+    cells = _solve_cells(body.polygon, c, [[theta1]], jitter)
     if cells.stage[0]:
         raise InfeasibleConfigurationError(_FAILURES[cells.stage[0] - 1])
     return cells.trisection(0)
@@ -376,7 +355,7 @@ def sweep_segment_trisections(body, grid, seed=42):
     cells run in grid order on one random stream, so a report depends
     only on the body, the grid and the seed.
     """
-    boundary = _dense_boundary(body)
+    boundary = body.sweep_polygon
     dm_standard = closed_form_dm_standard(body)
     thetas = np.arange(grid.theta1_count) * 2.0 * math.pi / grid.theta1_count
     jitter = (None if grid.curve_mode == "segments" else _uniform_jitter(

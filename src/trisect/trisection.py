@@ -99,20 +99,17 @@ class _BoundaryWalk:
         """Arc positions where the rays at the angles theta (an array)
         from the points ci hit the boundary."""
         theta = np.asarray(theta, dtype=float)
-        # math.cos and math.sin once per angle: numpy's may differ in the
-        # last bit
-        d = np.array([(math.cos(a), math.sin(a)) for a in theta.flat])
-        dx, dy = np.moveaxis(d.reshape(theta.shape + (2,)), -1, 0)
+        dx, dy = np.cos(theta), np.sin(theta)
         phi0 = self.phi[ci, 0]
         q = phi0 + (theta - phi0) % (2.0 * math.pi)
         i = _row_search(self.phi, ci, q, "right") - 1
         i = np.minimum(np.maximum(i, 0), self.n - 1)
-        c = self.c[ci]
-        p1 = self.pts[i] - c
-        p2 = self.pts[(i + 1) % self.n] - c
-        denom = dx * (p2[..., 1] - p1[..., 1]) - dy * (p2[..., 0] - p1[..., 0])
+        j = (i + 1) % self.n
+        x, y = self.pts[:, 0], self.pts[:, 1]
+        x1, y1 = x[i] - self.c[ci, 0], y[i] - self.c[ci, 1]
+        denom = dx * (y[j] - y[i]) - dy * (x[j] - x[i])
         flat = np.abs(denom) < 1e-15
-        u = (dy * p1[..., 0] - dx * p1[..., 1]) / np.where(flat, 1.0, denom)
+        u = (dy * x1 - dx * y1) / np.where(flat, 1.0, denom)
         return np.where(flat, i, i + np.minimum(np.maximum(u, 0.0), 1.0 - 1e-12))
 
     def _split(self, t):
@@ -323,7 +320,7 @@ def _assemble(walk, ts, mids=None):
 def _centre_fan(body, delta):
     """Boundary walk about the center, and the arc positions of the three
     rays in the standard endpoint directions turned by delta."""
-    walk = _BoundaryWalk(body.boundary, np.zeros(2))
+    walk = _BoundaryWalk(body.polygon, np.zeros(2))
     m, _ = body.nearest_point
     theta0 = math.atan2(m[1], m[0]) + delta
     return walk, walk.ray_position(theta0 + np.arange(3) * SECTOR)

@@ -14,6 +14,7 @@ from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody,
                             normalize_unit_area, random_body, solve_a0,
                             validate)
 from trisect.cli import PRESETS
+from trisect.geom import is_ccw_convex, polygon_area
 from trisect.trisection import inscribed_ball_radius
 
 REULEAUX_WIDTH = (2.0 / (math.pi - math.sqrt(3.0))) ** 0.5
@@ -206,7 +207,7 @@ def test_h_eps_clamps_a_into_range(a, want):
     got, end = make_h_eps(a), make_h_eps(want)
     assert got.label == end.label
     assert np.array_equal(got.boundary, end.boundary)
-    assert got.vertices_hint == end.vertices_hint
+    assert np.array_equal(got.corners, end.corners)
     assert got.outline_hint == end.outline_hint
 
 
@@ -224,16 +225,20 @@ FAMILIES = pytest.mark.parametrize("family", [
 
 @FAMILIES
 def test_every_hint_is_a_profile_corner(family):
-    # the sweep's dense boundary keeps the hints exact, so each must be a
-    # corner the profile samples, in the fundamental sector
+    # a polygonal body's corner list, the polygon its walks run on, holds
+    # corners the profile samples: each on a sector_theta entry (mod the
+    # sector) with its norm on sector_r there; a curved body has none
     for body in family():
-        assert body.vertices_hint, body.label
-        for x, y in body.vertices_hint:
-            assert type(x) is float and type(y) is float
-            ang = math.atan2(y, x) % (2 * math.pi)
-            assert 0.0 <= ang < SECTOR
-            k = np.argmin(np.abs(body.sector_theta - ang))
-            assert abs(body.sector_theta[k] - ang) <= 1e-12, body.label
+        if body.sweep_rows is not None:
+            assert body.corners is None, body.label
+            continue
+        assert body.corners.dtype == float and body.corners.shape[1] == 2
+        assert len(body.corners) >= 3, body.label
+        for x, y in body.corners:
+            gap = np.abs(body.sector_theta - math.atan2(y, x) % SECTOR)
+            gap = np.minimum(gap, SECTOR - gap)
+            k = np.argmin(gap)
+            assert gap[k] <= 1e-12, body.label
             assert abs(math.hypot(x, y) - body.sector_r[k]) <= 1e-12, body.label
 
 
@@ -242,12 +247,13 @@ def interleaved_ray_chord_radius(pts, ang, theta):
     theta = np.mod(np.atleast_1d(np.asarray(theta, dtype=float)), 2.0 * math.pi)
     n = len(pts)
     idx = np.searchsorted(ang, theta)
-    p1, p2 = pts[(idx - 1) % n], pts[idx % n]
+    p1 = pts[(idx - 1) % n]
+    e = pts[idx % n] - p1
     d = np.column_stack((np.cos(theta), np.sin(theta)))
-    num = p1[:, 0] * p2[:, 1] - p1[:, 1] * p2[:, 0]
-    den = d[:, 0] * (p2[:, 1] - p1[:, 1]) - d[:, 1] * (p2[:, 0] - p1[:, 0])
-    exact = np.abs(den) < 1e-14
-    return np.where(exact, np.hypot(*p1.T), num / np.where(exact, 1.0, den))
+    num = d[:, 1] * p1[:, 0] - d[:, 0] * p1[:, 1]
+    den = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
+    s = np.clip(num / np.where(den == 0.0, 1.0, den), 0.0, 1.0)
+    return np.hypot(*(p1 + s[:, None] * e).T)
 
 
 def einsum_nearest_point(body):
@@ -296,7 +302,7 @@ _ANGLES = st.lists(st.one_of(
 def test_ray_chord_radius_equals_interleaved_form(key, angles):
     # negative, signed-zero, whole-turn, NaN and exact vertex angles
     body = _body(*key)
-    pts, ang = body.boundary, body.boundary_angles
+    pts, ang = body.polygon, body.polygon_angles
     theta = np.array([a if isinstance(a, float)
                       else ang[a[1] % len(ang)] + a[2] * 2.0 * math.pi
                       for a in angles])
@@ -322,3 +328,111 @@ def test_radius_at_keeps_the_shape_of_its_angles():
     assert got.shape == (3, 4)
     assert got.tobytes() == body.radius_at(theta.ravel()).reshape(3, 4).tobytes()
     assert type(body.radius_at(1.0)) is float
+
+
+def _file_hexagon(path):
+    """A body file: a hexagon profile with a corner 1e-12 rad below the
+    sector's end, where a short profile chord meets the corner."""
+    phi = -1e-12 + np.arange(6) * math.pi / 3.0
+    theta = np.union1d(np.arange(1024) * SECTOR / 1024, np.mod(phi, SECTOR))
+    # the apothem of the unit circle's hexagon, over the cosine to the
+    # nearest edge normal
+    offset = np.mod(theta - phi[0], math.pi / 3.0) - math.pi / 6.0
+    r = math.cos(math.pi / 6.0) / np.cos(offset)
+    doc = {"label": "file", "sector_profile": np.column_stack((theta, r)).tolist()}
+    path.write_text(json.dumps(doc))
+    return normalize_unit_area(load_body(str(path)))
+
+
+@pytest.fixture(scope="module")
+def file_hexagon(tmp_path_factory):
+    return _file_hexagon(tmp_path_factory.mktemp("body") / "hexagon.json")
+
+
+_CHORD_BODIES = st.one_of(
+    st.sampled_from([("preset", "reuleaux"), ("preset", "h_tilde"),
+                     ("file", None)]),
+    st.tuples(st.just("h_eps"), st.floats(H_EPS_A_MAX - 1e-11, H_EPS_A_MAX)),
+    st.tuples(st.just("random"), st.integers(0, 2 ** 32 - 1)))
+# a finite angle, or the polar angle of polygon point i moved by -1, 0 or
+# +1 ulp
+_FINITE_ANGLES = st.lists(st.one_of(
+    st.floats(-50.0, 50.0),
+    st.tuples(st.integers(0, 10 ** 6), st.sampled_from([-1, 0, 1]))),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CHORD_BODIES, _FINITE_ANGLES)
+def test_radius_at_never_exceeds_its_chord(file_hexagon, key, angles):
+    # the hit lies on the chord between the polygon points either side
+    # of the ray, so it is no farther than the farther end, up to
+    # rounding; the cross-product formula overshot short profile chords
+    # next to a corner by up to 2e-5
+    body = file_hexagon if key[0] == "file" else _body(*key)
+    pts, ang = body.polygon, body.polygon_angles
+    theta = np.array([a if isinstance(a, float) else
+                      np.nextafter(ang[a[0] % len(ang)], a[1] * math.inf)
+                      if a[1] else ang[a[0] % len(ang)] for a in angles])
+    r = body.radius_at(theta)
+    idx = np.searchsorted(ang, np.mod(theta, 2.0 * math.pi))
+    norm = np.hypot(pts[:, 0], pts[:, 1])
+    far = np.maximum(norm.take(idx - 1, mode="wrap"), norm.take(idx, mode="wrap"))
+    assert np.all(r <= far * (1.0 + 1e-15)), body.label
+
+
+def _polygonal_bodies():
+    return ([make_regular_polygon(m // 3) for m in (3, 6, 9, 12, 21, 300, 3072)]
+            + [make_h_eps(a) for a in (0.0, 0.3, H_EPS_A_MAX - 1e-11,
+                                       0.6204032393995385, H_EPS_A_MAX)])
+
+
+def check_corner_polygon(body):
+    """The corners are a convex CCW polygon with the profile's area, and
+    every profile point lies on it, within 1e-12."""
+    corners = body.corners
+    assert is_ccw_convex(corners, tol=0.0), body.label
+    assert np.all(np.diff(body.polygon_angles) > 0.0), body.label
+    assert abs(polygon_area(corners) - body.area) <= 1e-12, body.label
+    # each profile point's distance to the line of the chord its ray meets
+    pts = body.boundary
+    idx = np.searchsorted(body.polygon_angles,
+                          np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * math.pi))
+    p1 = corners[(idx - 1) % len(corners)]
+    e = corners[idx % len(corners)] - p1
+    off = (e[:, 0] * (pts[:, 1] - p1[:, 1]) - e[:, 1] * (pts[:, 0] - p1[:, 0])
+           ) / np.hypot(e[:, 0], e[:, 1])
+    assert np.max(np.abs(off)) <= 1e-12, body.label
+
+
+def test_polygonal_bodies_keep_their_exact_corners():
+    for body in _polygonal_bodies():
+        check_corner_polygon(body)
+    # the regular hexagon end of the family has six corners, one of them
+    # within 1e-12 below the sector's end
+    assert len(make_h_eps(H_EPS_A_MAX).corners) == 6
+    assert len(make_h_eps(0.0).corners) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_random_body_corners_are_its_hull(seed):
+    check_corner_polygon(random_body(np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("make", [make_reuleaux, make_h_tilde],
+                         ids=["reuleaux", "h_tilde"])
+def test_curved_sweep_polygon_is_a_subset_of_the_profile(make):
+    # rows of the boundary, not points rebuilt through radius_at: the
+    # 256 grid angles a sector and every corner of the outline
+    body = make()
+    assert body.corners is None and body.polygon is body.boundary
+    poly = body.sweep_polygon
+    rows = {p.tobytes() for p in body.boundary}
+    assert all(p.tobytes() in rows for p in poly)
+    # the outline starts and ends at the same corner
+    corners = np.array([seg[-2:] for seg in body.outline_hint[1:]])
+    assert 3 * 256 <= len(poly) <= 3 * 256 + len(corners)
+    gap = np.hypot(poly[:, None, 0] - corners[:, 0], poly[:, None, 1] - corners[:, 1])
+    assert np.all(gap.min(axis=0) <= 1e-12)
+    assert is_ccw_convex(poly, tol=1e-15)

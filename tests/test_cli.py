@@ -206,19 +206,33 @@ def test_sweep_small(tmp_path, capsys):
 
 
 def test_sweep_scores_small_rounds_region_by_region(capsys, monkeypatch):
-    # the hexagon's one round of 9 regions goes region by region, the
-    # triangle's of 39 through the run pass; with no pruning the hexagon's
-    # pairs cost more than the run pass, and the report is the same
+    # the reuleaux triangle's regions on its 768-point sweep polygon go
+    # region by region, the triangle's on its three corners through the
+    # run pass; with no pruning the reuleaux pairs cost more than the run
+    # pass, and the report is the same
     runs = []
     run_pass = geom._run_diameters_sq
     monkeypatch.setattr(geom, "_run_diameters_sq",
                         lambda *args: runs.append(1) or run_pass(*args))
     argv = ["sweep", "--grid-c", "5", "--grid-theta", "24", "--body"]
-    hexagon = run(capsys, *argv, "hexagon")
-    assert hexagon[0] == 0 and not runs
+    reuleaux = run(capsys, *argv, "reuleaux")
+    assert reuleaux[0] == 0 and not runs
     assert run(capsys, *argv, "triangle")[0] == 0 and len(runs) == 1
     monkeypatch.setattr(geom, "_candidates", lambda p: p)
-    assert run(capsys, *argv, "hexagon") == hexagon and len(runs) == 2
+    assert run(capsys, *argv, "reuleaux") == reuleaux and len(runs) == 2
+
+
+@pytest.mark.parametrize("body", ["h_eps:0.6204032393995385", "h_eps:1e-11"])
+def test_sweep_of_h_eps_near_an_end_skips_no_cell(capsys, body):
+    # corners within 1e-11 of each other or of the sector's end: on a
+    # polygon rebuilt through radius_at, which overshot the short chords
+    # there, the sweep skipped 3,600 and 3,360 of its 6,000 cells; on the
+    # corners it skips none
+    code, out = run(capsys, "sweep", "--body", body)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["cells_skipped"] == 0 and doc["cells_evaluated"] == 50 * 120
+    assert doc["floor_margin"] >= -1e-12
 
 
 @pytest.mark.parametrize("mode", ["segments", "perturbed_polylines"])
@@ -270,7 +284,7 @@ def _turned_triangle_profile(angle):
     {"label": "turned", "sector_profile": _turned_triangle_profile(0.004)}],
     ids=["h_eps", "turned_triangle"])
 def test_sweep_of_a_json_body_keeps_its_corners(tmp_path, capsys, doc):
-    # a body file carries no corner hints: a sweep on a grid coarser than
+    # a body file carries no corner list: a sweep on a grid coarser than
     # its profile cut the corners off and found d_M below the standard's
     path = tmp_path / "body.json"
     path.write_text(json.dumps(doc))

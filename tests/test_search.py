@@ -428,7 +428,7 @@ def test_working_boundary_keeps_every_corner(tmp_path, source):
         path.write_text(json.dumps(make_h_eps(0.05).to_dict()))
         polygons = [load_body(path)]
     for body in polygons:
-        boundary = search._dense_boundary(body)
+        boundary = body.sweep_polygon
         assert polygon_area(boundary) == pytest.approx(body.area, abs=1e-12)
         assert np.max(np.hypot(*boundary.T)) == pytest.approx(
             body.max_radius(), abs=1e-12)
@@ -442,7 +442,7 @@ def _reference_sweep(body, grid, seed, skip=(), reasons=None,
     failed_points, are dropped before their random draws, as a failed
     batched segment solve drops them.  reasons, a Counter, counts the
     skipped cells of interior common points by their error message."""
-    boundary = search._dense_boundary(body)
+    boundary = body.sweep_polygon
     dm_standard = closed_form_dm_standard(body)
     thetas = (np.arange(grid.theta1_count) * 2.0 * math.pi
               / grid.theta1_count)
@@ -555,7 +555,7 @@ def _scorer_bodies():
     bodies += [(f"random:{k}",
                 lambda k=k: random_body(np.random.default_rng(100 + k)))
                for k in range(5)]
-    # every profile sample a corner: a 3,456-point dense boundary
+    # every profile sample a corner: a 3,072-corner polygon
     bodies.append(("regular:3072", lambda: make_regular_polygon(1024)))
     return bodies
 
@@ -579,7 +579,7 @@ def _scorer_grid(body, mode):
 def test_scored_cells_equal_trisection_dm_bit_for_bit(name, make, mode):
     body = make()
     grid = _scorer_grid(body, mode)
-    boundary = search._dense_boundary(body)
+    boundary = body.sweep_polygon
     n = len(boundary)
     cells = _grid_cells(boundary, grid, np.random.default_rng(4))
     dm = search._cells_dm(cells, math.inf)
@@ -601,7 +601,7 @@ def test_rebalance_areas_equal_region_areas(name, make):
     # assembled regions, on every rebalanced cell of each common point's
     # own walk
     body = make()
-    boundary = search._dense_boundary(body)
+    boundary = body.sweep_polygon
     grid = _scorer_grid(body, "perturbed_polylines")
     thetas = (np.arange(grid.theta1_count) * 2.0 * math.pi
               / grid.theta1_count)
@@ -644,7 +644,7 @@ def test_negative_area_tol_skips_every_perturbed_cell(hexagon, monkeypatch):
 @pytest.mark.parametrize("mids", [False, True])
 def test_scorer_at_integer_positions_and_empty_arcs(h_tilde, mids,
                                                     monkeypatch):
-    boundary = search._dense_boundary(h_tilde)
+    boundary = h_tilde.sweep_polygon
     n = len(boundary)
     walk = _BoundaryWalk(boundary, np.array([0.03, -0.02]))
     # an empty arc at every 37th chord: where the next point is farther
@@ -743,7 +743,7 @@ def _one_bracket_scan(area_fn, t_lo, t_hi):
 
 
 def test_batched_solve_equals_one_bracket_scans(h_tilde):
-    walk = _BoundaryWalk(search._dense_boundary(h_tilde), np.array([0.1, 0.05]))
+    walk = _BoundaryWalk(h_tilde.sweep_polygon, np.array([0.1, 0.05]))
     n, A = walk.n, walk.total_area
     rng = np.random.default_rng(12)
     lo = rng.uniform(0.0, n, 300)
@@ -774,7 +774,7 @@ def test_swept_search_steps_to_the_scan_root(h_tilde):
     # turns and from brackets near 0, where swept - s0 rounds: the
     # searchsorted candidate is then one off in either direction, and
     # the search must still end on the scan's segment
-    walk = _BoundaryWalk(search._dense_boundary(h_tilde), np.array([0.1, 0.05]))
+    walk = _BoundaryWalk(h_tilde.sweep_polygon, np.array([0.1, 0.05]))
     n, m = walk.n, 40_000
     rng = np.random.default_rng(11)
     lo = rng.uniform(0.0, n, m) * rng.choice([1.0, 1e-3, 1e-6], m)
@@ -799,11 +799,11 @@ def test_swept_search_steps_to_the_scan_root(h_tilde):
        st.floats(0.0, 2.0 * math.pi), st.sampled_from([1.0 / 3.0, 2.0 / 3.0]),
        st.booleans())
 def test_segment_gap_never_decreases_over_integers(seed, radius, phi, share,
-                                                   dense):
+                                                   sweep):
     # the fact the swept search rests on: over the integers of two turns,
     # (swept_area - f1) - share, evaluated as the solve does, is monotone
     body = random_body(np.random.default_rng(seed))
-    boundary = search._dense_boundary(body) if dense else body.boundary
+    boundary = body.sweep_polygon if sweep else body.boundary
     c = radius * body.radius_at(phi) * np.array([math.cos(phi), math.sin(phi)])
     try:
         walk = _BoundaryWalk(boundary, c)
@@ -837,13 +837,13 @@ def test_segment_solve_searches_instead_of_scanning(h_tilde, monkeypatch):
 @given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 0.95),
        st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 0.4), st.booleans())
 def test_perturbed_gap_never_decreases_over_integers(seed, radius, phi,
-                                                     magnitude, dense):
+                                                     magnitude, sweep):
     # the fact the perturbed re-solve's search rests on: with m_b
     # strictly inside the convex boundary, the area of [c, m_a, w_a, arc,
     # w(t), m_b] minus A/3, evaluated as the solve does, is monotone over
     # the integers of the bracket t_a .. t1 + n
     body = random_body(np.random.default_rng(seed))
-    boundary = search._dense_boundary(body) if dense else body.boundary
+    boundary = body.sweep_polygon if sweep else body.boundary
     c = radius * body.radius_at(phi) * np.array([math.cos(phi), math.sin(phi)])
     try:
         walk = _BoundaryWalk(boundary, c)
@@ -901,7 +901,7 @@ def test_perturbed_cells_keep_their_mid_vertices_inside():
     # boundary is convex and counter-clockwise)
     for name in ("triangle", "h_tilde"):
         body = PRESETS[name]()
-        boundary = search._dense_boundary(body)
+        boundary = body.sweep_polygon
         grid = SweepGrid(c_points=default_c_points(
             body, 6, np.random.default_rng(2)), theta1_count=16,
             curve_mode="perturbed_polylines", perturbation_magnitude=0.4)
@@ -961,7 +961,7 @@ def test_stacked_solve_equals_one_point_walks(name):
     # each point alone does, bit for bit, in both curve modes
     body = (PRESETS["h_tilde"]() if name == "h_tilde"
             else random_body(np.random.default_rng(31)))
-    boundary = search._dense_boundary(body)
+    boundary = body.sweep_polygon
     points = _mixed_points(body)
     thetas = np.sort(np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, 37))
     walk = _BoundaryWalk(boundary, points)
@@ -1007,7 +1007,7 @@ def test_segment_sweep_solves_a_block_of_points_at_once(hexagon, monkeypatch):
         calls.clear()
         sweep_segment_trisections(hexagon, grid)
         assert calls == [12 * grid_c] * 2, grid_c
-    n, budget = len(search._dense_boundary(hexagon)), search._BLOCK_ELEMENTS
+    n, budget = len(hexagon.sweep_polygon), search._BLOCK_ELEMENTS
     points = _mixed_points(hexagon)
     for mode in ("segments", "perturbed_polylines"):
         grid = SweepGrid(c_points=points, theta1_count=12, curve_mode=mode,
@@ -1041,7 +1041,7 @@ def test_perturbed_batch_mixes_every_kind_of_skipped_point(hexagon,
     grid = SweepGrid(c_points=points, theta1_count=16,
                      curve_mode="perturbed_polylines",
                      perturbation_magnitude=0.05)
-    boundary = search._dense_boundary(hexagon)
+    boundary = hexagon.sweep_polygon
     monkeypatch.setattr(search, "_segment_positions", failing)
     walks = _walk_refs(monkeypatch)
     _grid_cells(boundary, grid, np.random.default_rng(5))
@@ -1061,7 +1061,7 @@ def test_scorer_rows_in_blocks_of_common_points(monkeypatch):
     # the rows of common-point distances, made a block of points at a
     # time, give the same scores for any block size
     body = PRESETS["h_tilde"]()
-    boundary = search._dense_boundary(body)
+    boundary = body.sweep_polygon
     points = np.vstack([_mixed_points(body),
                         default_c_points(body, 9, np.random.default_rng(8))])
     for mode in ("segments", "perturbed_polylines"):
@@ -1080,7 +1080,7 @@ def test_scorer_rows_in_blocks_of_common_points(monkeypatch):
 @pytest.mark.parametrize("mode", ["segments", "perturbed_polylines"])
 def test_solved_cells_keep_no_walk_alive(hexagon, monkeypatch, mode):
     # blocks of two common points: six walks, each dropped with its block
-    boundary = search._dense_boundary(hexagon)
+    boundary = hexagon.sweep_polygon
     monkeypatch.setattr(search, "_BLOCK_ELEMENTS",
                         2 * (len(boundary) + 1 + 8))
     walks = _walk_refs(monkeypatch)
@@ -1101,7 +1101,7 @@ def test_region_scores_do_not_depend_on_region_order(seed, mids):
     # bit for bit, though regions sharing a point are no longer together
     rng = np.random.default_rng(seed)
     body = random_body(rng)
-    boundary = search._dense_boundary(body)
+    boundary = body.sweep_polygon
     walk = _BoundaryWalk(boundary, default_c_points(body, 4, rng))
     thetas = rng.uniform(0.0, 2.0 * math.pi, (len(walk.c), 5))
     ts = search._segment_positions(walk, thetas)
@@ -1156,7 +1156,7 @@ def test_bounds_never_exceed_dm_and_scored_cells_are_exact(seed, mode, shift):
                                                np.random.default_rng(seed)),
                      theta1_count=8, curve_mode=mode,
                      perturbation_magnitude=0.05)
-    boundary = search._dense_boundary(body)
+    boundary = body.sweep_polygon
     cells = _grid_cells(boundary, grid, np.random.default_rng(seed))
     if not len(cells.verts):
         return
@@ -1242,7 +1242,7 @@ def test_walk_angles_equal_np_unwrap(name):
         off = (rng.uniform(0.0, 0.95, 5) * body.radius_at(a))[:, None] * \
             np.column_stack((np.cos(a), np.sin(a)))
         points = np.vstack([np.zeros((1, 2)), off])
-        for boundary in (body.boundary, search._dense_boundary(body)):
+        for boundary in (body.boundary, body.sweep_polygon):
             walks = [_BoundaryWalk(boundary, points)]
             walks += [_BoundaryWalk(boundary, c) for c in points]
             for walk in walks:
@@ -1291,7 +1291,7 @@ def test_walk_fields_equal_interleaved_form(name):
                          rng.uniform(0.0, 0.95, 50))
         stack = (scale * body.radius_at(a))[:, None] * \
             np.column_stack((np.cos(a), np.sin(a)))
-        for boundary in (body.boundary, search._dense_boundary(body)):
+        for boundary in (body.boundary, body.sweep_polygon):
             for c in (np.zeros(2), stack[0], stack[4], stack):
                 want = interleaved_walk_fields(boundary, c)
                 if want is None:
@@ -1388,11 +1388,11 @@ def test_block_solver_equals_one_row_functions(name, perturbed, monkeypatch):
     monkeypatch.setattr(search, "_segment_positions", failing)
     # blocks of three points: rows map to cells across several walks
     monkeypatch.setattr(search, "_BLOCK_ELEMENTS",
-                        3 * (len(body.boundary) + 2))
+                        3 * (len(body.polygon) + 2))
 
     def solve(jitter):
         return search._solve_cells(
-            body.boundary, c, theta1[:, None],
+            body.polygon, c, theta1[:, None],
             (lambda r: jitter[r]) if perturbed else None)
 
     walks = _walk_refs(monkeypatch)

@@ -38,12 +38,17 @@ def apothem(corners):
 
 
 def rotated(body, angle):
-    """Body rotated about its center (for orientation-invariance checks)."""
+    """Body rotated about its center (for orientation-invariance checks);
+    a curved body keeps only its profile."""
     thetas = np.mod(body.sector_theta + angle, SECTOR)
     order = np.argsort(thetas)
-    hints = tuple(tuple(rotate(np.asarray(v), angle)) for v in body.vertices_hint)
+    corners = None
+    if body.corners is not None:
+        corners = rotate(body.corners, angle)
+        corners = corners[np.argsort(np.mod(np.arctan2(corners[:, 1], corners[:, 0]),
+                                            2 * math.pi))]
     return SymmetricBody(sector_theta=thetas[order], sector_r=body.sector_r[order],
-                         label=body.label, vertices_hint=hints)
+                         label=body.label, corners=corners)
 
 
 def hausdorff(a, b):
