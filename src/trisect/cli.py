@@ -7,14 +7,14 @@ import sys
 
 import numpy as np
 
-from . import bodies, search
+from . import bodies
 from .bodies import (h_eps_dpx, h_eps_dv12, load_body, make_h_eps,
                      make_h_tilde, make_regular_polygon, make_reuleaux,
                      solve_a0, validate)
 from .render import render_svg
 from .search import (InfeasibleConfigurationError, SweepGrid, antipodal_gap,
-                     check_magnitude, default_c_points, functional_quotient,
-                     lemma_floor_checks, sweep_h_eps, sweep_segment_trisections,
+                     check_magnitude, default_c_points, lemma_floor_checks,
+                     sweep_h_eps, sweep_segment_trisections,
                      verify_h_tilde_optimal)
 from .trisection import (closed_form_dm_standard, dm_regular_closed_form,
                          inscribed_ball_radius, max_relative_diameter,

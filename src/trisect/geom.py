@@ -14,7 +14,6 @@ Conventions used throughout the package:
     change their bits.
 """
 
-import bisect
 import itertools
 import math
 
@@ -181,7 +180,8 @@ def _pairs_max_sq(p):
     """All-pairs maximum of dx*dx + dy*dy over the points p, 0 for fewer
     than two."""
     d2 = 0.0
-    # chunk rows so the distance matrix never exceeds a few MB
+    # chunk rows so a block of the distance matrix holds at most
+    # 2,000,000 elements, 16 MB
     step = max(1, 2_000_000 // max(len(p), 1))
     for i in range(0, len(p), step):
         block = p[i:i + step]
@@ -195,51 +195,10 @@ def _pairs_max_sq(p):
     return d2
 
 
-# Blocks of region_diameters_sq: elements per padded array or per block of
-# common-point rows (64 kB of floats; larger blocks run slower, on cache
-# misses and page faults), and run lengths whose new pairs one step
-# computes.
+# Elements per block of _centre_runs_sq's common-point rows and of
+# region_diameters_sq's pairs (64 kB of floats; larger blocks run slower,
+# on cache misses and page faults).
 _CHUNK = 8_192
-_BLOCK = 8
-
-
-def _run_diameters_sq(pts, start, length):
-    """Largest squared distance between two points of each cyclic run
-    pts[start : start + length], for all runs in one pass over the run
-    length L.  row[i] holds the value for the run of length L from i, and
-    row[i] <- max(row[i], row[i + 1], |p_i - p_(i+L-1)|^2) lengthens every
-    run by one point, since a pair of a run lies in one of its two runs
-    one point shorter or is its two ends; after step L the runs of length
-    L are read off.  The pass needs O(n) memory.  (A sweep region's arc is
-    such a run of a convex chain: Shamos 1978; Preparata and Shamos 1985,
-    ch. 4.)
-    """
-    n = len(pts)
-    out = np.zeros(len(start))
-    top = int(length.max(initial=0))
-    order = np.argsort(length, kind="stable")
-    # the runs of length L are order[bounds[L]:bounds[L + 1]]
-    bounds = np.searchsorted(length[order], np.arange(top + 2)).tolist()
-    x, y = pts[:, 0], pts[:, 1]
-    # row k of these views is the boundary shifted by k
-    xs = np.lib.stride_tricks.sliding_window_view(np.concatenate((x, x)), n)
-    ys = np.lib.stride_tricks.sliding_window_view(np.concatenate((y, y)), n)
-    row, nxt = np.zeros(n), np.empty(n)
-    for L0 in range(2, top + 1, _BLOCK):
-        dx = x - xs[L0 - 1:min(L0 - 1 + _BLOCK, top)]
-        dy = y - ys[L0 - 1:min(L0 - 1 + _BLOCK, top)]
-        dx *= dx
-        dy *= dy
-        dx += dy
-        for L, d2 in enumerate(dx, start=L0):
-            np.maximum(row[:-1], row[1:], out=nxt[:-1])
-            nxt[-1] = row[-1] if row[-1] > row[0] else row[0]
-            np.maximum(nxt, d2, out=nxt)
-            row, nxt = nxt, row
-            if bounds[L + 1] > bounds[L]:
-                q = order[bounds[L]:bounds[L + 1]]
-                out[q] = row[start[q]]
-    return out
 
 
 def _centre_runs_sq(pts, centres, start, length):
@@ -278,8 +237,9 @@ def _centre_runs_sq(pts, centres, start, length):
 
 
 def _region_points(pts, verts, start, length):
-    """One region of region_diameters_sq as a point list: the first
-    (V + 1) // 2 of its vertices verts, its run of pts, then the rest."""
+    """One region as a point list, the boundary of its Trisection: the
+    first (V + 1) // 2 of its vertices verts, its cyclic run
+    pts[start : start + length], then the rest."""
     h = (len(verts) + 1) // 2
     return np.concatenate((verts[:h], pts[(start + np.arange(length))
                                           % len(pts)], verts[h:]))
@@ -288,9 +248,11 @@ def _region_points(pts, verts, start, length):
 def region_bounds_sq(pts, verts, start, length):
     """Lower bounds of region_diameters_sq, on the same regions: the
     largest squared distance between two vertices of region r, or from
-    its common point verts[r, 0] to its run.  They are the two cheap
-    terms of region_diameters_sq, a maximum over some of its pairs, so a
-    bound is never above the region's squared diameter, bit for bit."""
+    its common point verts[r, 0] to its run.  Each is a maximum over some
+    of the region's pairs, with the same dx*dx + dy*dy, so a bound is
+    never above the region's squared diameter, bit for bit.  Regions that
+    share a common point go faster next to each other (_centre_runs_sq).
+    """
     best = _centre_runs_sq(pts, verts[:, 0], start, length)
     vx, vy = verts[..., 0].T.copy(), verts[..., 1].T.copy()
     for a, b in itertools.combinations(range(verts.shape[1]), 2):
@@ -302,58 +264,37 @@ def region_bounds_sq(pts, verts, start, length):
 def region_diameters_sq(pts, verts, start, length):
     """Squared diameters of many regions that share the points pts: region
     r is the point set of its vertices verts[r] (an (R, V, 2) array) and
-    the cyclic run pts[start[r] : start[r] + length[r]].  verts[r, 0] is
-    the region's common point; regions that share one go faster next to
-    each other (_centre_runs_sq).
+    the cyclic run pts[start[r] : start[r] + length[r]].
 
-    A call takes the cheaper of two evaluations.  The run pass below
-    costs about n x (longest run) pairs.  Where the regions' projections
-    on the _K directions of points_diameter's pruning, and then the pairs
-    of the points that survive it, cost no more, each region goes alone
-    through points_diameter's kernel.  Otherwise each is the largest of
-    four terms: vertex to vertex and common point to run
-    (region_bounds_sq), pairs within the run (one pass for all regions)
-    and the other vertices to run (padded blocks of regions sorted by run
-    length).  Both evaluate points_diameter's dx*dx + dy*dy on the same
-    pairs, so the square root equals points_diameter of the region bit
-    for bit.
+    Each is the all-pairs maximum of dx*dx + dy*dy over the points of the
+    region that _candidates keeps, as in points_diameter, so its square
+    root equals points_diameter of the region bit for bit.  A region of
+    more than _K points goes alone.  _candidates keeps the others whole,
+    and they go together, as padded blocks of all pairs: each run is
+    padded with its region's common point verts[r, 0], a point of the
+    region, never with a run point, since an empty run has none.
     """
     n, V = len(pts), verts.shape[1]
-    work = n * int(length.max(initial=0))
-    if _K * int(length.sum()) <= work:
-        kept = [_candidates(_region_points(pts, v, s, m))
-                for v, s, m in zip(verts, start.tolist(), length.tolist())]
-        if sum(len(p) ** 2 for p in kept) <= work:
-            return np.array([_pairs_max_sq(p) for p in kept])
-    best = np.maximum(region_bounds_sq(pts, verts, start, length),
-                      _run_diameters_sq(pts, start, length))
-    order = np.argsort(length, kind="stable")
-    size = np.maximum(length[order], 1).tolist()
-    i = 0
-    while i < len(order):
-        # k rows from i pad to k x size[i + k - 1] elements, which grows
-        # with k: take the most that fit in _CHUNK, and at least one
-        k = bisect.bisect_right(range(1, len(order) - i + 1), _CHUNK,
-                                key=lambda m: m * size[i + m - 1])
-        rows = order[i:i + max(k, 1)]
-        i += len(rows)
-        # pad each run to the block's longest by repeating its last point
-        last = np.maximum(length[rows] - 1, 0)
-        idx = (start[rows, None]
-               + np.minimum(np.arange(last.max() + 1), last[:, None])) % n
-        px, py = pts[idx, 0], pts[idx, 1]
-        far = np.zeros(len(rows))
-        for v in range(1, V):
-            dx = px - verts[rows, v, 0, None]
-            dy = py - verts[rows, v, 1, None]
-            dx *= dx
-            dy *= dy
-            dx += dy
-            far = np.maximum(far, dx.max(axis=1))
-        # an empty run has no points: its padding is not in the region
-        best[rows] = np.maximum(best[rows],
-                                np.where(length[rows] > 0, far, 0.0))
-    return best
+    out = np.zeros(len(start))
+    for r in np.flatnonzero(V + length > _K):
+        out[r] = _pairs_max_sq(_candidates(_region_points(
+            pts, verts[r], start[r], length[r])))
+    small = np.flatnonzero(V + length <= _K)
+    top = int(length[small].max(initial=0))
+    idx = (start[small, None] + np.arange(top)) % n
+    pad = np.arange(top) >= length[small, None]
+    # a row per region: its vertices, then its padded run
+    x, y = (np.concatenate((verts[small, :, c], np.where(
+        pad, verts[small, 0, c, None], pts[idx, c])), axis=1) for c in (0, 1))
+    step = max(1, _CHUNK // (V + top) ** 2)
+    for i in range(0, len(small), step):
+        dx = x[i:i + step, :, None] - x[i:i + step, None, :]
+        dy = y[i:i + step, :, None] - y[i:i + step, None, :]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        out[small[i:i + step]] = dx.max(axis=(1, 2))
+    return out
 
 
 def resample_boundary(boundary, sample_count):

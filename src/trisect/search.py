@@ -319,8 +319,9 @@ def _cells_dm(cells, floor):
     for every other cell.
 
     A cell's bound, the square root of the largest region_bounds_sq of
-    its regions, is never above its d_M.  region_diameters_sq scores, in
-    rounds, the cells whose bound is at most limit, which starts at
+    its regions, is never above its d_M.  region_diameters_sq, which
+    equals points_diameter of each region bit for bit, scores in rounds
+    the cells whose bound is at most limit, which starts at
     max(floor, least bound) and rises to the least d_M scored, until no
     cell is left at or below it.  A cell left out has d_M >= bound >
     limit >= least d_M, so it is not the minimum, ties none, and is not

@@ -207,19 +207,19 @@ def test_sweep_small(tmp_path, capsys):
 
 def test_sweep_scores_small_rounds_region_by_region(capsys, monkeypatch):
     # the reuleaux triangle's regions on its 768-point sweep polygon go
-    # region by region, the triangle's on its three corners through the
-    # run pass; with no pruning the reuleaux pairs cost more than the run
-    # pass, and the report is the same
-    runs = []
-    run_pass = geom._run_diameters_sq
-    monkeypatch.setattr(geom, "_run_diameters_sq",
-                        lambda *args: runs.append(1) or run_pass(*args))
+    # region by region through the pruning, the triangle's on its three
+    # corners in padded batches; with no pruning the report is the same
+    alone = []
+    candidates = geom._candidates
+    monkeypatch.setattr(geom, "_candidates",
+                        lambda p: alone.append(1) or candidates(p))
     argv = ["sweep", "--grid-c", "5", "--grid-theta", "24", "--body"]
     reuleaux = run(capsys, *argv, "reuleaux")
-    assert reuleaux[0] == 0 and not runs
-    assert run(capsys, *argv, "triangle")[0] == 0 and len(runs) == 1
+    assert reuleaux[0] == 0 and alone
+    alone.clear()
+    assert run(capsys, *argv, "triangle")[0] == 0 and not alone
     monkeypatch.setattr(geom, "_candidates", lambda p: p)
-    assert run(capsys, *argv, "reuleaux") == reuleaux and len(runs) == 2
+    assert run(capsys, *argv, "reuleaux") == reuleaux
 
 
 @pytest.mark.parametrize("body", ["h_eps:0.6204032393995385", "h_eps:1e-11"])

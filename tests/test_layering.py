@@ -27,3 +27,17 @@ def test_module_imports_at_top_level_from_lower_layers(path):
             for name in names:
                 assert name in LAYERS[:LAYERS.index(path.stem)], \
                     f"{path.stem} imports {name}"
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.stem != "__init__"),
+                         ids=lambda p: p.stem)
+def test_every_top_level_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = [name for name in imported if name not in used]
+    assert not unused, f"{path.stem} imports {unused} and uses none of them"

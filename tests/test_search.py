@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trisect import geom, search
 from trisect.bodies import (H_EPS_A_MAX, SECTOR, load_body, make_h_eps,
@@ -641,20 +641,42 @@ def test_negative_area_tol_skips_every_perturbed_cell(hexagon, monkeypatch):
     assert sweep_segment_trisections(hexagon, grid).to_dict() == segments
 
 
-@pytest.mark.parametrize("mids", [False, True])
-def test_scorer_at_integer_positions_and_empty_arcs(h_tilde, mids,
-                                                    monkeypatch):
-    boundary = h_tilde.sweep_polygon
-    n = len(boundary)
-    walk = _BoundaryWalk(boundary, np.array([0.03, -0.02]))
+def _h_tilde_positions(n):
     # an empty arc at every 37th chord: where the next point is farther
     # from the curve vertices, counting it would change the diameter
     empty = [[k + 0.2, k + 0.7, k + 300.0] for k in range(0, n, 37)]
-    ts = np.array([[0.0, 256.0, 512.0],        # integer positions
-                   [10.0, 10.5, 400.0],        # an empty arc from a vertex
-                   [700.25, 5.5, 300.0],       # a run wrapping past 0
-                   [0.5, 600.0, float(n - 1)],  # a run longer than n / 2
-                   [n - 0.5, 1.0, 2.0]] + empty) % n
+    return [[0.0, 256.0, 512.0],        # integer positions
+            [10.0, 10.5, 400.0],        # an empty arc from a vertex
+            [700.25, 5.5, 300.0],       # a run wrapping past 0
+            [0.5, 600.0, float(n - 1)],  # a run longer than n / 2
+            [n - 0.5, 1.0, 2.0]] + empty
+
+
+def _hexagon_positions(n):
+    # the same kinds of runs on the six corners, and an empty arc on
+    # every chord
+    empty = [[k + 0.2, k + 0.7, k + 3.0] for k in range(n)]
+    return [[0.0, 2.0, 4.0],            # integer positions
+            [1.0, 1.5, 4.0],            # an empty arc from a vertex
+            [4.25, 0.5, 2.0],           # a run wrapping past 0
+            [0.5, 4.5, 5.0],            # a run longer than n / 2
+            [n - 0.5, 1.0, 2.0]] + empty
+
+
+@pytest.mark.parametrize("name, positions, mids", [
+    pytest.param("h_tilde", _h_tilde_positions, False, id="False"),
+    pytest.param("h_tilde", _h_tilde_positions, True, id="True"),
+    pytest.param("hexagon", _hexagon_positions, False, id="hexagon-False"),
+    pytest.param("hexagon", _hexagon_positions, True, id="hexagon-True")])
+def test_scorer_at_integer_positions_and_empty_arcs(request, name, positions,
+                                                    mids):
+    # h_tilde's regions are above _K points but for the empty and short
+    # arcs, so one call holds both kinds; the hexagon's all go in the
+    # padded batch, with integer positions, empty and wrapping runs
+    boundary = request.getfixturevalue(name).sweep_polygon
+    n = len(boundary)
+    walk = _BoundaryWalk(boundary, np.array([0.03, -0.02]))
+    ts = np.array(positions(n)) % n
     rng = np.random.default_rng(2)
     mid = (0.5 * walk.point_at(ts) + rng.uniform(-0.02, 0.02, (len(ts), 3, 2))
            if mids else None)
@@ -666,16 +688,11 @@ def test_scorer_at_integer_positions_and_empty_arcs(h_tilde, mids,
                for r in _assemble(walk, ts[k],
                                   None if mid is None else mid[k]).regions]
     assert [math.sqrt(v) for v in d2] == [points_diameter(r) for r in regions]
-    # one cell's three regions alone go region by region, not the run pass
-    runs = []
-    run_pass = geom._run_diameters_sq
-    monkeypatch.setattr(geom, "_run_diameters_sq",
-                        lambda *args: runs.append(1) or run_pass(*args))
+    # and one cell's three regions alone
     for k in range(len(ts)):
         alone = region_diameters_sq(boundary, verts[k], start[k], length[k])
         assert ([math.sqrt(v) for v in alone]
                 == [points_diameter(r) for r in regions[3 * k:3 * k + 3]])
-    assert not runs
 
 
 @pytest.mark.parametrize("mode", ["segments", "perturbed_polylines"])
@@ -1094,19 +1111,31 @@ def test_solved_cells_keep_no_walk_alive(hexagon, monkeypatch, mode):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_region_scores_do_not_depend_on_region_order(seed, mids):
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.sampled_from(["random", "reuleaux", "h_tilde"]))
+@example(seed=1, mids=False, name="reuleaux")
+@example(seed=2, mids=True, name="h_tilde")
+def test_region_scores_do_not_depend_on_region_order(seed, mids, name):
     # the regions of several common points, mixed and permuted: the
     # bounds and diameters are those of the regions in order, permuted,
-    # bit for bit, though regions sharing a point are no longer together
+    # bit for bit, though regions sharing a point are no longer together.
+    # On the curved bodies rows with a short arc put regions of at most
+    # _K points beside larger ones in one call; every diameter equals
+    # points_diameter of its region, bit for bit
     rng = np.random.default_rng(seed)
-    body = random_body(rng)
+    body = random_body(rng) if name == "random" else PRESETS[name]()
     boundary = body.sweep_polygon
     walk = _BoundaryWalk(boundary, default_c_points(body, 4, rng))
     thetas = rng.uniform(0.0, 2.0 * math.pi, (len(walk.c), 5))
     ts = search._segment_positions(walk, thetas)
     ci = np.repeat(np.arange(len(walk.c)), 5)[~np.isnan(ts[:, 0])]
     ts = ts[~np.isnan(ts[:, 0])] % walk.n
+    if name != "random":
+        u = rng.uniform(0.0, walk.n, (6, 1))
+        short = np.column_stack((np.zeros(6), rng.uniform(0.0, 40.0, 6),
+                                 np.full(6, walk.n / 2)))
+        ts = np.vstack((ts, (u + short) % walk.n))
+        ci = np.concatenate((ci, rng.integers(0, len(walk.c), 6)))
     mid = None
     if mids:
         mid = (0.5 * (walk.c[ci, None] + walk.point_at(ts))
@@ -1114,11 +1143,17 @@ def test_region_scores_do_not_depend_on_region_order(seed, mids):
     verts, start, length = _cell_regions(walk, ts, mid, ci)
     verts = verts.reshape(-1, *verts.shape[2:])
     start, length = start.ravel(), length.ravel()
+    if name != "random":
+        size = verts.shape[1] + length
+        assert np.any(size <= geom._K) and np.any(size > geom._K)
     perm = rng.permutation(len(start))
     for score in (geom.region_bounds_sq, geom.region_diameters_sq):
         want = score(boundary, verts, start, length)[perm]
         got = score(boundary, verts[perm], start[perm], length[perm])
         assert np.array_equal(got, want), score.__name__
+    assert [math.sqrt(v) for v in got] == [
+        points_diameter(geom._region_points(boundary, verts[r], start[r],
+                                            length[r])) for r in perm]
 
 
 def _traced_scoring(mp):
