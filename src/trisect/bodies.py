@@ -107,7 +107,8 @@ class SymmetricBody:
         """Boundary point closest to the center and its distance rho,
         exact over chords.
 
-        Ties (threefold copies, flat arcs) are broken by smallest polar angle.
+        Feet within 1e-15 * rho of rho tie (threefold copies, flat arcs);
+        ties are broken by smallest polar angle.
         """
         x, y = self.boundary.T
         ex = np.concatenate((x[1:], x[:1])) - x
@@ -117,7 +118,7 @@ class SymmetricBody:
         fx, fy = x + t * ex, y + t * ey
         dist = np.hypot(fx, fy)
         rho = float(np.min(dist))
-        tied = np.nonzero(dist <= rho + 1e-12)[0]
+        tied = np.nonzero(dist <= rho + 1e-15 * rho)[0]
         i = tied[np.argmin(np.mod(np.arctan2(fy[tied], fx[tied]), 2 * math.pi))]
         return np.array([fx[i], fy[i]]), rho
 
@@ -167,7 +168,10 @@ def _profile_body(label, r_fn, corners, corner_angles, samples,
     angle and at its corners.  A polygonal body passes none: it keeps its
     corners, sorted by polar angle, and r_fn None samples their polygon."""
     thetas, first = _sector_angles(corner_angles, samples)
-    keep = np.concatenate(([True], np.diff(thetas) > 1e-12))
+    # angles 1e-12 apart or less are one sample: their first corner, if any
+    group = np.cumsum(np.diff(thetas, prepend=-1.0) > 1e-12)
+    pick = np.lexsort((first < samples, group))
+    keep = pick[np.diff(group[pick], prepend=0) > 0]
     sweep_rows = None
     if outline_hint:
         sweep = (first % (samples // SWEEP_SECTOR_SAMPLES) == 0) | (first >= samples)

@@ -221,8 +221,7 @@ def cmd_verify(args, parser):
         check(f"antipodal[{body.label}]", gap >= -1e-6, f"gap={gap:.2e}")
 
     for body in valid_pool:
-        r_ok, v_ok = lemma_floor_checks(body)
-        check(f"floors[{body.label}]", r_ok and v_ok)
+        check(f"floors[{body.label}]", lemma_floor_checks(body))
 
     _write("\n".join(lines) + "\n", args.out)
     return 0 if ok else 1

@@ -12,7 +12,8 @@ from .geom import (points_diameter, region_bounds_sq, region_diameters_sq,
 from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
                          _assemble, _BoundaryWalk, _cell_regions, _centre_fan,
                          _first_root, _tri_area, _trisection,
-                         closed_form_dm_standard, inscribed_ball_radius)
+                         closed_form_dm_standard, inscribed_ball_radius,
+                         standard_trisection)
 
 VIOLATION_TOL = 1e-3  # slack below the closed form before a sweep cell counts
 FLOOR_TOL = 1e-6
@@ -196,7 +197,8 @@ def _fan_areas(walk, ts, mids, ci=0):
 
 
 def trisection_dm(tri):
-    """d_M of a trisection from its (already dense) region boundaries."""
+    """d_M of a trisection: the exact diameter of each region's points,
+    which a polygon attains at two of its vertices."""
     return max(points_diameter(r) for r in tri.regions)
 
 
@@ -379,25 +381,19 @@ def sweep_segment_trisections(body, grid, seed=42):
 
 
 def lemma_floor_checks(body):
-    """Whether d_M of the standard trisection clears the two lower bounds:
-    the farthest boundary distance R, and the endpoint distance
-    sqrt(3)*rho.
+    """Whether the standard trisection attains the lemma floor: its exact
+    d_M lies within FLOOR_TOL of max(R, sqrt(3)*rho), on both sides.
 
-    The paper's d_M is max(R, sqrt(3)*rho), attained between two
-    endpoints or between the center and the boundary: the pairs of
-    region_bounds_sq.  Their maximum is never above d_M, so where it
-    clears the larger floor both checks pass; elsewhere they are decided
-    on trisection_dm of the same regions.
+    No trisection's d_M is below the floor.  Its regions meet the boundary
+    in three arcs covering 360 degrees about the centre; one spans 120 or
+    more, so holds two points 120 degrees apart, at least rho from the
+    centre and so sqrt(3)*rho apart.  A farthest point x and its rotations
+    x_k lie in regions that all hold the common point c, and
+    sum_k |c - x_k|^2 = 3|c|^2 + 3R^2, so some |c - x_k| >= R.  So the
+    upper side tests the paper's claim, the lower side the program.
     """
-    r_floor = body.max_radius() - FLOOR_TOL
-    v_floor = math.sqrt(3.0) * inscribed_ball_radius(body) - FLOOR_TOL
-    walk, ts = _centre_fan(body, 0.0)
-    verts, start, length = (a[0] for a in _cell_regions(walk, ts[None]))
-    bound = math.sqrt(region_bounds_sq(walk.pts, verts, start, length).max())
-    if bound >= max(r_floor, v_floor):
-        return True, True
-    dm = trisection_dm(_trisection(walk.pts, verts, start, length))
-    return bool(dm >= r_floor), bool(dm >= v_floor)
+    dm = trisection_dm(standard_trisection(body))
+    return abs(dm - closed_form_dm_standard(body)) <= FLOOR_TOL
 
 
 def sweep_h_eps(count):

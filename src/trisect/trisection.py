@@ -350,7 +350,8 @@ def closed_form_dm_standard(body):
 
     The value is attained either between two trisection endpoints
     (sqrt(3) * rho) or between the center and a farthest boundary
-    point (R), whichever is larger.
+    point (R), whichever is larger: the floor under every trisection's
+    d_M, which search.lemma_floor_checks checks the standard one attains.
     """
     rho = inscribed_ball_radius(body)
     return max(math.sqrt(3.0) * rho, body.max_radius())

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import directed_hausdorff
 
-from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody,
-                            _ray_chord_radius, h_eps_dpx, h_eps_side_b,
+from trisect.bodies import (H_EPS_A_MAX, POLYGON_SECTOR_SAMPLES, SECTOR,
+                            SymmetricBody, _profile_body, _ray_chord_radius,
+                            h_eps_dpx, h_eps_side_b,
                             load_body, make_h_eps, make_h_tilde,
                             make_regular_polygon, make_reuleaux,
                             normalize_unit_area, random_body, solve_a0,
@@ -266,7 +267,7 @@ def einsum_nearest_point(body):
     feet = pts + t[:, None] * e
     dist = np.hypot(feet[:, 0], feet[:, 1])
     rho = float(np.min(dist))
-    tied = np.nonzero(dist <= rho + 1e-12)[0]
+    tied = np.nonzero(dist <= rho + 1e-15 * rho)[0]
     angles = np.mod(np.arctan2(feet[tied, 1], feet[tied, 0]), 2 * math.pi)
     return feet[tied[np.argmin(angles)]].copy(), rho
 
@@ -412,6 +413,18 @@ def test_polygonal_bodies_keep_their_exact_corners():
     # within 1e-12 below the sector's end
     assert len(make_h_eps(H_EPS_A_MAX).corners) == 6
     assert len(make_h_eps(0.0).corners) == 3
+
+
+def test_profile_samples_a_corner_next_to_a_grid_angle():
+    # a corner 1e-12 past the grid angle 0 used to give way to it: the
+    # profile missed the corner, and max_radius fell 1.7e-12 short of 1
+    angles = 1e-12 + np.arange(3) * SECTOR
+    corners = np.column_stack((np.cos(angles), np.sin(angles)))
+    body = _profile_body("corner", None, corners, angles,
+                         POLYGON_SECTOR_SAMPLES)
+    assert body.sector_theta[0] == 1e-12
+    assert abs(body.max_radius() - 1.0) <= 1e-15
+    assert validate(body).symmetry_ok and validate(body).coverage_ok
 
 
 @settings(max_examples=60, deadline=None)

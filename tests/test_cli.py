@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trisect import cli, geom, search
+from test_search import _shifted_fan
+
+from trisect import cli, geom, search, trisection
 from trisect.bodies import SECTOR, make_h_eps, make_regular_polygon
 from trisect.search import FLOOR_TOL
 
@@ -350,11 +352,14 @@ def test_render_deterministic(tmp_path, capsys):
 
 
 def test_verify_passes(capsys):
-    code, out = run(capsys, "verify", "--heps-samples", "5",
-                    "--random", "3")
-    assert code == 0
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 4
+    # a small pool, and the default one: presets, h_eps, random bodies
+    # and h_tilde, three lines a body and two quotient lines
+    for argv, pool_size in ((["--heps-samples", "5", "--random", "3"], 13),
+                            ([], 4 + 40 + 100 + 1)):
+        code, out = run(capsys, "verify", *argv)
+        assert code == 0
+        assert "FAIL" not in out
+        assert len(out.splitlines()) == 3 * pool_size + 2
 
 
 def test_verify_validates_each_body_once(capsys, monkeypatch):
@@ -522,14 +527,22 @@ def test_infinite_angle_stderr_holds_only_the_usage_lines(tmp_path):
                            "infinite radius\n")
 
 
-def test_verify_decides_floors_without_the_full_dm(capsys, monkeypatch):
-    # every pool body's bound reaches its larger floor, so no region
-    # diameter is computed
+def test_verify_computes_the_full_dm_once_per_body(capsys, monkeypatch):
+    # each floors line is decided on the exact d_M of the standard
+    # trisection, computed once per pool body
     calls = []
     exact = search.trisection_dm
     monkeypatch.setattr(search, "trisection_dm",
                         lambda tri: calls.append(tri) or exact(tri))
     code, out = run(capsys, "verify", "--heps-samples", "2", "--random", "3")
     assert code == 0
-    assert out.count("PASS floors[") == 10
-    assert not calls
+    assert out.count("PASS floors[") == len(calls) == 10
+
+
+def test_verify_fails_floors_on_a_shifted_fan(capsys, monkeypatch):
+    # the standard trisection's fan built about (1e-3, 0), not the centre:
+    # its d_M rises above max(R, sqrt(3) rho)
+    monkeypatch.setattr(trisection, "_centre_fan", _shifted_fan)
+    code, out = run(capsys, "verify", "--heps-samples", "2", "--random", "3")
+    assert code == 1
+    assert "FAIL floors[" in out

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trisect import geom, search
-from trisect.bodies import (H_EPS_A_MAX, SECTOR, load_body, make_h_eps,
-                            make_regular_polygon, random_body, solve_a0)
+from trisect import geom, search, trisection
+from trisect.bodies import (H_EPS_A_MAX, POLYGON_SECTOR_SAMPLES, SECTOR,
+                            _profile_body, load_body, make_h_eps,
+                            make_regular_polygon, normalize_unit_area,
+                            random_body, solve_a0)
 from trisect.cli import PRESETS
-from trisect.geom import points_diameter, polygon_area, region_diameters_sq
+from trisect.geom import (convex_hull, points_diameter, polygon_area,
+                          region_diameters_sq, rotate)
 from trisect.search import (FLOOR_TOL, VIOLATION_TOL,
                             InfeasibleConfigurationError, OptimalityReport,
                             SweepGrid, SweepReport, antipodal_gap,
@@ -250,15 +253,7 @@ def test_sweep_report_roundtrip(hexagon):
 
 def test_lemma_floors(hexagon, reuleaux, h_tilde):
     for body in (hexagon, reuleaux, h_tilde):
-        far_ok, end_ok = lemma_floor_checks(body)
-        assert far_ok and end_ok
-
-
-def _exact_floors(body):
-    """The floor checks decided on the standard trisection's full d_M."""
-    dm = trisection_dm(standard_trisection(body))
-    return (bool(dm >= body.max_radius() - search.FLOOR_TOL),
-            bool(dm >= SQRT3 * inscribed_ball_radius(body) - search.FLOOR_TOL))
+        assert lemma_floor_checks(body) is True, body.label
 
 
 def test_standard_dm_is_an_endpoint_or_centre_pair():
@@ -277,28 +272,65 @@ def test_standard_dm_is_an_endpoint_or_centre_pair():
                 == trisection_dm(standard_trisection(body))), body.label
 
 
-def test_floors_fall_back_to_the_full_dm(monkeypatch):
-    # zeros are still lower bounds: every body then takes the fallback
-    calls = []
-
-    def counted(tri):
-        calls.append(tri)
-        return trisection_dm(tri)
-    monkeypatch.setattr(search, "region_bounds_sq",
-                        lambda pts, verts, *rest: np.zeros(len(verts)))
-    monkeypatch.setattr(search, "trisection_dm", counted)
-    for make in PRESETS.values():
-        body = make()
-        before = len(calls)
-        assert lemma_floor_checks(body) == _exact_floors(body), body.label
-        assert len(calls) == before + 1
-
-
 def test_floors_fail_above_the_full_dm(monkeypatch):
-    monkeypatch.setattr(search, "FLOOR_TOL", -0.5)
+    # a floor more than FLOOR_TOL above or below the exact d_M fails
     for make in PRESETS.values():
         body = make()
-        assert lemma_floor_checks(body) == _exact_floors(body) == (False, False)
+        dm = trisection_dm(standard_trisection(body))
+        for shift, passed in ((-2.0, False), (-0.5, True), (0.5, True),
+                              (2.0, False)):
+            floor = dm + shift * FLOOR_TOL
+            monkeypatch.setattr(search, "closed_form_dm_standard",
+                                lambda b: floor)
+            assert lemma_floor_checks(body) is passed, (body.label, shift)
+
+
+def _shifted_fan(body, delta):
+    """_centre_fan about the point (1e-3, 0), not the centre."""
+    walk = _BoundaryWalk(body.polygon, np.array([1e-3, 0.0]))
+    m, _ = body.nearest_point
+    theta0 = math.atan2(m[1], m[0]) + delta
+    return walk, walk.ray_position(theta0 + np.arange(3) * SECTOR)
+
+
+def _turned_fan(body, delta):
+    """_centre_fan with its rays turned by 0.01 rad more."""
+    return _centre_fan(body, delta + 0.01)
+
+
+def _region_without_arc(pts, verts, start, length):
+    """_region_points without the region's boundary run."""
+    return geom._region_points(pts, verts, start, 0)
+
+
+_MUTATION_BODIES = {"triangle": PRESETS["triangle"],
+                    "hexagon": PRESETS["hexagon"],
+                    "reuleaux": PRESETS["reuleaux"],
+                    "h_tilde": PRESETS["h_tilde"],
+                    "h_eps:0.3": lambda: make_h_eps(0.3)}
+
+
+@pytest.mark.parametrize("mutation, verdicts", [
+    # the fan about a point off the centre: d_M rises by 5e-4 to 9e-4
+    ({"_centre_fan": _shifted_fan}, dict.fromkeys(_MUTATION_BODIES, False)),
+    # the fan turned: d_M rises by 2.5e-5 to 5e-5, but for the triangle,
+    # whose d_M is R from the centre to a corner, in any direction
+    ({"_centre_fan": _turned_fan},
+     dict(dict.fromkeys(_MUTATION_BODIES, False), triangle=True)),
+    # regions without their arcs: the triangle loses its corners, and its
+    # d_M falls below R; the others keep their endpoint pairs
+    ({"_region_points": _region_without_arc},
+     dict(dict.fromkeys(_MUTATION_BODIES, True), triangle=False)),
+], ids=["shifted_fan", "turned_fan", "region_without_arc"])
+def test_floors_catch_a_broken_standard_trisection(monkeypatch, mutation,
+                                                   verdicts):
+    for name, fn in mutation.items():
+        monkeypatch.setattr(trisection, name, fn)
+        if hasattr(search, name):
+            monkeypatch.setattr(search, name, fn)
+    got = {name: lemma_floor_checks(make())
+           for name, make in _MUTATION_BODIES.items()}
+    assert got == verdicts
 
 
 def test_lemma_floors_off_center(hexagon):
@@ -309,6 +341,58 @@ def test_lemma_floors_off_center(hexagon):
     dm = trisection_dm(tri)
     assert dm >= hexagon.max_radius() - FLOOR_TOL
     assert dm >= SQRT3 * inscribed_ball_radius(hexagon) - FLOOR_TOL
+
+
+def _harsh_body(points):
+    """Unit-area hull of the threefold copies of points, (angle, radius)
+    pairs in one sector: random_body's construction over a wider range."""
+    ang, rad = np.array(points).T
+    sector = np.column_stack((rad * np.cos(ang), rad * np.sin(ang)))
+    hull = convex_hull(np.concatenate([rotate(sector, k * SECTOR)
+                                       for k in range(3)]))
+    hull_angles = np.mod(np.arctan2(hull[:, 1], hull[:, 0]), 2 * math.pi)
+    return normalize_unit_area(_profile_body(
+        "harsh", None, hull, hull_angles, POLYGON_SECTOR_SAMPLES))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, SECTOR, exclude_max=True),
+                          st.floats(0.2, 2.0)), min_size=1, max_size=11))
+# a foot 5.6e-13 beyond rho once tied with the nearest, and won on its
+# smaller polar angle: the standard endpoints sat 9.8e-13 too far out
+@example([(0.45856084174482514, 1.9068784514144297),
+          (0.9399108354812639, 1.7293014050499398)])
+# a corner 1e-12 past the grid angle 0 gave way to it in the profile,
+# and R fell 1.5e-12 short of the corner's radius
+@example([(1e-12, 1.0)])
+def test_standard_trisection_attains_the_floor(points):
+    body = _harsh_body(points)
+    m, rho = body.nearest_point
+    assert np.hypot(*m) - rho <= 1e-14 * rho
+    dm = trisection_dm(standard_trisection(body))
+    assert abs(dm - closed_form_dm_standard(body)) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.just((0.0, 0.0)),
+                 st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 2 * math.pi))),
+       st.floats(0.0, 2 * math.pi),
+       st.one_of(st.none(), st.tuples(*[st.floats(-0.1, 0.1)] * 3)))
+def test_no_cell_is_below_the_lemma_floor(seed, polar, theta1, jitter):
+    # criterion 4 off the grid: any common point, the origin too, any
+    # first angle, the standard one too, and any mid-vertex jitter
+    body = random_body(np.random.default_rng(seed))
+    radius, phi = polar
+    c = radius * body.radius_at(phi) * np.array([math.cos(phi), math.sin(phi)])
+    m, _ = body.nearest_point
+    thetas = np.array([math.atan2(m[1], m[0]), theta1])
+    cells = search._solve_cells(
+        body.polygon, c, thetas,
+        None if jitter is None else lambda rows: np.tile(jitter, (len(rows), 1)))
+    if len(cells.verts):
+        dm = search._cells_dm(cells, math.inf)
+        assert dm.min() >= closed_form_dm_standard(body) - 1e-12
 
 
 def test_sweep_h_eps_profile():
