@@ -8,13 +8,14 @@ bodies centered at the origin.
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .geom import (DegenerateGeometryError, convex_hull, is_ccw_convex,
-                   polygon_area, rotate)
+                   polar_angles, polygon_area, ray_exit, rotate)
 
 SECTOR = 2.0 * math.pi / 3.0
 # profile samples per sector: polygons (and random hulls), curved bodies
@@ -40,6 +41,8 @@ class SymmetricBody:
         are computed on it.
     corners: a polygonal body's complete corner list, (k, 2), CCW from
         the polar angle 0: its polygon, which walks and radius_at use.
+        radius_at casts rays by geom.ray_exit, as walks do, on
+        polygon_angles: the corners' by geom.polar_angles, or the profile's.
     sweep_rows: a curved body's indices into sector_theta of its sweep
         polygon.  A body with neither, such as a body file, uses its
         boundary for everything.
@@ -71,12 +74,13 @@ class SymmetricBody:
 
     @cached_property
     def polygon_angles(self):
-        """Polar angles of the polygon's points, increasing in [0, 2pi)."""
+        """The polygon's polar angles, one row (1, n + 1) in polar_angles'
+        layout: the corners' by that formula, else the profile angles."""
         if self.corners is None:
-            return np.concatenate([self.sector_theta + k * SECTOR
-                                   for k in range(3)])
-        x, y = self.corners[:, 0], self.corners[:, 1]
-        return np.mod(np.arctan2(y, x), 2.0 * math.pi)
+            t = self.sector_theta
+            return np.concatenate([t + k * SECTOR for k in range(3)]
+                                  + [t[:1] + 2.0 * math.pi])[None]
+        return polar_angles(*self.corners.T[:, None])
 
     @cached_property
     def sweep_polygon(self):
@@ -95,8 +99,8 @@ class SymmetricBody:
         body's polygon, exact on its chords: an array of theta's shape,
         or a float for a scalar theta."""
         theta = np.asarray(theta, dtype=float)
-        r = _ray_chord_radius(self.polygon, self.polygon_angles, theta)
-        return float(r[0]) if theta.ndim == 0 else r
+        r = np.hypot(*ray_exit(self.polygon, self.polygon_angles, theta)[2:])
+        return float(r) if theta.ndim == 0 else r
 
     def max_radius(self):
         """Max distance from the center to the boundary (attained at a sample)."""
@@ -177,11 +181,9 @@ def _profile_body(label, r_fn, corners, corner_angles, samples,
         sweep = (first % (samples // SWEEP_SECTOR_SAMPLES) == 0) | (first >= samples)
         sweep_rows, corners = np.flatnonzero(sweep[keep]), None
     else:
-        corners = np.asarray(corners, dtype=float)
-        ang = np.mod(np.arctan2(corners[:, 1], corners[:, 0]), 2.0 * math.pi)
-        order = np.argsort(ang)
-        corners, ang = corners[order], ang[order]
-        r_fn = r_fn or partial(_ray_chord_radius, corners, ang)
+        corners = np.asarray(corners, dtype=float)[np.argsort(corner_angles)]
+        # a body of corners alone: its radius_at samples their polygon
+        r_fn = r_fn or SymmetricBody(None, None, label, corners).radius_at
     return SymmetricBody(sector_theta=thetas[keep], sector_r=r_fn(thetas)[keep],
                          label=label, corners=corners, sweep_rows=sweep_rows,
                          outline_hint=tuple(outline_hint))
@@ -197,31 +199,15 @@ def _sector_angles(corner_thetas, samples):
     return np.unique(np.concatenate((grid, corners)), return_index=True)
 
 
-def _ray_chord_radius(pts, ang, theta):
-    """Distance from the origin along direction(s) theta to the closed
-    polygon pts, whose vertices sit at increasing polar angles ang in
-    [0, 2pi): the ray meets the chord from p1 to p2, the vertices either
-    side, at p1 + s (p2 - p1), with s clamped to [0, 1] so that the hit
-    stays on the chord however short it is.  The result has theta's
-    shape, at least 1-D."""
-    theta = np.mod(np.atleast_1d(np.asarray(theta, dtype=float)), 2.0 * math.pi)
-    idx = np.searchsorted(ang, theta)
-    x, y = pts[:, 0], pts[:, 1]
-    x1, y1 = x.take(idx - 1, mode="wrap"), y.take(idx - 1, mode="wrap")
-    ex, ey = x.take(idx, mode="wrap") - x1, y.take(idx, mode="wrap") - y1
-    dx, dy = np.cos(theta), np.sin(theta)
-    den = dx * ey - dy * ex
-    s = np.clip((dy * x1 - dx * y1) / np.where(den == 0.0, 1.0, den), 0.0, 1.0)
-    return np.hypot(x1 + s * ex, y1 + s * ey)
-
-
 def regular_polygon_apothem(m):
     """Apothem of the unit-area regular m-gon: m^(-1/2) cot^(1/2)(pi/m)."""
     return m ** -0.5 * (1.0 / math.tan(math.pi / m)) ** 0.5
 
 
 def make_regular_polygon(n):
-    """Unit-area regular 3n-gon, one vertex on the positive x-axis."""
+    """Unit-area regular 3n-gon, one vertex on the positive x-axis; n is
+    an integer (TypeError otherwise)."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError("edge count must be a positive multiple of 3")
     m = 3 * n
@@ -354,7 +340,7 @@ def make_h_tilde():
     vert_angles = np.mod(np.arctan2(verts[:, 1], verts[:, 0]), 2 * math.pi)
     order = np.argsort(vert_angles)
     verts, vert_angles = verts[order], vert_angles[order]
-    edge_fn = partial(_ray_chord_radius, verts, vert_angles)
+    hexagon = SymmetricBody(None, None, "hexagon", verts)
 
     # the short edges straddle the corner directions of the enclosing triangle
     half_span = math.asin(0.5 * a0 / r0)
@@ -362,7 +348,7 @@ def make_h_tilde():
     def r_fn(theta):
         offset = np.abs(np.mod(theta - math.pi / 2.0 + SECTOR / 2.0, SECTOR)
                         - SECTOR / 2.0)
-        return np.where(offset <= half_span, r0, edge_fn(theta))
+        return np.where(offset <= half_span, r0, hexagon.radius_at(theta))
 
     # exact outline: alternating long edges and corner arcs
     hint = [("M", float(verts[0, 0]), float(verts[0, 1]))]

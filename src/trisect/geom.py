@@ -1,4 +1,5 @@
-"""Planar geometry primitives: hulls, diameters, areas, rotations.
+"""Planar geometry primitives: hulls, diameters, areas, rotations, and
+the one ray cast and polar-angle formula (ray_exit, polar_angles).
 
 Conventions used throughout the package:
   * a point is a length-2 float array (or anything array-like),
@@ -32,6 +33,58 @@ def rotate(pt, angle):
     pt = np.asarray(pt, dtype=float)
     rot = np.array([[c, -s], [s, c]])
     return pt @ rot.T
+
+
+def polar_angles(x, y):
+    """The one polar-angle formula: for rows (..., n) of the coordinates
+    of a CCW polygon's points about a point inside it, rows (..., n + 1)
+    of the first point's angle a0 plus mod(a - a0, 2pi) for each point's
+    angle a, closed by a0 + 2pi; a row never decreases.  As
+    |a - a0| < 2pi, the mod adds 2pi to a negative difference."""
+    a = np.arctan2(y, x)
+    a0 = a[..., :1]
+    d = a - a0
+    np.add(d, 2.0 * math.pi, out=d, where=d < 0.0)
+    return np.concatenate((a0 + d, a0 + 2.0 * math.pi), axis=-1)
+
+
+def ray_exit(pts, rows, theta, c=None, ci=0):
+    """The one ray cast: where rays at the angles theta from the points
+    c[ci] (ci broadcast against theta; the origin if c is None) leave
+    the closed polygon pts, whose polar angles about c[k] rise along
+    rows[k] from its first and close 2pi above it (polar_angles'
+    layout).  A ray leaves through the chord from point i to i + 1
+    (mod n), the last that starts at or below its angle in that range,
+    at p_i + s (p_i+1 - p_i), s clamped to [0, 1]; an exactly zero
+    denominator reads as 1.  Returns i, s and the exit's x, y about c[ci]."""
+    first = rows[ci, 0]
+    q = first + np.mod(theta - first, 2.0 * math.pi)
+    i = _row_search(rows[:, 1:-1], ci, q, "right")
+    x, y, j = pts[:, 0], pts[:, 1], i + 1
+    xi, yi = x.take(i), y.take(i)
+    ex, ey = x.take(j, mode="wrap") - xi, y.take(j, mode="wrap") - yi
+    x1, y1 = (xi, yi) if c is None else (xi - c[ci, 0], yi - c[ci, 1])
+    dx, dy = np.cos(theta), np.sin(theta)
+    den = dx * ey - dy * ex
+    s = np.clip((dy * x1 - dx * y1) / np.where(den == 0.0, 1.0, den), 0.0, 1.0)
+    return i, s, x1 + s * ex, y1 + s * ey
+
+
+def _row_search(rows, ci, x, side):
+    """np.searchsorted(rows[ci], x, side) for each element of x and its
+    row index in ci (broadcast against x), in one search over all rows:
+    complex numbers sort by real part, then by imaginary part, so the
+    sorted rows, keyed by their indices, are one sorted array."""
+    if len(rows) == 1:  # a one-point walk needs no keys
+        return np.searchsorted(rows[0], x, side=side)
+    k, m = rows.shape
+    key = np.empty((k, m), dtype=complex)
+    key.real = np.arange(k)[:, None]
+    key.imag = rows
+    q = np.empty(np.shape(x), dtype=complex)
+    q.real = ci
+    q.imag = x
+    return np.searchsorted(key.ravel(), q, side=side) - ci * m
 
 
 def _finite_points(points, what):

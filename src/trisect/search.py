@@ -1,14 +1,15 @@
 """Brute-force sweeps and probes verifying the trisection minimality results."""
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bodies as _bodies
 from .bodies import H_EPS_A_MAX, SECTOR, h_eps_dpx, h_eps_dv12
-from .geom import (points_diameter, region_bounds_sq, region_diameters_sq,
-                   rotate)
+from .geom import (points_diameter, ray_exit, region_bounds_sq,
+                   region_diameters_sq, rotate)
 from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
                          _assemble, _BoundaryWalk, _cell_regions, _centre_fan,
                          _first_root, _tri_area, _trisection,
@@ -27,6 +28,9 @@ class SweepGrid:
     perturbation_magnitude: float = 0.0
 
     def __post_init__(self):
+        # operator.index: a float count is a TypeError, a numpy integer an int
+        object.__setattr__(self, "theta1_count",
+                           operator.index(self.theta1_count))
         if self.theta1_count < 8:
             raise ValueError("theta1_count must be at least 8")
         pts = np.asarray(self.c_points, dtype=float)
@@ -156,10 +160,10 @@ def _perturbed_rows(walk, base, jitter, ci=0):
     mids = c + 0.5 * seg + jitter[..., None] * perp
     # a mid-vertex is inside if it is nearer c than the boundary on its ray
     off = mids - c
-    ray = walk.ray_position(np.arctan2(off[..., 1], off[..., 0]), ci[:, None])
-    hit = walk.point_at(ray) - c
+    _, _, hx, hy = ray_exit(walk.pts, walk.phi, np.arctan2(
+        off[..., 1], off[..., 0]), walk.c, ci[:, None])
     rows = np.flatnonzero(np.all(np.hypot(off[..., 0], off[..., 1])
-                                 < np.hypot(hit[..., 0], hit[..., 1]), axis=1))
+                                 < np.hypot(hx, hy), axis=1))
     ts = base.copy()
     for k in (1, 2):
         # area of [c, m_a, w(t_a), arc, w(t), m_b] minus A/3, per row

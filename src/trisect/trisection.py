@@ -6,7 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import SECTOR, regular_polygon_apothem
-from .geom import _region_points, polygon_area, region_diameter
+from .geom import (_region_points, _row_search, polar_angles, polygon_area,
+                   ray_exit, region_diameter)
 
 AREA_TOL = 1e-4  # relative area slack for a trisection to count as valid
 
@@ -61,8 +62,8 @@ class _BoundaryWalk:
     ci, piecewise linear and strictly increasing for an interior point.
     c is one point or a (k, 2) stack; the walk keeps its interior points,
     in order, as self.c and their indices into c as self.kept, and raises
-    if none is.  prefix, total_area and phi have one row per point of
-    self.c.
+    if none is.  prefix, total_area and phi, the polar_angles of the
+    boundary about each point, have one row per point of self.c.
     point_at and swept_area take a position or an array of positions;
     swept_area, ray_position and swept_position take each row's index
     into self.c, broadcast against the rows, 0 by default.
@@ -91,26 +92,13 @@ class _BoundaryWalk:
         self.prefix = np.concatenate((np.zeros((len(cr), 1)),
                                       0.5 * np.cumsum(cr, axis=1)), axis=1)
         self.total_area = self.prefix[:, -1].copy()
-        # polar angles of the points about c, closed by the first + 2 pi
-        phi = _unwrap(np.arctan2(y, x))
-        self.phi = np.concatenate((phi, phi[:, :1] + 2.0 * math.pi), axis=1)
+        self.phi = polar_angles(x, y)
 
     def ray_position(self, theta, ci=0):
         """Arc positions where the rays at the angles theta (an array)
-        from the points ci hit the boundary."""
-        theta = np.asarray(theta, dtype=float)
-        dx, dy = np.cos(theta), np.sin(theta)
-        phi0 = self.phi[ci, 0]
-        q = phi0 + (theta - phi0) % (2.0 * math.pi)
-        i = _row_search(self.phi, ci, q, "right") - 1
-        i = np.minimum(np.maximum(i, 0), self.n - 1)
-        j = (i + 1) % self.n
-        x, y = self.pts[:, 0], self.pts[:, 1]
-        x1, y1 = x[i] - self.c[ci, 0], y[i] - self.c[ci, 1]
-        denom = dx * (y[j] - y[i]) - dy * (x[j] - x[i])
-        flat = np.abs(denom) < 1e-15
-        u = (dy * x1 - dx * y1) / np.where(flat, 1.0, denom)
-        return np.where(flat, i, i + np.minimum(np.maximum(u, 0.0), 1.0 - 1e-12))
+        from the points ci leave the boundary."""
+        i, s, _, _ = ray_exit(self.pts, self.phi, theta, self.c, ci)
+        return i + s
 
     def _split(self, t):
         """Position(s) t as turns * n + i + u: whole turns, an index
@@ -176,39 +164,6 @@ class _BoundaryWalk:
         guess = turns * self.n + _row_search(self.prefix, ci,
                                              target - turns * total, "left")
         return _first_root(gap, lo, hi, guess)
-
-
-def _unwrap(ang):
-    """np.unwrap(ang, axis=1) bit for bit: the running sum of its step
-    corrections, kept only where |dd| >= pi, where the angles about an
-    interior point wrap, once a row at most."""
-    dd = np.diff(ang, axis=1)
-    rows, steps = np.nonzero(np.abs(dd) >= math.pi)
-    d = dd[rows, steps]
-    jump = np.mod(d + math.pi, 2.0 * math.pi) - math.pi
-    jump[(jump == -math.pi) & (d > 0.0)] = math.pi  # np.unwrap's tie rule
-    phi, run = ang.copy(), np.zeros(len(ang))
-    for r, j, x in zip(rows.tolist(), steps.tolist(), (jump - d).tolist()):
-        run[r] += x
-        phi[r, j + 1:] = ang[r, j + 1:] + run[r]
-    return phi
-
-
-def _row_search(rows, ci, x, side):
-    """np.searchsorted(rows[ci], x, side) for each element of x and its
-    row index in ci (broadcast against x), in one search over all rows:
-    complex numbers sort by real part, then by imaginary part, so the
-    sorted rows, keyed by their indices, are one sorted array."""
-    if len(rows) == 1:  # a one-point walk needs no keys
-        return np.searchsorted(rows[0], x, side=side)
-    k, m = rows.shape
-    key = np.empty((k, m), dtype=complex)
-    key.real = np.arange(k)[:, None]
-    key.imag = rows
-    q = np.empty(np.shape(x), dtype=complex)
-    q.real = ci
-    q.imag = x
-    return np.searchsorted(key.ravel(), q, side=side) - ci * m
 
 
 def _first_root(gap, lo, hi, guess):

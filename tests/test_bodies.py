@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import directed_hausdorff
 
 from trisect.bodies import (H_EPS_A_MAX, POLYGON_SECTOR_SAMPLES, SECTOR,
-                            SymmetricBody, _profile_body, _ray_chord_radius,
-                            h_eps_dpx, h_eps_side_b,
+                            SymmetricBody, _profile_body, h_eps_dpx, h_eps_side_b,
                             load_body, make_h_eps, make_h_tilde,
                             make_regular_polygon, make_reuleaux,
                             normalize_unit_area, random_body, solve_a0,
                             validate)
 from trisect.cli import PRESETS
-from trisect.geom import is_ccw_convex, polygon_area
+from trisect.geom import is_ccw_convex, polygon_area, ray_exit
 from trisect.trisection import inscribed_ball_radius
 
 REULEAUX_WIDTH = (2.0 / (math.pi - math.sqrt(3.0))) ** 0.5
@@ -50,6 +49,15 @@ def test_regular_polygon_apothem_values(triangle, hexagon):
 def test_regular_polygon_rejects_zero():
     with pytest.raises(ValueError):
         make_regular_polygon(0)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0])
+def test_regular_polygon_edge_count_is_an_integer(n):
+    # 2.5 once built a non-convex regular:7.5 that fails validate, and
+    # 2.0 a hexagon labelled regular:6.0
+    with pytest.raises(TypeError):
+        make_regular_polygon(n)
+    assert make_regular_polygon(np.int64(2)).label == "regular:6"
 
 
 def test_reuleaux_unit_area(reuleaux):
@@ -225,10 +233,11 @@ FAMILIES = pytest.mark.parametrize("family", [
 
 
 @FAMILIES
-def test_every_hint_is_a_profile_corner(family):
+def test_every_corner_is_a_profile_sample(family):
     # a polygonal body's corner list, the polygon its walks run on, holds
     # corners the profile samples: each on a sector_theta entry (mod the
-    # sector) with its norm on sector_r there; a curved body has none
+    # sector) with its norm on sector_r there, up to the rounding of the
+    # corner's rotated copies; a curved body has none
     for body in family():
         if body.sweep_rows is not None:
             assert body.corners is None, body.label
@@ -239,17 +248,20 @@ def test_every_hint_is_a_profile_corner(family):
             gap = np.abs(body.sector_theta - math.atan2(y, x) % SECTOR)
             gap = np.minimum(gap, SECTOR - gap)
             k = np.argmin(gap)
-            assert gap[k] <= 1e-12, body.label
-            assert abs(math.hypot(x, y) - body.sector_r[k]) <= 1e-12, body.label
+            assert gap[k] <= 1e-14, body.label
+            assert abs(math.hypot(x, y) - body.sector_r[k]) <= 1e-14, body.label
 
 
-def interleaved_ray_chord_radius(pts, ang, theta):
-    """_ray_chord_radius on (n, 2) rows of points, for 1-D theta."""
-    theta = np.mod(np.atleast_1d(np.asarray(theta, dtype=float)), 2.0 * math.pi)
+def interleaved_ray_chord_radius(pts, row, theta):
+    """radius_at's ray cast on (n, 2) rows of points, for 1-D theta and
+    one row of polar angles: the chord from point i, the last whose angle
+    is not above the ray's moved into the row."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     n = len(pts)
-    idx = np.searchsorted(ang, theta)
-    p1 = pts[(idx - 1) % n]
-    e = pts[idx % n] - p1
+    q = row[0] + np.mod(theta - row[0], 2.0 * math.pi)
+    i = np.minimum(np.searchsorted(row, q, side="right") - 1, n - 1)
+    p1 = pts[i]
+    e = pts[(i + 1) % n] - p1
     d = np.column_stack((np.cos(theta), np.sin(theta)))
     num = d[:, 1] * p1[:, 0] - d[:, 0] * p1[:, 1]
     den = d[:, 0] * e[:, 1] - d[:, 1] * e[:, 0]
@@ -303,14 +315,13 @@ _ANGLES = st.lists(st.one_of(
 def test_ray_chord_radius_equals_interleaved_form(key, angles):
     # negative, signed-zero, whole-turn, NaN and exact vertex angles
     body = _body(*key)
-    pts, ang = body.polygon, body.polygon_angles
+    pts, row = body.polygon, body.polygon_angles[0]
     theta = np.array([a if isinstance(a, float)
-                      else ang[a[1] % len(ang)] + a[2] * 2.0 * math.pi
+                      else row[a[1] % len(pts)] + a[2] * 2.0 * math.pi
                       for a in angles])
-    got = _ray_chord_radius(pts, ang, theta)
-    assert got.tobytes() == interleaved_ray_chord_radius(pts, ang,
+    got = body.radius_at(theta)
+    assert got.tobytes() == interleaved_ray_chord_radius(pts, row,
                                                          theta).tobytes()
-    assert body.radius_at(theta).tobytes() == got.tobytes()
 
 
 @FAMILIES
@@ -371,12 +382,13 @@ def test_radius_at_never_exceeds_its_chord(file_hexagon, key, angles):
     # rounding; the cross-product formula overshot short profile chords
     # next to a corner by up to 2e-5
     body = file_hexagon if key[0] == "file" else _body(*key)
-    pts, ang = body.polygon, body.polygon_angles
+    pts, row = body.polygon, body.polygon_angles[0]
     theta = np.array([a if isinstance(a, float) else
-                      np.nextafter(ang[a[0] % len(ang)], a[1] * math.inf)
-                      if a[1] else ang[a[0] % len(ang)] for a in angles])
+                      np.nextafter(row[a[0] % len(pts)], a[1] * math.inf)
+                      if a[1] else row[a[0] % len(pts)] for a in angles])
     r = body.radius_at(theta)
-    idx = np.searchsorted(ang, np.mod(theta, 2.0 * math.pi))
+    q = row[0] + np.mod(theta - row[0], 2.0 * math.pi)
+    idx = np.minimum(np.searchsorted(row, q, side="right"), len(pts))
     norm = np.hypot(pts[:, 0], pts[:, 1])
     far = np.maximum(norm.take(idx - 1, mode="wrap"), norm.take(idx, mode="wrap"))
     assert np.all(r <= far * (1.0 + 1e-15)), body.label
@@ -397,10 +409,10 @@ def check_corner_polygon(body):
     assert abs(polygon_area(corners) - body.area) <= 1e-12, body.label
     # each profile point's distance to the line of the chord its ray meets
     pts = body.boundary
-    idx = np.searchsorted(body.polygon_angles,
-                          np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * math.pi))
-    p1 = corners[(idx - 1) % len(corners)]
-    e = corners[idx % len(corners)] - p1
+    idx = ray_exit(corners, body.polygon_angles,
+                   np.arctan2(pts[:, 1], pts[:, 0]))[0]
+    p1 = corners[idx]
+    e = corners[(idx + 1) % len(corners)] - p1
     off = (e[:, 0] * (pts[:, 1] - p1[:, 1]) - e[:, 1] * (pts[:, 0] - p1[:, 0])
            ) / np.hypot(e[:, 0], e[:, 1])
     assert np.max(np.abs(off)) <= 1e-12, body.label

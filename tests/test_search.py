@@ -15,7 +15,7 @@ from trisect.bodies import (H_EPS_A_MAX, POLYGON_SECTOR_SAMPLES, SECTOR,
                             random_body, solve_a0)
 from trisect.cli import PRESETS
 from trisect.geom import (convex_hull, points_diameter, polygon_area,
-                          region_diameters_sq, rotate)
+                          ray_exit, region_diameters_sq, rotate)
 from trisect.search import (FLOOR_TOL, VIOLATION_TOL,
                             InfeasibleConfigurationError, OptimalityReport,
                             SweepGrid, SweepReport, antipodal_gap,
@@ -26,7 +26,7 @@ from trisect.search import (FLOOR_TOL, VIOLATION_TOL,
                             verify_h_tilde_optimal)
 from trisect.trisection import (AREA_TOL, InfeasibleConfigurationError,
                                 _assemble, _BoundaryWalk, _cell_regions,
-                                _centre_fan, _tri_area, _unwrap,
+                                _centre_fan, _tri_area,
                                 closed_form_dm_standard, inscribed_ball_radius,
                                 max_relative_diameter, standard_trisection)
 
@@ -170,6 +170,14 @@ def test_sweep_grid_validation():
     with pytest.raises(ValueError):
         SweepGrid(c_points=np.zeros((3, 2)), theta1_count=8,
                   curve_mode="squiggles")
+
+
+def test_sweep_grid_theta1_count_is_an_integer():
+    # 8.5 once swept 9 angles spaced 2pi/8.5 and reported a count of 8
+    with pytest.raises(TypeError):
+        SweepGrid(c_points=np.zeros((1, 2)), theta1_count=8.5)
+    grid = SweepGrid(c_points=np.zeros((1, 2)), theta1_count=np.int64(9))
+    assert grid.to_dict()["theta1_count"] == 9
 
 
 @pytest.mark.parametrize("magnitude",
@@ -582,8 +590,9 @@ def _perturbed_cell(walk, base, rng, magnitude):
     for m in mids:
         # the boundary point on the ray from c through the mid-vertex
         off = m - c
-        hit = walk.point_at(walk.ray_position(np.arctan2(off[1:], off[:1])))
-        if not np.hypot(*off) < np.hypot(*(hit[0] - c)):
+        _, _, hx, hy = ray_exit(walk.pts, walk.phi,
+                                np.arctan2(off[1:], off[:1]), walk.c)
+        if not np.hypot(*off) < np.hypot(hx[0], hy[0]):
             raise InfeasibleConfigurationError("mid-vertex outside")
 
     def region_gap(t_a, m_a, m_b):
@@ -1345,33 +1354,66 @@ def test_default_sweep_scores_few_regions_in_full(monkeypatch, capsys):
     assert 0 < sum(scored) <= 0.05 * 3 * evaluated
 
 
-@pytest.mark.parametrize("name", ["triangle", "hexagon", "enneagon",
-                                  "dodecagon", "reuleaux", "h_tilde",
-                                  "random"])
-def test_walk_angles_equal_np_unwrap(name):
-    # the walk unwraps its polar angles without np.unwrap, bit for bit,
-    # about the center and off-center points, one point or a stack
-    if name == "random":
-        bodies = [random_body(np.random.default_rng(s)) for s in range(30)]
-    else:
-        bodies = [PRESETS[name]()]
-    rng = np.random.default_rng(13)
-    for body in bodies:
-        a = rng.uniform(0.0, 2.0 * math.pi, 5)
-        off = (rng.uniform(0.0, 0.95, 5) * body.radius_at(a))[:, None] * \
-            np.column_stack((np.cos(a), np.sin(a)))
-        points = np.vstack([np.zeros((1, 2)), off])
-        for boundary in (body.boundary, body.sweep_polygon):
-            walks = [_BoundaryWalk(boundary, points)]
-            walks += [_BoundaryWalk(boundary, c) for c in points]
-            for walk in walks:
-                rel = boundary - walk.c[:, None]
-                want = np.unwrap(np.arctan2(rel[..., 1], rel[..., 0]), axis=1)
-                got = walk.phi[:, :-1]
-                assert np.array_equal(got.view(np.int64),
-                                      want.view(np.int64)), body.label
-                assert np.array_equal(walk.phi[:, -1],
-                                      want[:, 0] + 2.0 * math.pi)
+@pytest.fixture(scope="module")
+def h_tilde_file(tmp_path_factory):
+    """h_tilde's profile, 12,294 points, loaded as a body file."""
+    path = tmp_path_factory.mktemp("body") / "h_tilde.json"
+    path.write_text(json.dumps(PRESETS["h_tilde"]().to_dict()))
+    return load_body(str(path))
+
+
+_EXIT_BODIES = st.one_of(
+    st.lists(st.tuples(st.floats(0.0, SECTOR, exclude_max=True),
+                       st.floats(0.2, 2.0)), min_size=1, max_size=11),
+    st.just(H_EPS_A_MAX), st.floats(H_EPS_A_MAX - 1e-9, H_EPS_A_MAX),
+    st.just("file"))
+# a finite angle, or the angle of boundary point i about the common point
+# moved by -1, 0 or +1 ulp
+_EXIT_ANGLES = st.lists(st.one_of(
+    st.floats(-50.0, 50.0),
+    st.tuples(st.integers(0, 10 ** 6), st.sampled_from([-1, 0, 1]))),
+    min_size=1, max_size=30)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_EXIT_BODIES,
+       st.lists(st.tuples(st.floats(0.0, 0.98), st.floats(0.0, 2 * math.pi)),
+                max_size=6),
+       _EXIT_ANGLES)
+def test_ray_exits_lie_on_their_chords_and_rays(h_tilde_file, key, polar,
+                                                angles):
+    # harsh random bodies, h_eps at and next to the regular hexagon, and
+    # h_tilde's profile as a body file, seen from the centre and from
+    # common points up to 0.98 of the radius in their direction
+    body = (h_tilde_file if key == "file" else make_h_eps(key)
+            if isinstance(key, float) else _harsh_body(key))
+    f, a = np.array(polar).reshape(-1, 2).T
+    points = np.vstack([np.zeros((1, 2)), (f * body.radius_at(a))[:, None]
+                        * np.column_stack((np.cos(a), np.sin(a)))])
+    walk = _BoundaryWalk(body.polygon, points)
+    assert len(walk.c) == len(points)
+    phi, n = walk.phi, walk.n
+    assert np.all(np.diff(phi, axis=1) >= 0.0), body.label
+    assert np.array_equal(phi[:, -1], phi[:, 0] + 2.0 * math.pi)
+    theta = np.column_stack([
+        np.full(len(points), v) if isinstance(v, float)
+        else np.nextafter(phi[:, v[0] % n], v[1] * math.inf) if v[1]
+        else phi[:, v[0] % n] for v in angles])
+    ci = np.arange(len(points))[:, None]
+    i, s, hx, hy = ray_exit(walk.pts, phi, theta, walk.c, ci)
+    assert np.all((0.0 <= s) & (s <= 1.0)), body.label
+    # on its chord, and on its ray
+    p = walk.pts[i] - walk.c[ci]
+    e = walk.pts[(i + 1) % n] - walk.pts[i]
+    size = np.hypot(hx, hy)
+    assert np.all(np.abs(e[..., 0] * (hy - p[..., 1]) - e[..., 1] * (hx - p[..., 0]))
+                  <= 1e-13 * size * np.hypot(e[..., 0], e[..., 1])), body.label
+    dx, dy = np.cos(theta), np.sin(theta)
+    assert np.all(np.abs(dx * hy - dy * hx) <= 1e-13 * size), body.label
+    assert np.all(dx * hx + dy * hy > 0.0), body.label
+    # radius_at is the norm of the exit about the centre
+    assert np.all(np.abs(body.radius_at(theta[0]) - size[0])
+                  <= 1e-15 * size[0]), body.label
 
 
 def interleaved_walk_fields(boundary, c):
@@ -1389,8 +1431,9 @@ def interleaved_walk_fields(boundary, c):
     rel, cr = rel[inside], cr[inside]
     prefix = np.concatenate((np.zeros((len(cr), 1)),
                              0.5 * np.cumsum(cr, axis=1)), axis=1)
-    phi = _unwrap(np.arctan2(rel[..., 1], rel[..., 0]))
-    phi = np.concatenate((phi, phi[:, :1] + 2.0 * math.pi), axis=1)
+    a = np.arctan2(rel[..., 1], rel[..., 0])
+    phi = np.concatenate((a[:, :1] + np.mod(a - a[:, :1], 2.0 * math.pi),
+                          a[:, :1] + 2.0 * math.pi), axis=1)
     return phi, prefix, prefix[:, -1].copy(), np.flatnonzero(inside)
 
 
