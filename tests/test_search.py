@@ -1375,6 +1375,41 @@ _EXIT_ANGLES = st.lists(st.one_of(
     min_size=1, max_size=30)
 
 
+@pytest.mark.parametrize("name", ["triangle", "hexagon", "enneagon",
+                                  "dodecagon", "reuleaux", "h_tilde",
+                                  "random"])
+def test_walk_angles_equal_np_unwrap(name):
+    # the walk's polar angles are geom.polar_angles of the boundary, bit
+    # for bit, and equal np.unwrap's to rounding: the same first angle,
+    # closed 2pi above it, within two ulps of 4pi between; about the
+    # center and off-center points, one point or a stack
+    if name == "random":
+        bodies = [random_body(np.random.default_rng(s)) for s in range(30)]
+    else:
+        bodies = [PRESETS[name]()]
+    rng = np.random.default_rng(13)
+    for body in bodies:
+        a = rng.uniform(0.0, 2.0 * math.pi, 5)
+        off = (rng.uniform(0.0, 0.95, 5) * body.radius_at(a))[:, None] * \
+            np.column_stack((np.cos(a), np.sin(a)))
+        points = np.vstack([np.zeros((1, 2)), off])
+        for boundary in (body.boundary, body.sweep_polygon):
+            walks = [_BoundaryWalk(boundary, points)]
+            walks += [_BoundaryWalk(boundary, c) for c in points]
+            for walk in walks:
+                rel = boundary - walk.c[:, None]
+                exact = geom.polar_angles(rel[..., 0], rel[..., 1])
+                assert np.array_equal(walk.phi.view(np.int64),
+                                      exact.view(np.int64)), body.label
+                want = np.unwrap(np.arctan2(rel[..., 1], rel[..., 0]), axis=1)
+                got = walk.phi[:, :-1]
+                assert np.array_equal(got[:, 0], want[:, 0]), body.label
+                assert np.all(np.abs(got - want)
+                              <= 2.0 * np.spacing(4.0 * math.pi)), body.label
+                assert np.array_equal(walk.phi[:, -1],
+                                      want[:, 0] + 2.0 * math.pi)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_EXIT_BODIES,
        st.lists(st.tuples(st.floats(0.0, 0.98), st.floats(0.0, 2 * math.pi)),
