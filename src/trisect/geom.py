@@ -289,15 +289,6 @@ def _centre_runs_sq(pts, centres, start, length):
     return out
 
 
-def _region_points(pts, verts, start, length):
-    """One region as a point list, the boundary of its Trisection: the
-    first (V + 1) // 2 of its vertices verts, its cyclic run
-    pts[start : start + length], then the rest."""
-    h = (len(verts) + 1) // 2
-    return np.concatenate((verts[:h], pts[(start + np.arange(length))
-                                          % len(pts)], verts[h:]))
-
-
 def region_bounds_sq(pts, verts, start, length):
     """Lower bounds of region_diameters_sq, on the same regions: the
     largest squared distance between two vertices of region r, or from
@@ -322,7 +313,8 @@ def region_diameters_sq(pts, verts, start, length):
     Each is the all-pairs maximum of dx*dx + dy*dy over the points of the
     region that _candidates keeps, as in points_diameter, so its square
     root equals points_diameter of the region bit for bit.  A region of
-    more than _K points goes alone.  _candidates keeps the others whole,
+    more than _K points goes alone, as its vertices then its run, an order
+    no diameter depends on.  _candidates keeps the others whole,
     and they go together, as padded blocks of all pairs: each run is
     padded with its region's common point verts[r, 0], a point of the
     region, never with a run point, since an empty run has none.
@@ -330,8 +322,8 @@ def region_diameters_sq(pts, verts, start, length):
     n, V = len(pts), verts.shape[1]
     out = np.zeros(len(start))
     for r in np.flatnonzero(V + length > _K):
-        out[r] = _pairs_max_sq(_candidates(_region_points(
-            pts, verts[r], start[r], length[r])))
+        out[r] = _pairs_max_sq(_candidates(np.concatenate(
+            (verts[r], pts[(start[r] + np.arange(length[r])) % n]))))
     small = np.flatnonzero(V + length <= _K)
     top = int(length[small].max(initial=0))
     idx = (start[small, None] + np.arange(top)) % n

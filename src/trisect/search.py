@@ -7,12 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bodies as _bodies
-from .bodies import H_EPS_A_MAX, SECTOR, h_eps_dpx, h_eps_dv12
+from .bodies import H_EPS_A_MAX, h_eps_dpx, h_eps_dv12
 from .geom import (points_diameter, ray_exit, region_bounds_sq,
-                   region_diameters_sq, rotate)
+                   region_diameters_sq)
 from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
-                         _assemble, _BoundaryWalk, _cell_regions, _centre_fan,
-                         _first_root, _tri_area, _trisection,
+                         _BoundaryWalk, _cell_regions, _first_root, _tri_area,
                          closed_form_dm_standard, inscribed_ball_radius,
                          standard_trisection)
 
@@ -220,7 +219,8 @@ _FAILURES = ("common point is not interior",
 @dataclass(frozen=True)
 class _Cells:
     """The solved cells of a list of cells, in row order, as the regions
-    of _cell_regions on the boundary points pts."""
+    of _cell_regions on the boundary points pts: row k of verts, start and
+    length is the Trisection trisection(k)."""
 
     pts: np.ndarray       # (n, 2) the boundary
     verts: np.ndarray     # (m, 3, V, 2) curve vertices
@@ -229,9 +229,9 @@ class _Cells:
     stage: np.ndarray     # one per input row: 0, or where it failed
 
     def trisection(self, k):
-        # a copy, so that the Trisection keeps no other cell alive
-        return _trisection(self.pts, self.verts[k].copy(), self.start[k],
-                           self.length[k])
+        # copies, so that the Trisection keeps no other cell alive
+        return Trisection(self.pts, self.verts[k].copy(),
+                          self.start[k].copy(), self.length[k].copy())
 
 
 def check_magnitude(magnitude):
@@ -454,33 +454,31 @@ def uniqueness_probe(body, samples=10, seed=42):
     """Perturb the standard trisection and return perturbations that keep
     d_M at the minimum, demonstrating non-uniqueness.
 
-    Bodies whose standard d_M is the endpoint distance get threefold
-    symmetric polyline jitters; bodies where it is the center-to-boundary
-    distance get small rotations of the three segments.  The probe only
-    exhibits non-uniqueness; it cannot certify uniqueness.
+    Every sample is a cell about the center, all solved by one
+    _solve_cells call.  Bodies whose standard d_M is the endpoint
+    distance get perturbed cells from the standard rays, with one normal
+    jitter drawn per sample for all three mid-vertices, which keeps the
+    cell threefold symmetric; bodies where it is the center-to-boundary
+    distance get segment cells whose first ray is turned by one drawn
+    angle.  The probe only exhibits non-uniqueness; it cannot certify
+    uniqueness.
     """
     if samples < 10:
         raise ValueError("samples must be at least 10")
     rng = np.random.default_rng(seed)
-    rho = inscribed_ball_radius(body)
+    m, rho = body.nearest_point
+    theta1 = np.full(samples, math.atan2(m[1], m[0]))
     dm_std = closed_form_dm_standard(body)
-    endpoint_driven = math.sqrt(3.0) * rho >= body.max_radius()
-    magnitude = 0.05 * rho if endpoint_driven else 0.05
-    if endpoint_driven:
-        walk, ts = _centre_fan(body, 0.0)
-        ws = walk.point_at(np.array(ts))
+    if math.sqrt(3.0) * rho >= body.max_radius():
+        magnitude = 0.05 * rho
 
-    minimizers = []
-    for _ in range(samples):
-        if endpoint_driven:
-            # same jitter replicated by the symmetry keeps areas exactly equal
-            jitter = rng.uniform(-magnitude, magnitude, 2)
-            mids = [0.5 * ws[k] + rotate(jitter, k * SECTOR) for k in range(3)]
-            tri = _assemble(walk, ts, mids)
-        else:
-            delta = rng.uniform(-magnitude, magnitude)
-            tri = _assemble(*_centre_fan(body, delta))
-        dm = trisection_dm(tri)
-        if abs(dm - dm_std) <= 1e-4:
-            minimizers.append(tri)
-    return minimizers
+        def jitter(rows):
+            draws = rng.uniform(-magnitude, magnitude, (len(rows), 1))
+            return np.repeat(draws, 3, axis=1)
+    else:
+        theta1 += rng.uniform(-0.05, 0.05, samples)
+        jitter = None
+    cells = _solve_cells(body.polygon, np.zeros(2), theta1, jitter)
+    dm = _cells_dm(cells, math.inf)
+    return [cells.trisection(k)
+            for k in np.flatnonzero(np.abs(dm - dm_std) <= 1e-4)]

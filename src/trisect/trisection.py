@@ -2,12 +2,13 @@
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bodies import SECTOR, regular_polygon_apothem
-from .geom import (_region_points, _row_search, polar_angles, polygon_area,
-                   ray_exit, region_diameter)
+from .geom import (_row_search, polar_angles, polygon_area, ray_exit,
+                   region_diameter)
 
 AREA_TOL = 1e-4  # relative area slack for a trisection to count as valid
 
@@ -23,12 +24,43 @@ class InfeasibleConfigurationError(ValueError):
 @dataclass(frozen=True)
 class Trisection:
     """Three curves from a common interior point to the boundary, splitting
-    a body into three equal-area regions."""
+    a body into three equal-area regions: one cell of _cell_regions.
 
-    common_point: np.ndarray
-    curves: tuple            # three (k, 2) polylines, common point first
-    endpoints: np.ndarray    # (3, 2) boundary points
-    regions: tuple           # three closed (m, 2) region boundaries
+    Curve j runs along verts[j] from the common point to its endpoint,
+    the first (V + 1) // 2 vertices; region j is that curve, the arc run
+    pts[start[j] : start[j] + length[j]] (mod n), then the rest of
+    verts[j], curve j + 1 back from its endpoint.  pts is the boundary the
+    cell was cut on, shared, not copied."""
+
+    pts: np.ndarray      # (n, 2) the boundary
+    verts: np.ndarray    # (3, V, 2) curve vertices [c, (m_a), w_a, w_b, (m_b)]
+    start: np.ndarray    # (3,) arc runs' first points
+    length: np.ndarray   # (3,) and lengths
+
+    @property
+    def common_point(self):
+        """The curves' shared first vertex."""
+        return self.verts[0, 0]
+
+    @property
+    def curves(self):
+        """Three (h, 2) polylines, common point first."""
+        h = (self.verts.shape[1] + 1) // 2
+        return tuple(v[:h] for v in self.verts)
+
+    @property
+    def endpoints(self):
+        """(3, 2) boundary points, the curves' last vertices."""
+        return self.verts[:, (self.verts.shape[1] - 1) // 2]
+
+    @cached_property
+    def regions(self):
+        """Three closed (m, 2) region boundaries, built when first read:
+        the one builder of region point lists."""
+        h, n = (self.verts.shape[1] + 1) // 2, len(self.pts)
+        return tuple(np.concatenate((v[:h], self.pts[(s + np.arange(m)) % n],
+                                     v[h:]))
+                     for v, s, m in zip(self.verts, self.start, self.length))
 
     def region_areas(self):
         return np.array([polygon_area(r) for r in self.regions])
@@ -251,40 +283,13 @@ def _cell_regions(walk, ts, mids=None, ci=0):
     return np.stack(parts, axis=2), start, length
 
 
-def _trisection(pts, verts, start, length):
-    """The Trisection of one cell of _cell_regions on the boundary points
-    pts: its curve vertices verts (3, V, 2) and arc runs (start, length);
-    the one builder of region boundaries."""
-    h = (verts.shape[1] + 1) // 2
-    regions = tuple(_region_points(pts, v, s, m)
-                    for v, s, m in zip(verts, start, length))
-    # curve j runs from c to its endpoint: the head of region j
-    return Trisection(common_point=verts[0, 0].copy(),
-                      curves=tuple(v[:h] for v in verts),
-                      endpoints=verts[:, h - 1], regions=regions)
-
-
-def _assemble(walk, ts, mids=None):
-    """Build a Trisection about the common point of walk from three
-    boundary positions (and optional fixed curve mid-vertices)."""
-    return _trisection(walk.pts, *(a[0] for a in _cell_regions(
-        walk, np.asarray(ts)[None],
-        None if mids is None else np.asarray(mids)[None])))
-
-
-def _centre_fan(body, delta):
-    """Boundary walk about the center, and the arc positions of the three
-    rays in the standard endpoint directions turned by delta."""
-    walk = _BoundaryWalk(body.polygon, np.zeros(2))
-    m, _ = body.nearest_point
-    theta0 = math.atan2(m[1], m[0]) + delta
-    return walk, walk.ray_position(theta0 + np.arange(3) * SECTOR)
-
-
 def standard_trisection(body):
     """Trisection joining the center to the edge midpoints of the smallest
     enclosing equilateral triangle."""
-    return _assemble(*_centre_fan(body, 0.0))
+    walk = _BoundaryWalk(body.polygon, np.zeros(2))
+    m, _ = body.nearest_point
+    ts = walk.ray_position(math.atan2(m[1], m[0]) + np.arange(3) * SECTOR)
+    return Trisection(walk.pts, *(a[0] for a in _cell_regions(walk, ts[None])))
 
 
 def max_relative_diameter(body, tri):

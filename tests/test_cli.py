@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from test_search import _shifted_fan
 
-from trisect import cli, geom, search, trisection
+from trisect import cli, geom, search
 from trisect.bodies import SECTOR, make_h_eps, make_regular_polygon
 from trisect.search import FLOOR_TOL
 
@@ -542,7 +542,7 @@ def test_verify_computes_the_full_dm_once_per_body(capsys, monkeypatch):
 def test_verify_fails_floors_on_a_shifted_fan(capsys, monkeypatch):
     # the standard trisection's fan built about (1e-3, 0), not the centre:
     # its d_M rises above max(R, sqrt(3) rho)
-    monkeypatch.setattr(trisection, "_centre_fan", _shifted_fan)
+    monkeypatch.setattr(search, "standard_trisection", _shifted_fan)
     code, out = run(capsys, "verify", "--heps-samples", "2", "--random", "3")
     assert code == 1
     assert "FAIL floors[" in out

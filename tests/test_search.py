@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -25,12 +26,42 @@ from trisect.search import (FLOOR_TOL, VIOLATION_TOL,
                             trisection_dm, uniqueness_probe,
                             verify_h_tilde_optimal)
 from trisect.trisection import (AREA_TOL, InfeasibleConfigurationError,
-                                _assemble, _BoundaryWalk, _cell_regions,
-                                _centre_fan, _tri_area,
-                                closed_form_dm_standard, inscribed_ball_radius,
-                                max_relative_diameter, standard_trisection)
+                                Trisection, _BoundaryWalk, _cell_regions,
+                                _tri_area, closed_form_dm_standard,
+                                inscribed_ball_radius, max_relative_diameter,
+                                standard_trisection)
 
 SQRT3 = math.sqrt(3.0)
+
+
+def _cell_trisection(walk, ts, mids=None):
+    """The Trisection of one cell about the common point of walk, cut at
+    the three positions ts (with optional curve mid-vertices mids):
+    _cell_regions of that one row, then the constructor."""
+    cell = _cell_regions(walk, np.asarray(ts)[None],
+                         None if mids is None else np.asarray(mids)[None])
+    return Trisection(walk.pts, *(a[0] for a in cell))
+
+
+def _fan(body, c=(0.0, 0.0), delta=0.0):
+    """The three rays from c in the standard endpoint directions turned by
+    delta, as a Trisection on the body's polygon; standard_trisection's
+    fan at c = 0 and delta = 0."""
+    walk = _BoundaryWalk(body.polygon, np.asarray(c, dtype=float))
+    m, _ = body.nearest_point
+    theta0 = math.atan2(m[1], m[0]) + delta
+    return _cell_trisection(walk, walk.ray_position(
+        theta0 + np.arange(3) * SECTOR))
+
+
+def _region_points(pts, verts, start, length):
+    """One region as a point list, by the formula region boundaries were
+    built with before a Trisection became its cell: the first
+    (V + 1) // 2 of its vertices verts, its cyclic run
+    pts[start : start + length], then the rest."""
+    h = (len(verts) + 1) // 2
+    return np.concatenate((verts[:h], pts[(start + np.arange(length))
+                                          % len(pts)], verts[h:]))
 
 
 def test_segment_trisection_at_center_matches_standard(hexagon):
@@ -273,11 +304,10 @@ def test_standard_dm_is_an_endpoint_or_centre_pair():
             + [make_h_eps(a) for a in np.linspace(0.0, H_EPS_A_MAX, 10)]
             + [random_body(rng) for _ in range(20)])
     for body in pool:
-        walk, ts = _centre_fan(body, 0.0)
-        verts, start, length = (a[0] for a in _cell_regions(walk, ts[None]))
-        bound_sq = geom.region_bounds_sq(walk.pts, verts, start, length)
-        assert (math.sqrt(bound_sq.max())
-                == trisection_dm(standard_trisection(body))), body.label
+        tri = standard_trisection(body)
+        bound_sq = geom.region_bounds_sq(tri.pts, tri.verts, tri.start,
+                                         tri.length)
+        assert math.sqrt(bound_sq.max()) == trisection_dm(tri), body.label
 
 
 def test_floors_fail_above_the_full_dm(monkeypatch):
@@ -293,22 +323,21 @@ def test_floors_fail_above_the_full_dm(monkeypatch):
             assert lemma_floor_checks(body) is passed, (body.label, shift)
 
 
-def _shifted_fan(body, delta):
-    """_centre_fan about the point (1e-3, 0), not the centre."""
-    walk = _BoundaryWalk(body.polygon, np.array([1e-3, 0.0]))
-    m, _ = body.nearest_point
-    theta0 = math.atan2(m[1], m[0]) + delta
-    return walk, walk.ray_position(theta0 + np.arange(3) * SECTOR)
+def _shifted_fan(body):
+    """standard_trisection's fan about the point (1e-3, 0), not the
+    centre."""
+    return _fan(body, c=(1e-3, 0.0))
 
 
-def _turned_fan(body, delta):
-    """_centre_fan with its rays turned by 0.01 rad more."""
-    return _centre_fan(body, delta + 0.01)
+def _turned_fan(body):
+    """standard_trisection's fan with its rays turned by 0.01 rad."""
+    return _fan(body, delta=0.01)
 
 
-def _region_without_arc(pts, verts, start, length):
-    """_region_points without the region's boundary run."""
-    return geom._region_points(pts, verts, start, 0)
+@property
+def _regions_without_arcs(tri):
+    """Trisection.regions without the regions' boundary runs."""
+    return tuple(tri.verts)
 
 
 _MUTATION_BODIES = {"triangle": PRESETS["triangle"],
@@ -320,22 +349,20 @@ _MUTATION_BODIES = {"triangle": PRESETS["triangle"],
 
 @pytest.mark.parametrize("mutation, verdicts", [
     # the fan about a point off the centre: d_M rises by 5e-4 to 9e-4
-    ({"_centre_fan": _shifted_fan}, dict.fromkeys(_MUTATION_BODIES, False)),
+    ((search, "standard_trisection", _shifted_fan),
+     dict.fromkeys(_MUTATION_BODIES, False)),
     # the fan turned: d_M rises by 2.5e-5 to 5e-5, but for the triangle,
     # whose d_M is R from the centre to a corner, in any direction
-    ({"_centre_fan": _turned_fan},
+    ((search, "standard_trisection", _turned_fan),
      dict(dict.fromkeys(_MUTATION_BODIES, False), triangle=True)),
     # regions without their arcs: the triangle loses its corners, and its
     # d_M falls below R; the others keep their endpoint pairs
-    ({"_region_points": _region_without_arc},
+    ((Trisection, "regions", _regions_without_arcs),
      dict(dict.fromkeys(_MUTATION_BODIES, True), triangle=False)),
 ], ids=["shifted_fan", "turned_fan", "region_without_arc"])
 def test_floors_catch_a_broken_standard_trisection(monkeypatch, mutation,
                                                    verdicts):
-    for name, fn in mutation.items():
-        monkeypatch.setattr(trisection, name, fn)
-        if hasattr(search, name):
-            monkeypatch.setattr(search, name, fn)
+    monkeypatch.setattr(*mutation)
     got = {name: lemma_floor_checks(make())
            for name, make in _MUTATION_BODIES.items()}
     assert got == verdicts
@@ -494,7 +521,7 @@ def test_uniqueness_probe_trisections_are_valid(name):
 
 def test_rotate_trisection_preserves_dm(triangle):
     base = max_relative_diameter(triangle, standard_trisection(triangle))
-    tri = _assemble(*_centre_fan(triangle, 0.01))
+    tri = _turned_fan(triangle)
     assert trisection_dm(tri) == pytest.approx(base, abs=1e-4)
     assert np.allclose(tri.region_areas(), triangle.area / 3.0, atol=1e-4)
 
@@ -528,8 +555,8 @@ def test_working_boundary_keeps_every_corner(tmp_path, source):
 
 def _reference_sweep(body, grid, seed, skip=(), reasons=None,
                      failed_points=()):
-    """The sweep as one loop over the cells, each built by _assemble or
-    _perturbed_cell and measured by trisection_dm; theta indices in skip,
+    """The sweep as one loop over the cells, each built by
+    _cell_trisection or _perturbed_cell and measured by trisection_dm; theta indices in skip,
     and every theta of the common points whose grid indices are in
     failed_points, are dropped before their random draws, as a failed
     batched segment solve drops them.  reasons, a Counter, counts the
@@ -554,7 +581,7 @@ def _reference_sweep(body, grid, seed, skip=(), reasons=None,
                 if np.isnan(base[0]):
                     raise InfeasibleConfigurationError("no equal-area split")
                 if grid.curve_mode == "segments":
-                    tri = _assemble(walk, base % walk.n)
+                    tri = _cell_trisection(walk, base % walk.n)
                 else:
                     tri = _perturbed_cell(walk, base, rng,
                                           grid.perturbation_magnitude)
@@ -610,7 +637,7 @@ def _perturbed_cell(walk, base, rng, magnitude):
                            t2 + 1e-9, t1 + n - 1e-9)
     if math.isnan(t3):
         raise InfeasibleConfigurationError("no sign change")
-    tri = _assemble(walk, np.array([t1, t2, t3]) % n, mids)
+    tri = _cell_trisection(walk, np.array([t1, t2, t3]) % n, mids)
     if np.any(np.abs(tri.region_areas() - A / 3.0) > AREA_TOL * A):
         raise InfeasibleConfigurationError("not rebalanced")
     return tri
@@ -687,6 +714,34 @@ def test_scored_cells_equal_trisection_dm_bit_for_bit(name, make, mode):
             == _reference_sweep(body, grid, seed=4))
 
 
+@pytest.mark.parametrize("mode", ["segments", "perturbed_polylines"])
+@pytest.mark.parametrize("name,make", _scorer_bodies(),
+                         ids=[name for name, _ in _scorer_bodies()])
+def test_a_trisection_is_its_cell(name, make, mode):
+    # a Trisection is one row of the solved cells, on the boundary it was
+    # cut on; its regions are built once, when first read, by the formula
+    # of _region_points
+    body = make()
+    std = standard_trisection(body)
+    assert std.pts is body.polygon
+    cells = _grid_cells(body.sweep_polygon, _scorer_grid(body, mode),
+                        np.random.default_rng(4))
+    tris = [cells.trisection(k) for k in range(len(cells.verts))]
+    assert tris and all(tri.pts is cells.pts for tri in tris)
+    for tri in [std] + tris:
+        assert ([f.name for f in dataclasses.fields(tri)]
+                == ["pts", "verts", "start", "length"])
+        for j in range(3):
+            assert np.array_equal(tri.curves[j][-1], tri.endpoints[j])
+        assert "regions" not in vars(tri)
+        regions = tri.regions
+        assert vars(tri)["regions"] is regions
+        want = [_region_points(tri.pts, v, s, m)
+                for v, s, m in zip(tri.verts, tri.start, tri.length)]
+        assert [(r.shape, r.tobytes()) for r in regions] \
+            == [(r.shape, r.tobytes()) for r in want], name
+
+
 @pytest.mark.parametrize("name,make", _scorer_bodies(),
                          ids=[name for name, _ in _scorer_bodies()])
 def test_rebalance_areas_equal_region_areas(name, make):
@@ -711,7 +766,7 @@ def test_rebalance_areas_equal_region_areas(name, make):
             walk, base, rng.uniform(-0.02, 0.02, (len(base), 3)))
         for k in np.flatnonzero(ok):
             fan = search._fan_areas(walk, ts[k:k + 1], mids[k:k + 1])
-            tri = _assemble(walk, ts[k], mids[k])
+            tri = _cell_trisection(walk, ts[k], mids[k])
             assert np.all(np.abs(fan[0] - tri.region_areas())
                           <= 1e-12 * walk.total_area[0]), (name, k)
             checked += 1
@@ -778,8 +833,8 @@ def test_scorer_at_integer_positions_and_empty_arcs(request, name, positions,
     d2 = region_diameters_sq(boundary, verts.reshape(-1, *verts.shape[2:]),
                              start.ravel(), length.ravel())
     regions = [r for k in range(len(ts))
-               for r in _assemble(walk, ts[k],
-                                  None if mid is None else mid[k]).regions]
+               for r in _cell_trisection(
+                   walk, ts[k], None if mid is None else mid[k]).regions]
     assert [math.sqrt(v) for v in d2] == [points_diameter(r) for r in regions]
     # and one cell's three regions alone
     for k in range(len(ts)):
@@ -1245,8 +1300,8 @@ def test_region_scores_do_not_depend_on_region_order(seed, mids, name):
         got = score(boundary, verts[perm], start[perm], length[perm])
         assert np.array_equal(got, want), score.__name__
     assert [math.sqrt(v) for v in got] == [
-        points_diameter(geom._region_points(boundary, verts[r], start[r],
-                                            length[r])) for r in perm]
+        points_diameter(_region_points(boundary, verts[r], start[r], length[r]))
+        for r in perm]
 
 
 def _traced_scoring(mp):

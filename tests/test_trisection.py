@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import directed_hausdorff
 
+from test_search import _fan
+
 from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody, h_eps_dpx,
                             h_eps_dv12, make_h_eps, make_regular_polygon,
                             solve_a0)
@@ -12,7 +14,6 @@ from trisect.cli import PRESETS
 from trisect.geom import polygon_area, rotate
 from trisect.render import _enclosing_triangle_corners
 from trisect.trisection import (InvalidTrisectionError, Trisection,
-                                _assemble, _centre_fan,
                                 closed_form_dm_standard, dm_regular_closed_form,
                                 inscribed_ball_radius, max_relative_diameter,
                                 standard_trisection)
@@ -147,8 +148,7 @@ def test_standard_trisection_equal_areas():
         body = make()
         A = body.area
         for tri in (standard_trisection(body),
-                    _assemble(*_centre_fan(body, 0.01)),
-                    _assemble(*_centre_fan(body, -0.01))):
+                    _fan(body, delta=0.01), _fan(body, delta=-0.01)):
             assert np.all(np.abs(tri.region_areas() - A / 3.0)
                           <= 1e-12 * A), body.label
 
@@ -172,14 +172,14 @@ def test_dm_geometric_reference_values(maker, expected, tol, reuleaux, h_tilde):
     assert dm == pytest.approx(expected, abs=tol)
 
 
-def test_dm_rejects_bad_areas(hexagon):
+def test_dm_rejects_bad_areas(hexagon, monkeypatch):
     tri = standard_trisection(hexagon)
     sq = np.array([(0, 0), (0.3, 0), (0.3, 0.3), (0, 0.3)])
-    bad = Trisection(common_point=tri.common_point, curves=tri.curves,
-                     endpoints=tri.endpoints,
-                     regions=(sq, tri.regions[1], tri.regions[2]))
+    regions = tri.regions
+    monkeypatch.setattr(Trisection, "regions",
+                        property(lambda t: (sq, regions[1], regions[2])))
     with pytest.raises(InvalidTrisectionError):
-        max_relative_diameter(hexagon, bad)
+        max_relative_diameter(hexagon, tri)
 
 
 def test_closed_form_hexagon(hexagon):
