@@ -10,7 +10,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -274,24 +274,16 @@ def h_eps_dv12(a):
     return 0.5 * math.sqrt(3.0 * a * a + 4.0 / math.sqrt(3.0))
 
 
-@lru_cache(maxsize=1)
 def solve_a0():
-    """Parameter where the two hexagon distances cross, by bisection.
+    """Parameter where the two hexagon distances cross, in closed form.
 
-    The difference d(p,x) - d(v1,v2) is strictly decreasing on the
-    parameter range, so the sign-change bracket is safe.
+    d(p,x) = d(v1,v2) reads 3a sqrt(12 sqrt(3) + 27a^2) = sqrt(3) + 45a^2/4;
+    squared, 1863 a^4 + b a^2 - 48 = 0 with b = 1368 sqrt(3), whose
+    positive root a^2 = 96 / (b + sqrt(b^2 + 4 * 1863 * 48)) adds two
+    positive terms, so nothing cancels.
     """
-    lo, hi = 0.0, H_EPS_A_MAX
-    f = lambda a: h_eps_dpx(a) - h_eps_dv12(a)
-    if not f(lo) > 0.0 > f(hi):
-        raise RuntimeError("bisection bracket lost for the crossing parameter")
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    b = 1368.0 * math.sqrt(3.0)
+    return math.sqrt(96.0 / (b + math.sqrt(b * b + 4.0 * 1863.0 * 48.0)))
 
 
 def _h_eps_vertices(a):

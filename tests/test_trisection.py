@@ -267,10 +267,14 @@ def test_h_eps_closed_forms_reject_out_of_range():
             h_eps_dv12(a)
 
 
-def test_solve_a0():
-    a0 = solve_a0()
-    assert a0 == pytest.approx(0.141227, abs=1e-5)
-    assert h_eps_dpx(a0) == pytest.approx(h_eps_dv12(a0), abs=1e-9)
+def test_solve_a0(h_tilde):
+    # the 30-digit root of 1863 a^4 + 1368 sqrt(3) a^2 - 48, to a few ulps
+    a0, root = solve_a0(), 0.1412272060627213887
+    assert abs(a0 - root) <= 4 * math.ulp(root)
+    assert abs(h_eps_dpx(a0) - h_eps_dv12(a0)) <= 4 * math.ulp(h_eps_dv12(a0))
+    # so on the optimal set the two lemma floors coincide
+    floor = SQRT3 * inscribed_ball_radius(h_tilde)
+    assert abs(h_tilde.max_radius() - floor) <= 8 * math.ulp(floor)
 
 
 def test_dm_invariant_under_symmetry_rotation(hexagon, reuleaux):
