@@ -556,11 +556,12 @@ def test_working_boundary_keeps_every_corner(tmp_path, source):
 def _reference_sweep(body, grid, seed, skip=(), reasons=None,
                      failed_points=()):
     """The sweep as one loop over the cells, each built by
-    _cell_trisection or _perturbed_cell and measured by trisection_dm; theta indices in skip,
-    and every theta of the common points whose grid indices are in
-    failed_points, are dropped before their random draws, as a failed
-    batched segment solve drops them.  reasons, a Counter, counts the
-    skipped cells of interior common points by their error message."""
+    _cell_trisection or _perturbed_cell and measured by trisection_dm;
+    theta indices in skip, and every theta of the common points whose grid
+    indices are in failed_points, are dropped before their random draws,
+    as a failed batched segment solve drops them.  reasons, a Counter,
+    counts the skipped cells of interior common points by their error
+    message."""
     boundary = body.sweep_polygon
     dm_standard = closed_form_dm_standard(body)
     thetas = (np.arange(grid.theta1_count) * 2.0 * math.pi
