@@ -1,15 +1,16 @@
 """Constructors for 3-rotationally symmetric planar convex bodies.
 
-A body is stored as a radial boundary profile r(theta) over one
-fundamental sector [0, 2*pi/3); the full boundary is the profile
-replicated at +2*pi/3 and +4*pi/3.  All constructors return unit-area
-bodies centered at the origin.
+A polygonal body (regular:<m>, H_eps, a random hull) is its corner list,
+CCW from the polar angle 0, and nothing else.  A curved body (reuleaux,
+h_tilde) or a body file is a radial boundary profile r(theta) over one
+fundamental sector [0, 2*pi/3), replicated at +2*pi/3 and +4*pi/3.  All
+constructors return unit-area bodies centered at the origin.
 """
 
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -18,7 +19,7 @@ from .geom import (DegenerateGeometryError, convex_hull, is_ccw_convex,
                    polar_angles, polygon_area, ray_exit, rotate)
 
 SECTOR = 2.0 * math.pi / 3.0
-# profile samples per sector: polygons (and random hulls), curved bodies
+# profile samples per sector: a curved body's, and a polygon's to_dict
 POLYGON_SECTOR_SAMPLES = 1024
 CURVED_SECTOR_SAMPLES = 4 * POLYGON_SECTOR_SAMPLES
 RANDOM_BASE_POINTS = 6  # random points per sector of a random_body
@@ -27,6 +28,8 @@ SWEEP_SECTOR_SAMPLES = 256  # grid angles a sector of a curved body's sweep
 # a unit-area body has every radius below 1; from about 1e154 up, squares
 # overflow and numpy warns while the body is checked
 MAX_PROFILE_RADIUS = 1e6
+# validate's corner symmetry slack; built bodies measure at most 9.3e-16
+SYMMETRY_TOL = 1e-12
 
 # largest short-edge length for the H_eps family (the regular hexagon)
 H_EPS_A_MAX = 2.0 ** 0.5 * 3.0 ** -0.75
@@ -36,45 +39,39 @@ H_EPS_A_MAX = 2.0 ** 0.5 * 3.0 ** -0.75
 class SymmetricBody:
     """Unit-area convex body with threefold rotational symmetry.
 
-    sector_theta/sector_r: sampled radial profile over [0, 2*pi/3), the
-        body's definition: validate, area, nearest_point and max_radius
-        are computed on it.
-    corners: a polygonal body's complete corner list, (k, 2), CCW from
-        the polar angle 0: its polygon, which walks and radius_at use.
-        radius_at casts rays by geom.ray_exit, as walks do, on
-        polygon_angles: the corners' by geom.polar_angles, or the profile's.
+    corners: a polygonal body's corner list, (k, 2), CCW from the polar
+        angle 0: its boundary, which everything computes on.
+    sector_theta/sector_r: else the sampled radial profile over
+        [0, 2*pi/3), whose points are the boundary.
+    radius_at casts rays by geom.ray_exit, as walks do, on polygon_angles:
+        the corners' by geom.polar_angles, or the profile's.
     sweep_rows: a curved body's indices into sector_theta of its sweep
-        polygon.  A body with neither, such as a body file, uses its
-        boundary for everything.
+        polygon; a body without them sweeps on its boundary.
     outline_hint: a curved body's exact drawing path for the full
         boundary, a tuple of ("M", x, y) / ("A", radius, x, y) / ("L", x, y)
         segments (arc segments sweep CCW about the origin).
     """
 
-    sector_theta: np.ndarray
-    sector_r: np.ndarray
     label: str
     corners: np.ndarray = None
+    sector_theta: np.ndarray = None
+    sector_r: np.ndarray = None
     sweep_rows: np.ndarray = None
     outline_hint: tuple = ()
 
     @cached_property
     def boundary(self):
-        """Full boundary polygon, CCW, one point per profile sample."""
-        sector = np.column_stack((
-            self.sector_r * np.cos(self.sector_theta),
-            self.sector_r * np.sin(self.sector_theta),
-        ))
+        """Full boundary polygon, CCW: the corners, or one point per
+        profile sample."""
+        if self.corners is not None:
+            return self.corners
+        sector = np.column_stack((self.sector_r * np.cos(self.sector_theta),
+                                  self.sector_r * np.sin(self.sector_theta)))
         return np.concatenate([rotate(sector, k * SECTOR) for k in range(3)])
 
     @cached_property
-    def polygon(self):
-        """The polygon walks run on: the corners, or the boundary."""
-        return self.boundary if self.corners is None else self.corners
-
-    @cached_property
     def polygon_angles(self):
-        """The polygon's polar angles, one row (1, n + 1) in polar_angles'
+        """The boundary's polar angles, one row (1, n + 1) in polar_angles'
         layout: the corners' by that formula, else the profile angles."""
         if self.corners is None:
             t = self.sector_theta
@@ -85,9 +82,9 @@ class SymmetricBody:
     @cached_property
     def sweep_polygon(self):
         """The polygon the sweep runs on: a curved body's boundary rows at
-        sweep_rows in each sector, which it inscribes; else polygon."""
+        sweep_rows in each sector, which it inscribes; else boundary."""
         if self.sweep_rows is None:
-            return self.polygon
+            return self.boundary
         return self.boundary.reshape(3, -1, 2)[:, self.sweep_rows].reshape(-1, 2)
 
     @cached_property
@@ -96,15 +93,17 @@ class SymmetricBody:
 
     def radius_at(self, theta):
         """Distance from the origin along direction(s) theta to the
-        body's polygon, exact on its chords: an array of theta's shape,
-        or a float for a scalar theta."""
+        body's boundary polygon, exact on its chords: an array of theta's
+        shape, or a float for a scalar theta."""
         theta = np.asarray(theta, dtype=float)
-        r = np.hypot(*ray_exit(self.polygon, self.polygon_angles, theta)[2:])
+        r = np.hypot(*ray_exit(self.boundary, self.polygon_angles, theta)[2:])
         return float(r) if theta.ndim == 0 else r
 
     def max_radius(self):
-        """Max distance from the center to the boundary (attained at a sample)."""
-        return float(np.max(self.sector_r))
+        """Max distance from the center to the boundary: the farthest
+        corner's norm, or the largest profile radius."""
+        r = self.sector_r if self.corners is None else np.hypot(*self.corners.T)
+        return float(np.max(r))
 
     @cached_property
     def nearest_point(self):
@@ -128,23 +127,23 @@ class SymmetricBody:
 
     def scaled(self, factor):
         """Uniform dilation about the center."""
-        return SymmetricBody(
-            sector_theta=self.sector_theta,
-            sector_r=self.sector_r * factor,
-            label=self.label,
-            corners=None if self.corners is None else self.corners * factor,
-            sweep_rows=self.sweep_rows,
-            outline_hint=tuple(
-                (seg[0],) + tuple(v * factor for v in seg[1:]) for seg in self.outline_hint
-            ),
-        )
+        def times(a):
+            return None if a is None else a * factor
+        return replace(self, corners=times(self.corners),
+                       sector_r=times(self.sector_r), outline_hint=tuple(
+                           (seg[0],) + tuple(v * factor for v in seg[1:])
+                           for seg in self.outline_hint))
 
     def to_dict(self):
-        return {
-            "label": self.label,
-            "sector_profile": [[float(t), float(r)]
-                               for t, r in zip(self.sector_theta, self.sector_r)],
-        }
+        """The body's file: its profile, which a polygon samples by
+        radius_at on the sector grid and at its corners."""
+        theta, r = self.sector_theta, self.sector_r
+        if self.corners is not None:
+            theta = _sector_angles(self.polygon_angles[0, :-1],
+                                   POLYGON_SECTOR_SAMPLES)[0]
+            r = self.radius_at(theta)
+        return {"label": self.label,
+                "sector_profile": np.column_stack((theta, r)).tolist()}
 
 
 @dataclass(frozen=True)
@@ -163,29 +162,29 @@ class ValidationReport:
                 and self.positive_ok and self.area_ok)
 
 
-def _profile_body(label, r_fn, corners, corner_angles, samples,
-                  outline_hint=()):
-    """Body whose profile samples r_fn on `samples` even angles of the
-    sector and on corner_angles, the polar angles of the points corners.
-    A curved body passes its exact outline_hint, and keeps as sweep_rows
-    its profile rows at every (samples // SWEEP_SECTOR_SAMPLES)-th grid
-    angle and at its corners.  A polygonal body passes none: it keeps its
-    corners, sorted by polar angle, and r_fn None samples their polygon."""
+def _corner_body(label, points):
+    """Polygonal body of the convex polygon points, sorted CCW from the
+    polar angle 0."""
+    pts = np.asarray(points, dtype=float)
+    return SymmetricBody(label, corners=pts[np.argsort(
+        np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2 * math.pi))])
+
+
+def _profile_body(label, r_fn, corner_angles, outline_hint):
+    """Curved body of the exact outline_hint whose profile samples r_fn
+    on CURVED_SECTOR_SAMPLES even angles of the sector and on its corners'
+    polar angles corner_angles, and sweeps on the rows at its corners and
+    at SWEEP_SECTOR_SAMPLES of the grid angles."""
+    samples = CURVED_SECTOR_SAMPLES
     thetas, first = _sector_angles(corner_angles, samples)
     # angles 1e-12 apart or less are one sample: their first corner, if any
     group = np.cumsum(np.diff(thetas, prepend=-1.0) > 1e-12)
     pick = np.lexsort((first < samples, group))
     keep = pick[np.diff(group[pick], prepend=0) > 0]
-    sweep_rows = None
-    if outline_hint:
-        sweep = (first % (samples // SWEEP_SECTOR_SAMPLES) == 0) | (first >= samples)
-        sweep_rows, corners = np.flatnonzero(sweep[keep]), None
-    else:
-        corners = np.asarray(corners, dtype=float)[np.argsort(corner_angles)]
-        # a body of corners alone: its radius_at samples their polygon
-        r_fn = r_fn or SymmetricBody(None, None, label, corners).radius_at
-    return SymmetricBody(sector_theta=thetas[keep], sector_r=r_fn(thetas)[keep],
-                         label=label, corners=corners, sweep_rows=sweep_rows,
+    sweep = (first % (samples // SWEEP_SECTOR_SAMPLES) == 0) | (first >= samples)
+    return SymmetricBody(label, sector_theta=thetas[keep],
+                         sector_r=r_fn(thetas)[keep],
+                         sweep_rows=np.flatnonzero(sweep[keep]),
                          outline_hint=tuple(outline_hint))
 
 
@@ -211,16 +210,10 @@ def make_regular_polygon(n):
     if n < 1:
         raise ValueError("edge count must be a positive multiple of 3")
     m = 3 * n
-    apo = regular_polygon_apothem(m)
-    r_vert = apo / math.cos(math.pi / m)
+    r_vert = regular_polygon_apothem(m) / math.cos(math.pi / m)
     vert_angles = 2.0 * math.pi * np.arange(m) / m
-    verts = r_vert * np.column_stack((np.cos(vert_angles), np.sin(vert_angles)))
-
-    def r_fn(theta):
-        return apo / np.cos(np.mod(theta, 2.0 * math.pi / m) - math.pi / m)
-
-    return _profile_body(f"regular:{m}", r_fn, verts, vert_angles,
-                         POLYGON_SECTOR_SAMPLES)
+    return SymmetricBody(f"regular:{m}", corners=r_vert * np.column_stack(
+        (np.cos(vert_angles), np.sin(vert_angles))))
 
 
 def make_reuleaux():
@@ -243,8 +236,7 @@ def make_reuleaux():
     hint = [("M", float(verts[0, 0]), float(verts[0, 1]))]
     for k in (1, 2, 0):
         hint.append(("A", a, float(verts[k, 0]), float(verts[k, 1])))
-    return _profile_body("reuleaux", r_fn, verts, vert_angles,
-                         CURVED_SECTOR_SAMPLES, hint)
+    return _profile_body("reuleaux", r_fn, vert_angles, hint)
 
 
 def check_h_eps_a(a):
@@ -315,24 +307,18 @@ def make_h_eps(a):
     a = 0.0 if a <= 0.0 else min(a, H_EPS_A_MAX)
     verts = _h_eps_vertices(a)
     # drop duplicated vertices at the triangle endpoint a = 0
-    keep = [v for i, v in enumerate(verts)
-            if np.hypot(*(v - verts[(i + 1) % len(verts)])) > 1e-12]
-    verts = np.array(keep)
-    vert_angles = np.mod(np.arctan2(verts[:, 1], verts[:, 0]), 2 * math.pi)
-    return _profile_body(f"h_eps:{a:.6f}", None, verts, vert_angles,
-                         POLYGON_SECTOR_SAMPLES)
+    keep = np.hypot(*(verts - np.roll(verts, -1, axis=0)).T) > 1e-12
+    return _corner_body(f"h_eps:{a:.6f}", verts[keep])
 
 
 def make_h_tilde():
     """Optimal body: H_eps at the crossing parameter with its short edges
     replaced by circular arcs about the center, rescaled to unit area."""
     a0 = solve_a0()
-    verts = _h_eps_vertices(a0)
-    r0 = h_eps_dpx(a0)
+    hexagon = _corner_body("hexagon", _h_eps_vertices(a0))
+    verts = hexagon.corners
     vert_angles = np.mod(np.arctan2(verts[:, 1], verts[:, 0]), 2 * math.pi)
-    order = np.argsort(vert_angles)
-    verts, vert_angles = verts[order], vert_angles[order]
-    hexagon = SymmetricBody(None, None, "hexagon", verts)
+    r0 = h_eps_dpx(a0)
 
     # the short edges straddle the corner directions of the enclosing triangle
     half_span = math.asin(0.5 * a0 / r0)
@@ -349,12 +335,12 @@ def make_h_tilde():
         gap = (vert_angles[i % len(verts)] - vert_angles[i - 1]) % (2 * math.pi)
         kind = ("A", r0) if gap < 2.2 * half_span else ("L",)
         hint.append(kind + (float(v[0]), float(v[1])))
-    return normalize_unit_area(_profile_body(
-        "h_tilde", r_fn, verts, vert_angles, CURVED_SECTOR_SAMPLES, hint))
+    return normalize_unit_area(_profile_body("h_tilde", r_fn, vert_angles,
+                                             hint))
 
 
 def normalize_unit_area(body):
-    """Uniformly dilate so the reconstructed boundary has unit area."""
+    """Uniformly dilate so the boundary polygon has unit area."""
     area = body.area
     if area <= 1e-12:
         raise DegenerateGeometryError("body has zero area")
@@ -362,24 +348,39 @@ def normalize_unit_area(body):
 
 
 def validate(body):
-    """Check convexity, symmetry/coverage of the profile, and unit area."""
+    """Check positive radii, threefold symmetry, coverage, convexity and
+    unit area, of a polygon's corners or of a profile."""
     msgs = []
-    thetas = np.asarray(body.sector_theta, dtype=float)
-    radii = np.asarray(body.sector_r, dtype=float)
+    if body.corners is not None:
+        # each edge passes the center on its left; the corners rotated by
+        # SECTOR are them rolled on by a third; their angles rise one turn
+        c, k = body.corners, len(body.corners) // 3
+        positive_ok = bool(np.all(c[:, 0] * np.roll(c[:, 1], -1)
+                                  - c[:, 1] * np.roll(c[:, 0], -1) > 0.0))
+        symmetry_ok = 3 * k == len(c) and bool(np.max(np.abs(
+            rotate(c, SECTOR) - np.roll(c, -k, axis=0))) <= SYMMETRY_TOL)
+        coverage_ok = bool(np.all(np.diff(body.polygon_angles) > 0.0))
+        msgs += [m for ok, m in zip((positive_ok, symmetry_ok, coverage_ok), (
+            "an edge does not pass the center on its left",
+            f"corners are not threefold symmetric within {SYMMETRY_TOL:g}",
+            "corners do not turn once about the center")) if not ok]
+    else:
+        thetas = np.asarray(body.sector_theta, dtype=float)
+        radii = np.asarray(body.sector_r, dtype=float)
 
-    positive_ok = bool(np.all(radii > 0.0) and np.all(np.isfinite(radii)))
-    if not positive_ok:
-        msgs.append("profile has non-positive or non-finite radii")
+        positive_ok = bool(np.all(radii > 0.0) and np.all(np.isfinite(radii)))
+        if not positive_ok:
+            msgs.append("profile has non-positive or non-finite radii")
 
-    symmetry_ok = bool(np.all(thetas >= 0.0) and np.all(thetas < SECTOR)
-                       and np.all(np.diff(thetas) > 0.0))
-    if not symmetry_ok:
-        msgs.append("profile angles leave the fundamental sector [0, 2pi/3)")
+        symmetry_ok = bool(np.all(thetas >= 0.0) and np.all(thetas < SECTOR)
+                           and np.all(np.diff(thetas) > 0.0))
+        if not symmetry_ok:
+            msgs.append("profile angles leave the fundamental sector [0, 2pi/3)")
 
-    gaps = np.diff(np.append(thetas, thetas[0] + SECTOR))
-    coverage_ok = symmetry_ok and bool(np.max(gaps) <= MAX_PROFILE_SPACING + 1e-12)
-    if symmetry_ok and not coverage_ok:
-        msgs.append(f"profile spacing exceeds {MAX_PROFILE_SPACING:.6f}")
+        gaps = np.diff(np.append(thetas, thetas[0] + SECTOR))
+        coverage_ok = symmetry_ok and bool(np.max(gaps) <= MAX_PROFILE_SPACING + 1e-12)
+        if symmetry_ok and not coverage_ok:
+            msgs.append(f"profile spacing exceeds {MAX_PROFILE_SPACING:.6f}")
 
     convex_ok = positive_ok and is_ccw_convex(body.boundary, tol=1e-9)
     if positive_ok and not convex_ok:
@@ -421,7 +422,4 @@ def random_body(rng):
     radii = rng.uniform(0.8, 1.2, RANDOM_BASE_POINTS)
     sector = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
     cloud = np.concatenate([rotate(sector, k * SECTOR) for k in range(3)])
-    hull = convex_hull(cloud)
-    hull_angles = np.mod(np.arctan2(hull[:, 1], hull[:, 0]), 2 * math.pi)
-    return normalize_unit_area(_profile_body(
-        "random", None, hull, hull_angles, POLYGON_SECTOR_SAMPLES))
+    return normalize_unit_area(_corner_body("random", convex_hull(cloud)))

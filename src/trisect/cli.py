@@ -29,9 +29,8 @@ PRESETS = {
     "h_tilde": make_h_tilde,
 }
 
-# At m = 3 * POLYGON_SECTOR_SAMPLES every profile sample is a corner; the
-# body's arrays grow with m, and a huge m would exhaust memory.
-MAX_REGULAR_M = 3 * bodies.POLYGON_SECTOR_SAMPLES
+# regular:<m> keeps its m corners; a huge m would exhaust memory
+MAX_REGULAR_M = 3_072
 # Caps on the options that size an array or a list; a sweep holds < 1 kB a cell
 MAX_GRID_C = 1_000
 MAX_GRID_THETA = 1_440

@@ -35,8 +35,7 @@ class _View:
 def _body_path(body, view):
     segs = body.outline_hint
     if not segs:
-        # a polygon's corners; an integer stride thins a long boundary to
-        # under 1,024 points
+        # a polygon's corners, or a profile thinned to under 1,024 points
         pts = (body.boundary[::max(1, len(body.boundary) // 512)]
                if body.corners is None else body.corners)
         x0, y0 = view.xy(pts[0])

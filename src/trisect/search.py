@@ -16,7 +16,8 @@ from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
                          standard_trisection)
 
 VIOLATION_TOL = 1e-3  # slack below the closed form before a sweep cell counts
-FLOOR_TOL = 1e-6
+FLOOR_TOL = 1e-6  # slack of a sweep's floor_margin below 0
+ATTAIN_TOL = 1e-12  # relative slack of lemma_floor_checks (measured 1.2e-15)
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ _FAILURES = ("common point is not interior",
              "perturbed curve leaves the body or could not be rebalanced")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Cells:
     """The solved cells of a list of cells, in row order, as the regions
     of _cell_regions on the boundary points pts: row k of verts, start and
@@ -297,8 +298,8 @@ def _solve_cells(boundary, c_points, theta1, jitter):
 
 
 def _one_cell(body, c, theta1, jitter):
-    """_solve_cells of one row on the body's polygon, or its failure."""
-    cells = _solve_cells(body.polygon, c, [[theta1]], jitter)
+    """_solve_cells of one row on the body's boundary, or its failure."""
+    cells = _solve_cells(body.boundary, c, [[theta1]], jitter)
     if cells.stage[0]:
         raise InfeasibleConfigurationError(_FAILURES[cells.stage[0] - 1])
     return cells.trisection(0)
@@ -386,7 +387,8 @@ def sweep_segment_trisections(body, grid, seed=42):
 
 def lemma_floor_checks(body):
     """Whether the standard trisection attains the lemma floor: its exact
-    d_M lies within FLOOR_TOL of max(R, sqrt(3)*rho), on both sides.
+    d_M lies within ATTAIN_TOL * floor of the floor max(R, sqrt(3)*rho),
+    on both sides.
 
     No trisection's d_M is below the floor.  Its regions meet the boundary
     in three arcs covering 360 degrees about the centre; one spans 120 or
@@ -397,7 +399,8 @@ def lemma_floor_checks(body):
     upper side tests the paper's claim, the lower side the program.
     """
     dm = trisection_dm(standard_trisection(body))
-    return abs(dm - closed_form_dm_standard(body)) <= FLOOR_TOL
+    floor = closed_form_dm_standard(body)
+    return abs(dm - floor) <= ATTAIN_TOL * floor
 
 
 def sweep_h_eps(count):
@@ -478,7 +481,7 @@ def uniqueness_probe(body, samples=10, seed=42):
     else:
         theta1 += rng.uniform(-0.05, 0.05, samples)
         jitter = None
-    cells = _solve_cells(body.polygon, np.zeros(2), theta1, jitter)
+    cells = _solve_cells(body.boundary, np.zeros(2), theta1, jitter)
     dm = _cells_dm(cells, math.inf)
     return [cells.trisection(k)
             for k in np.flatnonzero(np.abs(dm - dm_std) <= 1e-4)]

@@ -21,7 +21,7 @@ class InfeasibleConfigurationError(ValueError):
     """No equal-area trisection exists for the requested configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trisection:
     """Three curves from a common interior point to the boundary, splitting
     a body into three equal-area regions: one cell of _cell_regions.
@@ -286,7 +286,7 @@ def _cell_regions(walk, ts, mids=None, ci=0):
 def standard_trisection(body):
     """Trisection joining the center to the edge midpoints of the smallest
     enclosing equilateral triangle."""
-    walk = _BoundaryWalk(body.polygon, np.zeros(2))
+    walk = _BoundaryWalk(body.boundary, np.zeros(2))
     m, _ = body.nearest_point
     ts = walk.ray_position(math.atan2(m[1], m[0]) + np.arange(3) * SECTOR)
     return Trisection(walk.pts, *(a[0] for a in _cell_regions(walk, ts[None])))

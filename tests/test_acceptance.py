@@ -110,7 +110,7 @@ def test_criterion_3_minimality_sweeps(named_bodies, sweep_reports):
         probes = np.array(probes)
         c, jitter = probes[:, :2], probes[:, 3:]
         # solved in one call, scored where d_M can be below the floor
-        cells = search._solve_cells(body.polygon, c, probes[:, 2:3],
+        cells = search._solve_cells(body.boundary, c, probes[:, 2:3],
                                     lambda rows: jitter[rows])
         solved = np.flatnonzero(cells.stage == 0)
         if len(solved) < len(probes):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import directed_hausdorff
 
-from trisect.bodies import (H_EPS_A_MAX, POLYGON_SECTOR_SAMPLES, SECTOR,
-                            SymmetricBody, _profile_body, h_eps_dpx, h_eps_side_b,
+from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody, _corner_body,
+                            _h_eps_vertices, h_eps_dpx, h_eps_side_b,
                             load_body, make_h_eps, make_h_tilde,
                             make_regular_polygon, make_reuleaux,
                             normalize_unit_area, random_body, solve_a0,
@@ -22,6 +22,14 @@ REULEAUX_WIDTH = (2.0 / (math.pi - math.sqrt(3.0))) ** 0.5
 
 def hausdorff(a, b):
     return max(directed_hausdorff(a, b)[0], directed_hausdorff(b, a)[0])
+
+
+def profile_of(body):
+    """The body a body file of body loads as: its to_dict profile, which
+    a polygon samples on the sector grid and at its corners."""
+    doc = body.to_dict()
+    theta, r = np.array(doc["sector_profile"]).T
+    return SymmetricBody(doc["label"], sector_theta=theta, sector_r=r)
 
 
 def profiles_match_up_to_rotation(b1, b2, tol=1e-6):
@@ -160,34 +168,35 @@ def test_constructors_validate_clean(maker):
 ])
 def test_min_radius_equals_triangle_apothem(maker):
     body = maker()
-    assert float(np.min(body.sector_r)) == pytest.approx(
+    assert float(np.min(profile_of(body).sector_r)) == pytest.approx(
         inscribed_ball_radius(body), abs=1e-6)
 
 
 def test_normalize_idempotent(hexagon):
     again = normalize_unit_area(hexagon)
-    assert np.allclose(again.sector_r, hexagon.sector_r, atol=1e-12)
+    assert np.allclose(again.boundary, hexagon.boundary, atol=1e-12)
 
 
 def test_normalize_inverts_scaling(hexagon):
     scaled = hexagon.scaled(2.0)
     back = normalize_unit_area(scaled)
-    assert np.allclose(back.sector_r, hexagon.sector_r, atol=1e-9)
+    assert np.allclose(back.boundary, hexagon.boundary, atol=1e-9)
 
 
 def test_validate_flags_convexity_violation(hexagon):
-    r = hexagon.sector_r.copy()
+    profile = profile_of(hexagon)
+    r = profile.sector_r.copy()
     r[len(r) // 2] *= 2.0
-    bad = SymmetricBody(sector_theta=hexagon.sector_theta, sector_r=r,
-                        label="bad")
+    bad = SymmetricBody("bad", sector_theta=profile.sector_theta, sector_r=r)
     report = validate(bad)
     assert not report.convex_ok and not report.clean
 
 
 def test_validate_flags_truncated_coverage(hexagon):
-    keep = hexagon.sector_theta < math.pi / 2
-    bad = SymmetricBody(sector_theta=hexagon.sector_theta[keep],
-                        sector_r=hexagon.sector_r[keep], label="bad")
+    profile = profile_of(hexagon)
+    keep = profile.sector_theta < math.pi / 2
+    bad = SymmetricBody("bad", sector_theta=profile.sector_theta[keep],
+                        sector_r=profile.sector_r[keep])
     report = validate(bad)
     assert not report.coverage_ok and not report.clean
 
@@ -197,7 +206,7 @@ def test_load_body_roundtrip(tmp_path, hexagon):
     path.write_text(json.dumps(hexagon.to_dict()))
     loaded = load_body(str(path))
     assert loaded.label == hexagon.label
-    assert np.allclose(loaded.sector_r, hexagon.sector_r)
+    assert np.array_equal(loaded.sector_r, profile_of(hexagon).sector_r)
     assert validate(loaded).clean
 
 
@@ -234,22 +243,24 @@ FAMILIES = pytest.mark.parametrize("family", [
 
 @FAMILIES
 def test_every_corner_is_a_profile_sample(family):
-    # a polygonal body's corner list, the polygon its walks run on, holds
-    # corners the profile samples: each on a sector_theta entry (mod the
+    # a polygonal body is its corner list, and the profile its body file
+    # holds samples every corner: each on a sector_theta entry (mod the
     # sector) with its norm on sector_r there, up to the rounding of the
-    # corner's rotated copies; a curved body has none
+    # corner's rotated copies; a curved body has no corners
     for body in family():
         if body.sweep_rows is not None:
             assert body.corners is None, body.label
             continue
         assert body.corners.dtype == float and body.corners.shape[1] == 2
         assert len(body.corners) >= 3, body.label
+        assert body.boundary is body.corners and body.sector_r is None
+        profile = profile_of(body)
         for x, y in body.corners:
-            gap = np.abs(body.sector_theta - math.atan2(y, x) % SECTOR)
+            gap = np.abs(profile.sector_theta - math.atan2(y, x) % SECTOR)
             gap = np.minimum(gap, SECTOR - gap)
             k = np.argmin(gap)
             assert gap[k] <= 1e-14, body.label
-            assert abs(math.hypot(x, y) - body.sector_r[k]) <= 1e-14, body.label
+            assert abs(math.hypot(x, y) - profile.sector_r[k]) <= 1e-14, body.label
 
 
 def interleaved_ray_chord_radius(pts, row, theta):
@@ -315,7 +326,7 @@ _ANGLES = st.lists(st.one_of(
 def test_ray_chord_radius_equals_interleaved_form(key, angles):
     # negative, signed-zero, whole-turn, NaN and exact vertex angles
     body = _body(*key)
-    pts, row = body.polygon, body.polygon_angles[0]
+    pts, row = body.boundary, body.polygon_angles[0]
     theta = np.array([a if isinstance(a, float)
                       else row[a[1] % len(pts)] + a[2] * 2.0 * math.pi
                       for a in angles])
@@ -382,7 +393,7 @@ def test_radius_at_never_exceeds_its_chord(file_hexagon, key, angles):
     # rounding; the cross-product formula overshot short profile chords
     # next to a corner by up to 2e-5
     body = file_hexagon if key[0] == "file" else _body(*key)
-    pts, row = body.polygon, body.polygon_angles[0]
+    pts, row = body.boundary, body.polygon_angles[0]
     theta = np.array([a if isinstance(a, float) else
                       np.nextafter(row[a[0] % len(pts)], a[1] * math.inf)
                       if a[1] else row[a[0] % len(pts)] for a in angles])
@@ -401,14 +412,15 @@ def _polygonal_bodies():
 
 
 def check_corner_polygon(body):
-    """The corners are a convex CCW polygon with the profile's area, and
+    """The corners are a convex CCW polygon with its profile's area, and
     every profile point lies on it, within 1e-12."""
     corners = body.corners
     assert is_ccw_convex(corners, tol=0.0), body.label
     assert np.all(np.diff(body.polygon_angles) > 0.0), body.label
-    assert abs(polygon_area(corners) - body.area) <= 1e-12, body.label
+    profile = profile_of(body)
+    assert abs(polygon_area(corners) - profile.area) <= 1e-12, body.label
     # each profile point's distance to the line of the chord its ray meets
-    pts = body.boundary
+    pts = profile.boundary
     idx = ray_exit(corners, body.polygon_angles,
                    np.arctan2(pts[:, 1], pts[:, 0]))[0]
     p1 = corners[idx]
@@ -428,15 +440,19 @@ def test_polygonal_bodies_keep_their_exact_corners():
 
 
 def test_profile_samples_a_corner_next_to_a_grid_angle():
-    # a corner 1e-12 past the grid angle 0 used to give way to it: the
-    # profile missed the corner, and max_radius fell 1.7e-12 short of 1
+    # a corner 1e-12 past the grid angle 0 once gave way to it in the
+    # profile, and max_radius fell 1.7e-12 short of 1; the body file's
+    # profile keeps both angles
     angles = 1e-12 + np.arange(3) * SECTOR
-    corners = np.column_stack((np.cos(angles), np.sin(angles)))
-    body = _profile_body("corner", None, corners, angles,
-                         POLYGON_SECTOR_SAMPLES)
-    assert body.sector_theta[0] == 1e-12
+    body = _corner_body("corner",
+                        np.column_stack((np.cos(angles), np.sin(angles))))
     assert abs(body.max_radius() - 1.0) <= 1e-15
-    assert validate(body).symmetry_ok and validate(body).coverage_ok
+    profile = profile_of(body)
+    assert profile.sector_theta[0] == 0.0
+    assert abs(profile.sector_theta[1] - 1e-12) <= 1e-15
+    assert abs(profile.max_radius() - 1.0) <= 1e-15
+    for b in (body, profile):
+        assert validate(b).symmetry_ok and validate(b).coverage_ok
 
 
 @settings(max_examples=60, deadline=None)
@@ -451,7 +467,7 @@ def test_curved_sweep_polygon_is_a_subset_of_the_profile(make):
     # rows of the boundary, not points rebuilt through radius_at: the
     # 256 grid angles a sector and every corner of the outline
     body = make()
-    assert body.corners is None and body.polygon is body.boundary
+    assert body.corners is None
     poly = body.sweep_polygon
     rows = {p.tobytes() for p in body.boundary}
     assert all(p.tobytes() in rows for p in poly)
@@ -461,3 +477,85 @@ def test_curved_sweep_polygon_is_a_subset_of_the_profile(make):
     gap = np.hypot(poly[:, None, 0] - corners[:, 0], poly[:, None, 1] - corners[:, 1])
     assert np.all(gap.min(axis=0) <= 1e-12)
     assert is_ccw_convex(poly, tol=1e-15)
+
+
+@lru_cache(maxsize=1)
+def _polygon_pool():
+    """The polygonal presets, regular:3 to regular:3072, 52 h_eps and 300
+    random bodies."""
+    rng = np.random.default_rng(5)
+    return tuple([PRESETS[k]() for k in ("triangle", "hexagon", "enneagon",
+                                         "dodecagon")]
+                 + [make_regular_polygon(n) for n in range(1, 1025)]
+                 + [make_h_eps(a) for a in np.linspace(0.0, H_EPS_A_MAX, 52)]
+                 + [random_body(rng) for _ in range(300)])
+
+
+def test_corner_values_equal_the_profile_values():
+    # area, R and rho on a polygon's corners equal those of its sampled
+    # profile, the body a polygon used to be, to the profile's rounding:
+    # its shoelace over up to 6,000 points (9.3e-13 at regular:3060), and
+    # two ulps of R and rho
+    for body in _polygon_pool():
+        profile = profile_of(body)
+        assert abs(body.area - profile.area) <= 1e-12, body.label
+        assert abs(body.max_radius() - profile.max_radius()) <= 7.8e-16, \
+            body.label
+        assert abs(body.nearest_point[1] - profile.nearest_point[1]) \
+            <= 2.0 ** -52, body.label
+
+
+def test_max_radius_is_the_farthest_corner():
+    # a profile sampled each corner through a radius function, up to
+    # 6.7e-16 below the corner's norm
+    for body in _polygon_pool():
+        c = body.corners
+        assert body.max_radius() == float(np.max(np.hypot(c[:, 0], c[:, 1])))
+
+
+def _failed(body):
+    """The names of the checks of validate that fail on body."""
+    report = validate(body)
+    return {name for name in ("positive_ok", "symmetry_ok", "coverage_ok",
+                              "convex_ok", "area_ok")
+            if not getattr(report, name)}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_regular_polygon(2), lambda: make_h_eps(0.3),
+    lambda: random_body(np.random.default_rng(3))],
+    ids=["hexagon", "h_eps", "random"])
+def test_validate_rejects_a_broken_corner_list(make):
+    body = make()
+    c, k = body.corners, len(body.corners) // 3
+    # one corner moved out by 1e-9 of its radius
+    moved = c.copy()
+    moved[0] *= 1.0 + 1e-9
+    # a corner and its two rotations pulled in to 0.3 of their radius
+    dented = c.copy()
+    dented[::k] *= 0.3
+    assert _failed(body) == set()
+    assert _failed(SymmetricBody("moved", corners=moved)) == {"symmetry_ok"}
+    assert _failed(normalize_unit_area(
+        SymmetricBody("dented", corners=dented))) == {"convex_ok"}
+    assert _failed(body.scaled(1.01)) == {"area_ok"}
+
+
+def test_validate_rejects_corners_that_wind_four_times():
+    # the star {9/4} turns left at every corner, passes the center on the
+    # left of every edge and is threefold symmetric, but winds four times
+    t = 2.0 * math.pi * 4 * np.arange(9) / 9
+    star = normalize_unit_area(SymmetricBody(
+        "star", corners=np.column_stack((np.cos(t), np.sin(t)))))
+    assert _failed(star) == {"coverage_ok"}
+
+
+@pytest.mark.parametrize("a, m", [(0.0, 3), (H_EPS_A_MAX, 6)])
+def test_h_eps_ends_are_corner_bodies(a, m):
+    # at a = 0 the short sides vanish: the six vertices are three
+    # duplicate pairs, and the body keeps one of each
+    body, regular = make_h_eps(a), make_regular_polygon(m // 3)
+    assert len(_h_eps_vertices(a)) == 6 and len(body.corners) == m
+    assert validate(body).clean and abs(body.area - 1.0) <= 1e-15
+    assert abs(body.max_radius() - regular.max_radius()) <= 1e-15
+    assert abs(body.nearest_point[1] - regular.nearest_point[1]) <= 1e-15

@@ -275,10 +275,10 @@ def test_all_infeasible_sweep_exits_1(body, seed):
 
 
 def _turned_triangle_profile(angle):
-    tri = make_regular_polygon(1)
-    theta = np.mod(tri.sector_theta + angle, SECTOR)
+    theta, r = np.array(make_regular_polygon(1).to_dict()["sector_profile"]).T
+    theta = np.mod(theta + angle, SECTOR)
     order = np.argsort(theta)
-    return np.column_stack((theta[order], tri.sector_r[order])).tolist()
+    return np.column_stack((theta[order], r[order])).tolist()
 
 
 @pytest.mark.parametrize("doc", [

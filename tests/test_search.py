@@ -10,14 +10,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trisect import geom, search, trisection
-from trisect.bodies import (H_EPS_A_MAX, POLYGON_SECTOR_SAMPLES, SECTOR,
-                            _profile_body, load_body, make_h_eps,
+from trisect.bodies import (H_EPS_A_MAX, SECTOR, _corner_body, load_body,
+                            make_h_eps,
                             make_regular_polygon, normalize_unit_area,
                             random_body, solve_a0)
 from trisect.cli import PRESETS
 from trisect.geom import (convex_hull, points_diameter, polygon_area,
                           ray_exit, region_diameters_sq, rotate)
-from trisect.search import (FLOOR_TOL, VIOLATION_TOL,
+from trisect.search import (ATTAIN_TOL, FLOOR_TOL, VIOLATION_TOL,
                             InfeasibleConfigurationError, OptimalityReport,
                             SweepGrid, SweepReport, antipodal_gap,
                             default_c_points, equal_area_segment_trisection,
@@ -47,7 +47,7 @@ def _fan(body, c=(0.0, 0.0), delta=0.0):
     """The three rays from c in the standard endpoint directions turned by
     delta, as a Trisection on the body's polygon; standard_trisection's
     fan at c = 0 and delta = 0."""
-    walk = _BoundaryWalk(body.polygon, np.asarray(c, dtype=float))
+    walk = _BoundaryWalk(body.boundary, np.asarray(c, dtype=float))
     m, _ = body.nearest_point
     theta0 = math.atan2(m[1], m[0]) + delta
     return _cell_trisection(walk, walk.ray_position(
@@ -311,13 +311,14 @@ def test_standard_dm_is_an_endpoint_or_centre_pair():
 
 
 def test_floors_fail_above_the_full_dm(monkeypatch):
-    # a floor more than FLOOR_TOL above or below the exact d_M fails
+    # a floor more than ATTAIN_TOL * floor above or below the exact d_M
+    # fails
     for make in PRESETS.values():
         body = make()
         dm = trisection_dm(standard_trisection(body))
         for shift, passed in ((-2.0, False), (-0.5, True), (0.5, True),
                               (2.0, False)):
-            floor = dm + shift * FLOOR_TOL
+            floor = dm + shift * ATTAIN_TOL * dm
             monkeypatch.setattr(search, "closed_form_dm_standard",
                                 lambda b: floor)
             assert lemma_floor_checks(body) is passed, (body.label, shift)
@@ -329,9 +330,13 @@ def _shifted_fan(body):
     return _fan(body, c=(1e-3, 0.0))
 
 
-def _turned_fan(body):
-    """standard_trisection's fan with its rays turned by 0.01 rad."""
-    return _fan(body, delta=0.01)
+def _turned_fan(body, delta=0.01):
+    """standard_trisection's fan with its rays turned by delta rad."""
+    return _fan(body, delta=delta)
+
+
+def _turned_by(delta):
+    return lambda body: _turned_fan(body, delta)
 
 
 @property
@@ -355,11 +360,20 @@ _MUTATION_BODIES = {"triangle": PRESETS["triangle"],
     # whose d_M is R from the centre to a corner, in any direction
     ((search, "standard_trisection", _turned_fan),
      dict(dict.fromkeys(_MUTATION_BODIES, False), triangle=True)),
+    # turned by one step of a 1,024-angle sector grid, 2.0e-3 rad: d_M
+    # rises by 1.1e-6 to 2.1e-6 of itself, which an absolute 1e-6 let
+    # pass on reuleaux
+    ((search, "standard_trisection", _turned_by(SECTOR / 1024)),
+     dict(dict.fromkeys(_MUTATION_BODIES, False), triangle=True)),
+    # turned by 1e-5 rad: d_M rises by 5e-11 of itself
+    ((search, "standard_trisection", _turned_by(1e-5)),
+     dict(dict.fromkeys(_MUTATION_BODIES, False), triangle=True)),
     # regions without their arcs: the triangle loses its corners, and its
     # d_M falls below R; the others keep their endpoint pairs
     ((Trisection, "regions", _regions_without_arcs),
      dict(dict.fromkeys(_MUTATION_BODIES, True), triangle=False)),
-], ids=["shifted_fan", "turned_fan", "region_without_arc"])
+], ids=["shifted_fan", "turned_fan", "turned_by_a_grid_step",
+        "turned_by_1e-5", "region_without_arc"])
 def test_floors_catch_a_broken_standard_trisection(monkeypatch, mutation,
                                                    verdicts):
     monkeypatch.setattr(*mutation)
@@ -385,9 +399,7 @@ def _harsh_body(points):
     sector = np.column_stack((rad * np.cos(ang), rad * np.sin(ang)))
     hull = convex_hull(np.concatenate([rotate(sector, k * SECTOR)
                                        for k in range(3)]))
-    hull_angles = np.mod(np.arctan2(hull[:, 1], hull[:, 0]), 2 * math.pi)
-    return normalize_unit_area(_profile_body(
-        "harsh", None, hull, hull_angles, POLYGON_SECTOR_SAMPLES))
+    return normalize_unit_area(_corner_body("harsh", hull))
 
 
 @settings(max_examples=100, deadline=None)
@@ -423,7 +435,7 @@ def test_no_cell_is_below_the_lemma_floor(seed, polar, theta1, jitter):
     m, _ = body.nearest_point
     thetas = np.array([math.atan2(m[1], m[0]), theta1])
     cells = search._solve_cells(
-        body.polygon, c, thetas,
+        body.boundary, c, thetas,
         None if jitter is None else lambda rows: np.tile(jitter, (len(rows), 1)))
     if len(cells.verts):
         dm = search._cells_dm(cells, math.inf)
@@ -724,7 +736,7 @@ def test_a_trisection_is_its_cell(name, make, mode):
     # of _region_points
     body = make()
     std = standard_trisection(body)
-    assert std.pts is body.polygon
+    assert std.pts is body.boundary
     cells = _grid_cells(body.sweep_polygon, _scorer_grid(body, mode),
                         np.random.default_rng(4))
     tris = [cells.trisection(k) for k in range(len(cells.verts))]
@@ -741,6 +753,17 @@ def test_a_trisection_is_its_cell(name, make, mode):
                 for v, s, m in zip(tri.verts, tri.start, tri.length)]
         assert [(r.shape, r.tobytes()) for r in regions] \
             == [(r.shape, r.tobytes()) for r in want], name
+
+
+def test_trisections_and_cells_compare_by_identity(hexagon):
+    # the generated __eq__ and __hash__ ran over ndarray fields: == raised
+    # ValueError and hash raised TypeError
+    a, b = standard_trisection(hexagon), standard_trisection(hexagon)
+    cells = _grid_cells(hexagon.boundary, _scorer_grid(hexagon, "segments"),
+                        np.random.default_rng(4))
+    for x, y in ((a, b), (cells, dataclasses.replace(cells))):
+        assert x == x and x != y and not (x == y)
+        assert len({x, y, x}) == 2 and hash(x) == hash(x)
 
 
 @pytest.mark.parametrize("name,make", _scorer_bodies(),
@@ -1481,7 +1504,7 @@ def test_ray_exits_lie_on_their_chords_and_rays(h_tilde_file, key, polar,
     f, a = np.array(polar).reshape(-1, 2).T
     points = np.vstack([np.zeros((1, 2)), (f * body.radius_at(a))[:, None]
                         * np.column_stack((np.cos(a), np.sin(a)))])
-    walk = _BoundaryWalk(body.polygon, points)
+    walk = _BoundaryWalk(body.boundary, points)
     assert len(walk.c) == len(points)
     phi, n = walk.phi, walk.n
     assert np.all(np.diff(phi, axis=1) >= 0.0), body.label
@@ -1641,11 +1664,11 @@ def test_block_solver_equals_one_row_functions(name, perturbed, monkeypatch):
     monkeypatch.setattr(search, "_segment_positions", failing)
     # blocks of three points: rows map to cells across several walks
     monkeypatch.setattr(search, "_BLOCK_ELEMENTS",
-                        3 * (len(body.polygon) + 2))
+                        3 * (len(body.boundary) + 2))
 
     def solve(jitter):
         return search._solve_cells(
-            body.polygon, c, theta1[:, None],
+            body.boundary, c, theta1[:, None],
             (lambda r: jitter[r]) if perturbed else None)
 
     walks = _walk_refs(monkeypatch)

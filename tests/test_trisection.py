@@ -39,17 +39,17 @@ def apothem(corners):
 
 
 def rotated(body, angle):
-    """Body rotated about its center (for orientation-invariance checks);
-    a curved body keeps only its profile."""
-    thetas = np.mod(body.sector_theta + angle, SECTOR)
-    order = np.argsort(thetas)
-    corners = None
+    """Body rotated about its center (for orientation-invariance checks):
+    a polygon's corners, re-sorted CCW from the polar angle 0; a curved
+    body keeps only its profile."""
     if body.corners is not None:
         corners = rotate(body.corners, angle)
-        corners = corners[np.argsort(np.mod(np.arctan2(corners[:, 1], corners[:, 0]),
-                                            2 * math.pi))]
-    return SymmetricBody(sector_theta=thetas[order], sector_r=body.sector_r[order],
-                         label=body.label, corners=corners)
+        return SymmetricBody(body.label, corners=corners[np.argsort(np.mod(
+            np.arctan2(corners[:, 1], corners[:, 0]), 2 * math.pi))])
+    thetas = np.mod(body.sector_theta + angle, SECTOR)
+    order = np.argsort(thetas)
+    return SymmetricBody(body.label, sector_theta=thetas[order],
+                         sector_r=body.sector_r[order])
 
 
 def hausdorff(a, b):
