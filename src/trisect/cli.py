@@ -13,9 +13,9 @@ from .bodies import (h_eps_dpx, h_eps_dv12, load_body, make_h_eps,
                      solve_a0, validate)
 from .render import render_svg
 from .search import (InfeasibleConfigurationError, SweepGrid, antipodal_gap,
-                     check_magnitude, default_c_points, lemma_floor_checks,
-                     sweep_h_eps, sweep_segment_trisections,
-                     verify_h_tilde_optimal)
+                     check_magnitude, default_c_points, functional_quotient,
+                     lemma_floor_checks, sweep_h_eps,
+                     sweep_segment_trisections, verify_h_tilde_optimal)
 from .trisection import (closed_form_dm_standard, dm_regular_closed_form,
                          inscribed_ball_radius, max_relative_diameter,
                          standard_trisection)
@@ -121,7 +121,7 @@ def cmd_dm(args, parser):
         "dv12": math.sqrt(3.0) * rho,
         "dm_closed_form": dm_closed,
         "dm_geometric": dm_geom,
-        "quotient": dm_closed ** 2 / body.area,
+        "quotient": functional_quotient(body),
     }
     if args.format == "json":
         _write(dumps({k: (round(v, 12) if isinstance(v, float) else v)

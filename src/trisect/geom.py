@@ -248,61 +248,48 @@ def _pairs_max_sq(p):
     return d2
 
 
-# Elements per block of _centre_runs_sq's common-point rows and of
+# Elements per block of cell_bounds_sq's common-point rows and of
 # region_diameters_sq's pairs (64 kB of floats; larger blocks run slower,
 # on cache misses and page faults).
 _CHUNK = 8_192
 
 
-def _centre_runs_sq(pts, centres, start, length):
-    """Largest squared distance from each region's common point
-    centres[r] to its run pts[start[r] : start[r] + length[r]], 0 for an
-    empty run.  Consecutive regions with equal centres share their common
-    point, and one row of its squared distances to pts, doubled so that
-    no run wraps, gives all their runs' maxima by np.maximum.reduceat; a
-    point whose regions are not consecutive gets a row per group, with
-    the same values.  The rows are made for a block of common points at
-    a time, and the runs are taken in order of where they start in the
-    block's rows, so the spans between them, which reduceat also reduces,
-    add up to one pass over the rows."""
-    n = len(pts)
-    new = np.ones(len(centres), dtype=bool)
-    new[1:] = np.any(centres[1:] != centres[:-1], axis=1)
-    slot = np.cumsum(new) - 1
-    points = centres[new]
-    order = np.lexsort((start, slot))
-    slot, start, length = slot[order], start[order], length[order]
-    out = np.zeros(len(order))
-    step = max(1, _CHUNK // (2 * n))
+def cell_bounds_sq(pts, verts):
+    """Lower bounds of the cells' squared d_M: for each cell of curve
+    vertices verts (k, 3, V, 2) cut on the boundary pts, the larger of
+      * the largest squared distance from its common point verts[:, 0, 0]
+        to any point of pts, and
+      * the largest between two vertices of one of its regions.
+
+    Each is the largest dx*dx + dy*dy over the cell's pairs of a common
+    point and a run point, or of two vertices of one region, bit for bit:
+    a point of pts lies in one of the cell's runs (_BoundaryWalk.arc_run
+    partitions the boundary) or is an endpoint, at an integer position,
+    where point_at gives that point itself, and the vertex pair of the
+    common point and an endpoint evaluates the same expression on negated
+    differences.  So a bound is never above its cell's largest
+    region_diameters_sq.  Consecutive cells with equal common points share
+    one row of squared distances to pts, made a block of rows at a time.
+    """
+    c = verts[:, 0, 0]
+    new = np.ones(len(c), dtype=bool)
+    new[1:] = np.any(c[1:] != c[:-1], axis=1)
+    points = c[new]
+    far = np.empty(len(points))
+    step = max(1, _CHUNK // len(pts))
     for g in range(0, len(points), step):
-        a, b = np.searchsorted(slot, [g, g + step])
         dx = pts[:, 0] - points[g:g + step, 0, None]
         dy = pts[:, 1] - points[g:g + step, 1, None]
         dx *= dx
         dy *= dy
         dx += dy
-        rows = np.concatenate((dx, dx), axis=1).ravel()
-        lo = (slot[a:b] - g) * (2 * n) + start[a:b]
-        far = np.maximum.reduceat(rows, np.column_stack(
-            (lo, lo + length[a:b])).ravel())[::2]
-        out[order[a:b]] = np.where(length[a:b] > 0, far, 0.0)
-    return out
-
-
-def region_bounds_sq(pts, verts, start, length):
-    """Lower bounds of region_diameters_sq, on the same regions: the
-    largest squared distance between two vertices of region r, or from
-    its common point verts[r, 0] to its run.  Each is a maximum over some
-    of the region's pairs, with the same dx*dx + dy*dy, so a bound is
-    never above the region's squared diameter, bit for bit.  Regions that
-    share a common point go faster next to each other (_centre_runs_sq).
-    """
-    best = _centre_runs_sq(pts, verts[:, 0], start, length)
-    vx, vy = verts[..., 0].T.copy(), verts[..., 1].T.copy()
-    for a, b in itertools.combinations(range(verts.shape[1]), 2):
+        far[g:g + step] = dx.max(axis=1)
+    pairs = np.zeros(verts.shape[:2])
+    vx, vy = np.moveaxis(verts, (3, 2), (0, 1)).copy()  # (V, k, 3) each
+    for a, b in itertools.combinations(range(verts.shape[2]), 2):
         dx, dy = vx[a] - vx[b], vy[a] - vy[b]
-        best = np.maximum(best, dx * dx + dy * dy)
-    return best
+        pairs = np.maximum(pairs, dx * dx + dy * dy)
+    return np.maximum(far[np.cumsum(new) - 1], pairs.max(axis=1))
 
 
 def region_diameters_sq(pts, verts, start, length):

@@ -6,9 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bodies as _bodies
 from .bodies import H_EPS_A_MAX, h_eps_dpx, h_eps_dv12
-from .geom import (points_diameter, ray_exit, region_bounds_sq,
+from .geom import (cell_bounds_sq, points_diameter, ray_exit,
                    region_diameters_sq)
 from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
                          _BoundaryWalk, _cell_regions, _first_root, _tri_area,
@@ -325,27 +324,23 @@ def _cells_dm(cells, floor):
     floor, equal bit for bit to trisection_dm of its Trisection, and inf
     for every other cell.
 
-    A cell's bound, the square root of the largest region_bounds_sq of
-    its regions, is never above its d_M.  region_diameters_sq, which
-    equals points_diameter of each region bit for bit, scores in rounds
-    the cells whose bound is at most limit, which starts at
-    max(floor, least bound) and rises to the least d_M scored, until no
-    cell is left at or below it.  A cell left out has d_M >= bound >
-    limit >= least d_M, so it is not the minimum, ties none, and is not
-    below floor.  floor = inf scores every cell.
+    A cell's bound, the square root of its cell_bounds_sq, is never above
+    its d_M.  region_diameters_sq, which equals points_diameter of each
+    region bit for bit, scores in rounds the cells whose bound is at most
+    limit, which starts at max(floor, least bound) and rises to the least
+    d_M scored, until no cell is left at or below it.  A cell left out has
+    d_M >= bound > limit >= least d_M, so it is not the minimum, ties
+    none, and is not below floor.  floor = inf scores every cell.
     """
-    verts = cells.verts.reshape(-1, *cells.verts.shape[2:])
-    start, length = cells.start.ravel(), cells.length.ravel()
-    bound = np.sqrt(region_bounds_sq(cells.pts, verts, start, length)
-                    .reshape(-1, 3).max(axis=1))
+    bound = np.sqrt(cell_bounds_sq(cells.pts, cells.verts))
     dm = np.full(len(bound), np.inf)
     scored = np.zeros(len(bound), dtype=bool)
     limit = max(floor, float(bound.min()))
     todo = bound <= limit
     while np.any(todo):
-        rows = (3 * np.flatnonzero(todo)[:, None] + np.arange(3)).ravel()
-        d2 = region_diameters_sq(cells.pts, verts[rows], start[rows],
-                                 length[rows])
+        d2 = region_diameters_sq(
+            cells.pts, cells.verts[todo].reshape(-1, *cells.verts.shape[2:]),
+            cells.start[todo].ravel(), cells.length[todo].ravel())
         dm[todo] = np.sqrt(d2.reshape(-1, 3).max(axis=1))
         scored |= todo
         limit = max(limit, float(dm.min()))
@@ -428,9 +423,14 @@ class OptimalityReport:
 
 def verify_h_tilde_optimal(candidates):
     """Check the universal quotient bound over a candidate pool; equality is
-    expected only at the optimal rounded hexagon itself."""
+    expected only at the optimal rounded hexagon itself.
+
+    The bound is h_tilde's quotient in closed form.  h_tilde is the disk
+    of radius R = sqrt(3) rho cut by the triangle of the tangents at
+    distance rho; at rho = 1 its area is 3 sqrt(2) + 3 pi - 9 atan(sqrt(2))
+    and its d_M is sqrt(3), so d_M^2 / area is 3 over that area."""
     tol = 1e-4
-    bound = functional_quotient(_bodies.make_h_tilde())
+    bound = 1.0 / (math.sqrt(2.0) + math.pi - 3.0 * math.atan(math.sqrt(2.0)))
     entries, failures = [], []
     for body in candidates:
         q = functional_quotient(body)

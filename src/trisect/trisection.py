@@ -159,12 +159,14 @@ class _BoundaryWalk:
         """The boundary points strictly between positions t_a < t_b
         (mod n) as a cyclic run: its first index and its length.  Takes
         positions or arrays of them; a region's arc is the run between its
-        two endpoints."""
-        ta = np.remainder(t_a, self.n)
-        span = np.remainder(np.subtract(t_b, t_a), self.n)
-        first = np.floor(ta)
-        return (((first + 1.0) % self.n).astype(int),
-                (np.ceil(ta + span) - first - 1.0).astype(int))
+        two endpoints.  A run ends at ceil(t_b) - 1 and the next starts at
+        floor(t_b) + 1, of the same reduced t_b, so the runs of a cell's
+        three arcs partition the boundary but for the points that are its
+        endpoints, at integer positions."""
+        ta, tb = np.remainder(t_a, self.n), np.remainder(t_b, self.n)
+        first = np.floor(ta) + 1.0
+        last = np.ceil(tb) - 1.0 + np.where(tb < ta, self.n, 0.0)
+        return (first % self.n).astype(int), (last - first + 1.0).astype(int)
 
     def swept_position(self, f0, share, t_lo, t_hi, ci=0):
         """Root of (swept_area(t, ci) - f0) - share on [t_lo, t_hi], where

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import weakref
@@ -298,16 +299,15 @@ def test_lemma_floors(hexagon, reuleaux, h_tilde):
 def test_standard_dm_is_an_endpoint_or_centre_pair():
     # the paper's case split: the standard trisection's d_M is attained
     # between two endpoints or between the centre and the boundary, the
-    # pairs region_bounds_sq measures, so its bound is d_M bit for bit
+    # pairs cell_bounds_sq measures, so its bound is d_M bit for bit
     rng = np.random.default_rng(11)
     pool = ([make() for make in PRESETS.values()]
             + [make_h_eps(a) for a in np.linspace(0.0, H_EPS_A_MAX, 10)]
             + [random_body(rng) for _ in range(20)])
     for body in pool:
         tri = standard_trisection(body)
-        bound_sq = geom.region_bounds_sq(tri.pts, tri.verts, tri.start,
-                                         tri.length)
-        assert math.sqrt(bound_sq.max()) == trisection_dm(tri), body.label
+        bound_sq = geom.cell_bounds_sq(tri.pts, tri.verts[None])
+        assert math.sqrt(bound_sq[0]) == trisection_dm(tri), body.label
 
 
 def test_floors_fail_above_the_full_dm(monkeypatch):
@@ -484,6 +484,26 @@ def test_verify_h_tilde_optimal(triangle, hexagon, reuleaux, h_tilde):
     assert report.bound == pytest.approx(0.591764, abs=2e-4)
     near = [lbl for lbl, q, _ in report.entries if abs(q - report.bound) <= 1e-4]
     assert near == [h_tilde.label]
+
+
+def _quotient_formula(signs):
+    a, b, c = signs
+    return 1.0 / (a * math.sqrt(2.0) + b * math.pi
+                  + c * 3.0 * math.atan(math.sqrt(2.0)))
+
+
+def test_quotient_bound_is_the_closed_form(h_tilde):
+    # the bound is 1 / (sqrt 2 + pi - 3 atan sqrt 2), h_tilde's quotient,
+    # which the quotient of its profile polygon meets within 1e-8; a wrong
+    # sign in the formula misses it
+    bound = _quotient_formula((1, 1, -1))
+    assert verify_h_tilde_optimal([h_tilde]).bound == bound
+    assert bound == 0.5917662724064134
+    assert abs(functional_quotient(h_tilde) - bound) <= 1e-8
+    for signs in itertools.product((1, -1), repeat=3):
+        if signs != (1, 1, -1):
+            assert abs(functional_quotient(h_tilde)
+                       - _quotient_formula(signs)) > 1e-8, signs
 
 
 def test_antipodal_gap_hexagon(hexagon):
@@ -916,6 +936,43 @@ def test_walk_positions_match_divmod(h_tilde):
     assert walk.swept_area(float(t[0])) == swept[0]
 
 
+def _ulps_about(values):
+    """Each of values, then the floats 1 and 2 ulps below and above it."""
+    down, up = (np.nextafter(values, d) for d in (-np.inf, np.inf))
+    return np.concatenate((values, down, up, np.nextafter(down, -np.inf),
+                           np.nextafter(up, np.inf)))
+
+
+@pytest.mark.parametrize("name", ["triangle", "hexagon", "reuleaux",
+                                  "h_tilde"])
+def test_arc_runs_partition_the_boundary(request, name):
+    # a cell's first endpoint at an integer position or 1-2 ulps either
+    # side of it: every boundary point is in exactly one of the cell's
+    # three runs, or is one of its endpoints, bit for bit.  A run end
+    # taken from t_a plus the span rounds, and drops the point of an
+    # endpoint one ulp past an integer from both runs
+    boundary = request.getfixturevalue(name).sweep_polygon
+    walk = _BoundaryWalk(boundary, np.array([0.03, -0.02]))
+    n = walk.n
+    rng = np.random.default_rng(5)
+    whole = rng.choice(np.arange(1, n + 1), min(n, 40), replace=False)
+    t1 = np.repeat(_ulps_about(whole.astype(float)), 10)
+    gaps = rng.dirichlet(np.ones(3), len(t1)) * n
+    ts = np.column_stack((t1, t1 + gaps[:, 0], t1 + gaps[:, :2].sum(axis=1)))
+    # an empty run, and one that holds every point
+    ts = np.vstack((ts % n, [[0.5, 0.6, 0.7], [0.6, 0.7, 0.5]]))
+    start, length = walk.arc_run(ts, ts[:, [1, 2, 0]])
+    assert np.any(length == 0) and np.any(length == n)
+    ends = walk.point_at(ts)
+    for k in range(len(ts)):
+        runs = np.concatenate([(s + np.arange(m)) % n
+                               for s, m in zip(start[k], length[k])])
+        count = np.bincount(runs, minlength=n)
+        is_end = np.any(np.all(boundary[None] == ends[k, :, None], axis=2),
+                        axis=0)
+        assert np.all(count <= 1) and np.all(is_end[count == 0]), ts[k]
+
+
 def _one_bracket_scan(area_fn, t_lo, t_hi):
     """The solve for one bracket as a loop-free scan of its own positions;
     NaN without a sign change."""
@@ -1288,9 +1345,9 @@ def test_solved_cells_keep_no_walk_alive(hexagon, monkeypatch, mode):
 @example(seed=1, mids=False, name="reuleaux")
 @example(seed=2, mids=True, name="h_tilde")
 def test_region_scores_do_not_depend_on_region_order(seed, mids, name):
-    # the regions of several common points, mixed and permuted: the
-    # bounds and diameters are those of the regions in order, permuted,
-    # bit for bit, though regions sharing a point are no longer together.
+    # the cells and regions of several common points, mixed and permuted:
+    # the cell bounds and region diameters are those in order, permuted,
+    # bit for bit, though those sharing a point are no longer together.
     # On the curved bodies rows with a short arc put regions of at most
     # _K points beside larger ones in one call; every diameter equals
     # points_diameter of its region, bit for bit
@@ -1312,41 +1369,92 @@ def test_region_scores_do_not_depend_on_region_order(seed, mids, name):
     if mids:
         mid = (0.5 * (walk.c[ci, None] + walk.point_at(ts))
                + rng.uniform(-0.02, 0.02, (len(ts), 3, 2)))
-    verts, start, length = _cell_regions(walk, ts, mid, ci)
-    verts = verts.reshape(-1, *verts.shape[2:])
+    cells, start, length = _cell_regions(walk, ts, mid, ci)
+    perm = rng.permutation(len(cells))
+    assert np.array_equal(geom.cell_bounds_sq(boundary, cells[perm]),
+                          geom.cell_bounds_sq(boundary, cells)[perm])
+    verts = cells.reshape(-1, *cells.shape[2:])
     start, length = start.ravel(), length.ravel()
     if name != "random":
         size = verts.shape[1] + length
         assert np.any(size <= geom._K) and np.any(size > geom._K)
     perm = rng.permutation(len(start))
-    for score in (geom.region_bounds_sq, geom.region_diameters_sq):
-        want = score(boundary, verts, start, length)[perm]
-        got = score(boundary, verts[perm], start[perm], length[perm])
-        assert np.array_equal(got, want), score.__name__
+    want = region_diameters_sq(boundary, verts, start, length)[perm]
+    got = region_diameters_sq(boundary, verts[perm], start[perm], length[perm])
+    assert np.array_equal(got, want)
     assert [math.sqrt(v) for v in got] == [
         points_diameter(_region_points(boundary, verts[r], start[r], length[r]))
         for r in perm]
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.sampled_from(["random", "triangle", "hexagon", "reuleaux",
+                        "h_tilde"]))
+@example(seed=0, mids=False, name="triangle")
+@example(seed=1, mids=True, name="h_tilde")
+def test_cell_bound_is_the_largest_region_bound(seed, mids, name):
+    # a cell's bound is, bit for bit, the largest over its regions of the
+    # squared distances from the common point to each point of the region
+    # (_region_points) and between two of the region's vertices, also
+    # where endpoints lie on boundary points or 1 ulp off them; it is at
+    # most the cell's largest squared region diameter
+    rng = np.random.default_rng(seed)
+    body = random_body(rng) if name == "random" else PRESETS[name]()
+    boundary = body.sweep_polygon
+    walk = _BoundaryWalk(boundary, default_c_points(body, 4, rng))
+    n = walk.n
+    ci = np.repeat(np.arange(len(walk.c)), 6)
+    ts = np.sort(rng.uniform(0.0, n, (len(ci), 3)), axis=1)
+    # every other cell's endpoints on three boundary points, moved by -1,
+    # 0 or +1 ulp
+    on = np.sort([rng.choice(n, 3, replace=False)
+                  for _ in range(len(ci) // 2)], axis=1).astype(float)
+    ulps = rng.integers(-1, 2, on.shape)
+    on = np.where(ulps < 0, np.nextafter(on, -np.inf),
+                  np.where(ulps > 0, np.nextafter(on, np.inf), on))
+    ts[::2] = on % n
+    mid = None
+    if mids:
+        mid = (0.5 * (walk.c[ci, None] + walk.point_at(ts))
+               + rng.uniform(-0.02, 0.02, (len(ts), 3, 2)))
+    verts, start, length = _cell_regions(walk, ts, mid, ci)
+    want = []
+    for cell in zip(verts, start, length):
+        best = 0.0
+        for v, s, m in zip(*cell):
+            d = _region_points(boundary, v, s, m) - v[0]
+            best = max(best, float(np.max(d[:, 0] * d[:, 0]
+                                          + d[:, 1] * d[:, 1])))
+            for a, b in itertools.combinations(v, 2):
+                dx, dy = a[0] - b[0], a[1] - b[1]
+                best = max(best, float(dx * dx + dy * dy))
+        want.append(best)
+    got = geom.cell_bounds_sq(boundary, verts)
+    assert np.array_equal(got, want)
+    d2 = region_diameters_sq(boundary, verts.reshape(-1, *verts.shape[2:]),
+                             start.ravel(), length.ravel())
+    assert np.all(got <= d2.reshape(-1, 3).max(axis=1))
+
+
 def _traced_scoring(mp):
     """Wraps the sweep's two scorers with mp: returns a list that gets
-    each scoring's cell bounds, the square root of the largest
-    region_bounds_sq of a cell's regions, and a list that gets the
-    region count of every region_diameters_sq call."""
+    each scoring's cell bounds, the square roots of cell_bounds_sq, and a
+    list that gets the region count of every region_diameters_sq call."""
     bounds, scored = [], []
-    bounds_sq = search.region_bounds_sq
+    bounds_sq = search.cell_bounds_sq
     diameters_sq = search.region_diameters_sq
 
     def traced_bounds(*args):
         d2 = bounds_sq(*args)
-        bounds.append(np.sqrt(d2.reshape(-1, 3).max(axis=1)))
+        bounds.append(np.sqrt(d2))
         return d2
 
     def traced_diameters(*args):
         scored.append(len(args[2]))
         return diameters_sq(*args)
 
-    mp.setattr(search, "region_bounds_sq", traced_bounds)
+    mp.setattr(search, "cell_bounds_sq", traced_bounds)
     mp.setattr(search, "region_diameters_sq", traced_diameters)
     return bounds, scored
 
