@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geom import (DegenerateGeometryError, convex_hull, is_ccw_convex,
+from .geom import (_CHUNK, DegenerateGeometryError, convex_hull,
                    polar_angles, polygon_area, ray_exit, rotate)
 
 SECTOR = 2.0 * math.pi / 3.0
@@ -43,8 +43,8 @@ class SymmetricBody:
         angle 0: its boundary, which everything computes on.
     sector_theta/sector_r: else the sampled radial profile over
         [0, 2*pi/3), whose points are the boundary.
-    radius_at casts rays by geom.ray_exit, as walks do, on polygon_angles:
-        the corners' by geom.polar_angles, or the profile's.
+    nearest_point, max_radius and radius_at are row 0 of the body's
+        stack of one (BodyStack), whose code every stack runs.
     sweep_rows: a curved body's indices into sector_theta of its sweep
         polygon; a body without them sweeps on its boundary.
     outline_hint: a curved body's exact drawing path for the full
@@ -68,6 +68,14 @@ class SymmetricBody:
         sector = np.column_stack((self.sector_r * np.cos(self.sector_theta),
                                   self.sector_r * np.sin(self.sector_theta)))
         return np.concatenate([rotate(sector, k * SECTOR) for k in range(3)])
+
+    @property
+    def stack(self):
+        """The body as a stack of one, made at each call.  The body caches
+        its nearest_point and polygon_angles, which its stacks read, but
+        no stack: a stack holds its bodies, and that cycle would keep
+        both alive until a garbage collection."""
+        return BodyStack((self,))
 
     @cached_property
     def polygon_angles(self):
@@ -96,34 +104,20 @@ class SymmetricBody:
         body's boundary polygon, exact on its chords: an array of theta's
         shape, or a float for a scalar theta."""
         theta = np.asarray(theta, dtype=float)
-        r = np.hypot(*ray_exit(self.boundary, self.polygon_angles, theta)[2:])
+        r = self.stack.radius_at(theta)[0]
         return float(r) if theta.ndim == 0 else r
 
     def max_radius(self):
         """Max distance from the center to the boundary: the farthest
         corner's norm, or the largest profile radius."""
-        r = self.sector_r if self.corners is None else np.hypot(*self.corners.T)
-        return float(np.max(r))
+        return self.stack.max_radius[0].item()
 
     @cached_property
     def nearest_point(self):
-        """Boundary point closest to the center and its distance rho,
-        exact over chords.
-
-        Feet within 1e-15 * rho of rho tie (threefold copies, flat arcs);
-        ties are broken by smallest polar angle.
-        """
-        x, y = self.boundary.T
-        ex = np.concatenate((x[1:], x[:1])) - x
-        ey = np.concatenate((y[1:], y[:1])) - y
-        t = np.clip(-(x * ex + y * ey)
-                    / np.maximum(ex * ex + ey * ey, 1e-30), 0.0, 1.0)
-        fx, fy = x + t * ex, y + t * ey
-        dist = np.hypot(fx, fy)
-        rho = float(np.min(dist))
-        tied = np.nonzero(dist <= rho + 1e-15 * rho)[0]
-        i = tied[np.argmin(np.mod(np.arctan2(fy[tied], fx[tied]), 2 * math.pi))]
-        return np.array([fx[i], fy[i]]), rho
+        """Boundary point closest to the center and its distance rho, as
+        BodyStack.nearest_point finds them."""
+        m, rho = self.stack._nearest()
+        return m[0], rho[0].item()
 
     def scaled(self, factor):
         """Uniform dilation about the center."""
@@ -160,6 +154,168 @@ class ValidationReport:
     def clean(self):
         return (self.convex_ok and self.symmetry_ok and self.coverage_ok
                 and self.positive_ok and self.area_ok)
+
+
+@dataclass(frozen=True, eq=False)
+class BodyStack:
+    """Bodies as one array, for the quantities and checks that run on
+    all of them at once (stacks forms them).
+
+    Row b of pts (k, m, 2) is bodies[b].boundary, its n[b] points padded
+    to m by repeating its last point: geom.ray_exit's stack form.  A
+    point's successor on its polygon is the next point of its row, or
+    point 0 for the points of seam, so a padded point repeats its row's
+    closing chord, from point n[b] - 1 to point 0.  A profile body (a
+    curved body, a body file) is only ever a stack of one, and so never
+    padded.  Each cached quantity has one entry per row.
+    """
+
+    bodies: tuple
+
+    @cached_property
+    def n(self):
+        return np.array([len(b.boundary) for b in self.bodies])
+
+    @cached_property
+    def pts(self):
+        if len(self.bodies) == 1:
+            return self.bodies[0].boundary[None]
+        n = self.n
+        own = np.minimum(np.arange(n.max()), n[:, None] - 1)
+        flat = np.concatenate([b.boundary for b in self.bodies])
+        return flat[(np.cumsum(n) - n)[:, None] + own]
+
+    @cached_property
+    def seam(self):
+        """The (row, column) indices of the points n[b] - 1 to m - 2 of
+        each row, its last point and its padded copies, whose successor
+        is the row's point 0: none in a row without padding."""
+        if len(self.bodies) == 1:
+            return (np.zeros(0, dtype=int),) * 2
+        j = np.arange(self.pts.shape[1])
+        return np.nonzero((j >= self.n[:, None] - 1) & (j < len(j) - 1))
+
+    def _next(self, v):
+        """v (k, m) at each point's successor on its polygon."""
+        after = np.concatenate((v[:, 1:], v[:, :1]), axis=1)
+        after[self.seam] = v[self.seam[0], 0]
+        return after
+
+    @cached_property
+    def angles(self):
+        """radius_at's rows of angles: a body's own polygon_angles, or
+        polar_angles of the rows' points about the center (k, m + 1),
+        whose padding repeats a row's last angle."""
+        if len(self.bodies) == 1:
+            return self.bodies[0].polygon_angles
+        return polar_angles(self.pts[..., 0], self.pts[..., 1])
+
+    @property
+    def point_angles(self):
+        """polar_angles of the rows' points, the angles a walk about the
+        center sees: angles, but for a profile body, whose are made at
+        each call."""
+        if self.bodies[0].corners is not None:
+            return self.angles
+        return polar_angles(self.pts[..., 0], self.pts[..., 1])
+
+    @cached_property
+    def area(self):
+        """Each body's area, its own polygon_area."""
+        return np.array([b.area for b in self.bodies])
+
+    @cached_property
+    def max_radius(self):
+        """Each row's largest distance from the center to its boundary:
+        the farthest corner's norm, or a profile's largest radius."""
+        body = self.bodies[0]
+        if body.corners is None:
+            return np.max(body.sector_r, keepdims=True)
+        return np.max(np.hypot(self.pts[..., 0], self.pts[..., 1]), axis=1)
+
+    @cached_property
+    def nearest_point(self):
+        """Each row's boundary point closest to the center (k, 2) and its
+        distance rho (k,), exact over chords: _nearest's, which a body
+        keeps for its stack of one."""
+        if len(self.bodies) == 1:
+            m, rho = self.bodies[0].nearest_point
+            return m[None], np.array([rho])
+        return self._nearest()
+
+    def _nearest(self):
+        """nearest_point, computed.
+
+        Feet within 1e-15 * rho of rho tie (threefold copies, flat arcs);
+        ties are broken by smallest polar angle, then by first chord.
+        """
+        x, y = self.pts[..., 0], self.pts[..., 1]
+        ex, ey = self._next(x) - x, self._next(y) - y
+        t = np.clip(-(x * ex + y * ey)
+                    / np.maximum(ex * ex + ey * ey, 1e-30), 0.0, 1.0)
+        fx, fy = x + t * ex, y + t * ey
+        dist = np.hypot(fx, fy)
+        rho = np.min(dist, axis=1)
+        tied = np.flatnonzero(dist <= (rho + 1e-15 * rho)[:, None])
+        fx, fy, r = fx.ravel()[tied], fy.ravel()[tied], tied // dist.shape[1]
+        # each row's tied feet by angle, then by chord: its first wins
+        order = np.lexsort((np.mod(np.arctan2(fy, fx), 2 * math.pi), r))
+        won = order[np.diff(r[order], prepend=-1) > 0]
+        feet = np.full((len(rho), 2), np.nan)  # a NaN row ties nothing
+        feet[r[won]] = np.column_stack((fx[won], fy[won]))
+        return feet, rho
+
+    def radius_at(self, theta, rows=slice(None)):
+        """Distance from the center along the angles theta to the
+        boundary polygon of each row in the slice rows, exact on its
+        chords, (rows, *theta's shape): geom.ray_exit's stack form on
+        angles, whose search keys hold those rows only."""
+        pts, angles = self.pts[rows], self.angles[rows]
+        if len(pts) == 1:  # one polygon: ray_exit's plain form
+            return np.hypot(*ray_exit(pts[0], angles, theta)[2:])[None]
+        ci = np.arange(len(pts)).reshape((-1,) + (1,) * np.ndim(theta))
+        return np.hypot(*ray_exit(pts, angles, theta, None, ci)[2:])
+
+
+def as_stack(body):
+    """A BodyStack as it is, or a SymmetricBody's stack of one."""
+    return body if isinstance(body, BodyStack) else body.stack
+
+
+def unstack(body, values):
+    """values, an array with one entry per row of as_stack(body): all of
+    it for a BodyStack, else the one body's entry as a Python scalar."""
+    return values if isinstance(body, BodyStack) else values[0].item()
+
+
+def stacks(bodies):
+    """bodies as (rows, BodyStack) pairs, rows the indices in bodies of
+    the stack's rows: each profile body as its own stack of one, and the
+    corner bodies in order of corner count, as many to a stack as keep
+    its padded points within geom._CHUNK (a larger body alone)."""
+    bodies = list(bodies)
+    out = [([i], BodyStack((b,))) for i, b in enumerate(bodies)
+           if b.corners is None]
+    rows = sorted((i for i, b in enumerate(bodies) if b.corners is not None),
+                  key=lambda i: len(bodies[i].corners))
+    while rows:
+        count = 1
+        while (count < len(rows) and (count + 1)
+               * len(bodies[rows[count]].corners) <= _CHUNK):
+            count += 1
+        out.append((rows[:count],
+                    BodyStack(tuple(bodies[i] for i in rows[:count]))))
+        rows = rows[count:]
+    return out
+
+
+def per_body(check, pairs, *args):
+    """check(stack, *args), one value per row, over the (rows, stack)
+    pairs of stacks: a list in the order of the bodies."""
+    out = {}
+    for rows, stack in pairs:
+        out.update(zip(rows, check(stack, *args)))
+    return [out[i] for i in range(len(out))]
 
 
 def _corner_body(label, points):
@@ -347,53 +503,88 @@ def normalize_unit_area(body):
     return body.scaled(1.0 / math.sqrt(area))
 
 
+def _corner_checks(stack):
+    """validate's checks of a stack of corner bodies, for each row: its
+    positive, symmetry and coverage verdicts and their messages."""
+    # each edge passes the center on its left; the corners rotated by
+    # SECTOR are them moved on by a third; their angles rise one turn
+    x, y = stack.pts[..., 0], stack.pts[..., 1]
+    n, m = stack.n[:, None], x.shape[1]
+    positive = np.all(x * stack._next(y) - y * stack._next(x) > 0.0, axis=1)
+    third = (np.minimum(np.arange(m), n - 1) + n // 3) % n
+    rx, ry = np.moveaxis(rotate(stack.pts, SECTOR), 2, 0)
+    off = np.maximum(np.abs(rx - np.take_along_axis(x, third, axis=1)),
+                     np.abs(ry - np.take_along_axis(y, third, axis=1)))
+    symmetry = (n[:, 0] % 3 == 0) & (np.max(off, axis=1) <= SYMMETRY_TOL)
+    # a padded row's repeated angles neither rise nor count
+    rises = np.diff(stack.angles) > 0.0
+    rises[stack.seam] = True
+    coverage = np.all(rises, axis=1)
+    texts = ("an edge does not pass the center on its left",
+             f"corners are not threefold symmetric within {SYMMETRY_TOL:g}",
+             "corners do not turn once about the center")
+    return [(*row, [t for ok, t in zip(row, texts) if not ok])
+            for row in zip(positive.tolist(), symmetry.tolist(),
+                           coverage.tolist())]
+
+
+def _profile_checks(body):
+    """validate's checks of a profile body: its positive, symmetry and
+    coverage verdicts and their messages."""
+    msgs = []
+    thetas = np.asarray(body.sector_theta, dtype=float)
+    radii = np.asarray(body.sector_r, dtype=float)
+
+    positive_ok = bool(np.all(radii > 0.0) and np.all(np.isfinite(radii)))
+    if not positive_ok:
+        msgs.append("profile has non-positive or non-finite radii")
+
+    symmetry_ok = bool(np.all(thetas >= 0.0) and np.all(thetas < SECTOR)
+                       and np.all(np.diff(thetas) > 0.0))
+    if not symmetry_ok:
+        msgs.append("profile angles leave the fundamental sector [0, 2pi/3)")
+
+    gaps = np.diff(np.append(thetas, thetas[0] + SECTOR))
+    coverage_ok = symmetry_ok and bool(np.max(gaps) <= MAX_PROFILE_SPACING + 1e-12)
+    if symmetry_ok and not coverage_ok:
+        msgs.append(f"profile spacing exceeds {MAX_PROFILE_SPACING:.6f}")
+    return positive_ok, symmetry_ok, coverage_ok, msgs
+
+
 def validate(body):
     """Check positive radii, threefold symmetry, coverage, convexity and
-    unit area, of a polygon's corners or of a profile."""
-    msgs = []
-    if body.corners is not None:
-        # each edge passes the center on its left; the corners rotated by
-        # SECTOR are them rolled on by a third; their angles rise one turn
-        c, k = body.corners, len(body.corners) // 3
-        positive_ok = bool(np.all(c[:, 0] * np.roll(c[:, 1], -1)
-                                  - c[:, 1] * np.roll(c[:, 0], -1) > 0.0))
-        symmetry_ok = 3 * k == len(c) and bool(np.max(np.abs(
-            rotate(c, SECTOR) - np.roll(c, -k, axis=0))) <= SYMMETRY_TOL)
-        coverage_ok = bool(np.all(np.diff(body.polygon_angles) > 0.0))
-        msgs += [m for ok, m in zip((positive_ok, symmetry_ok, coverage_ok), (
-            "an edge does not pass the center on its left",
-            f"corners are not threefold symmetric within {SYMMETRY_TOL:g}",
-            "corners do not turn once about the center")) if not ok]
-    else:
-        thetas = np.asarray(body.sector_theta, dtype=float)
-        radii = np.asarray(body.sector_r, dtype=float)
+    unit area, of a polygon's corners or of a profile: a
+    ValidationReport for a body, and a tuple of one a row for a
+    BodyStack, whose checks run on all its rows at once."""
+    stack = as_stack(body)
+    first = stack.bodies[0]
+    checks = (_corner_checks(stack) if first.corners is not None
+              else [_profile_checks(first)])
+    # a profile with a non-positive or non-finite radius builds no
+    # boundary worth measuring: its turns and area could overflow
+    turns = [False] * len(checks)
+    if any(ok for ok, *_ in checks):
+        x, y = stack.pts[..., 0], stack.pts[..., 1]
+        ex, ey = stack._next(x) - x, stack._next(y) - y
+        turns = np.all(ex * stack._next(ey) - ey * stack._next(ex) >= -1e-9,
+                       axis=1).tolist()
+    reports = []
+    for (positive_ok, symmetry_ok, coverage_ok, msgs), turn, member in zip(
+            checks, turns, stack.bodies):
+        convex_ok = positive_ok and turn
+        if positive_ok and not convex_ok:
+            msgs.append("reconstructed boundary is not convex")
 
-        positive_ok = bool(np.all(radii > 0.0) and np.all(np.isfinite(radii)))
-        if not positive_ok:
-            msgs.append("profile has non-positive or non-finite radii")
+        area = float(member.area) if positive_ok else 0.0
+        area_ok = abs(area - 1.0) <= 1e-6
+        if not area_ok:
+            msgs.append(f"area {area:.8f} deviates from 1 by more than 1e-6")
 
-        symmetry_ok = bool(np.all(thetas >= 0.0) and np.all(thetas < SECTOR)
-                           and np.all(np.diff(thetas) > 0.0))
-        if not symmetry_ok:
-            msgs.append("profile angles leave the fundamental sector [0, 2pi/3)")
-
-        gaps = np.diff(np.append(thetas, thetas[0] + SECTOR))
-        coverage_ok = symmetry_ok and bool(np.max(gaps) <= MAX_PROFILE_SPACING + 1e-12)
-        if symmetry_ok and not coverage_ok:
-            msgs.append(f"profile spacing exceeds {MAX_PROFILE_SPACING:.6f}")
-
-    convex_ok = positive_ok and is_ccw_convex(body.boundary, tol=1e-9)
-    if positive_ok and not convex_ok:
-        msgs.append("reconstructed boundary is not convex")
-
-    area = float(body.area) if positive_ok else 0.0
-    area_ok = abs(area - 1.0) <= 1e-6
-    if not area_ok:
-        msgs.append(f"area {area:.8f} deviates from 1 by more than 1e-6")
-
-    return ValidationReport(convex_ok=convex_ok, symmetry_ok=symmetry_ok,
-                            coverage_ok=coverage_ok, positive_ok=positive_ok,
-                            area_ok=area_ok, area=area, messages=tuple(msgs))
+        reports.append(ValidationReport(
+            convex_ok=convex_ok, symmetry_ok=symmetry_ok,
+            coverage_ok=coverage_ok, positive_ok=positive_ok,
+            area_ok=area_ok, area=area, messages=tuple(msgs)))
+    return tuple(reports) if isinstance(body, BodyStack) else reports[0]
 
 
 def load_body(path):

@@ -10,7 +10,7 @@ import numpy as np
 from . import bodies
 from .bodies import (h_eps_dpx, h_eps_dv12, load_body, make_h_eps,
                      make_h_tilde, make_regular_polygon, make_reuleaux,
-                     solve_a0, validate)
+                     per_body, solve_a0, stacks, validate)
 from .render import render_svg
 from .search import (InfeasibleConfigurationError, SweepGrid, antipodal_gap,
                      check_magnitude, default_c_points, functional_quotient,
@@ -201,12 +201,10 @@ def cmd_verify(args, parser):
         lines.append(f"{'PASS' if passed else 'FAIL'} {name}"
                      + (f" ({detail})" if detail else ""))
 
-    valid_pool = []
-    for body in pool:
-        report = validate(body)
+    reports = per_body(validate, stacks(pool))
+    for body, report in zip(pool, reports):
         check(f"validate[{body.label}]", report.clean, "; ".join(report.messages))
-        if report.clean:
-            valid_pool.append(body)
+    valid_pool = [body for body, report in zip(pool, reports) if report.clean]
 
     opt = verify_h_tilde_optimal(valid_pool)
     check("quotient-bound", opt.all_pass,
@@ -215,12 +213,12 @@ def cmd_verify(args, parser):
     check("quotient-equality-only-at-h_tilde",
           all(lbl == "h_tilde" for lbl in equal), f"equal={equal}")
 
-    for body in valid_pool:
-        gap = antipodal_gap(body, args.samples)
+    valid = stacks(valid_pool)
+    for body, gap in zip(valid_pool, per_body(antipodal_gap, valid,
+                                              args.samples)):
         check(f"antipodal[{body.label}]", gap >= -1e-6, f"gap={gap:.2e}")
-
-    for body in valid_pool:
-        check(f"floors[{body.label}]", lemma_floor_checks(body))
+    for body, passed in zip(valid_pool, per_body(lemma_floor_checks, valid)):
+        check(f"floors[{body.label}]", passed)
 
     _write("\n".join(lines) + "\n", args.out)
     return 0 if ok else 1

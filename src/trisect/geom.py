@@ -51,18 +51,29 @@ def polar_angles(x, y):
 def ray_exit(pts, rows, theta, c=None, ci=0):
     """The one ray cast: where rays at the angles theta from the points
     c[ci] (ci broadcast against theta; the origin if c is None) leave
-    the closed polygon pts, whose polar angles about c[k] rise along
-    rows[k] from its first and close 2pi above it (polar_angles'
-    layout).  A ray leaves through the chord from point i to i + 1
-    (mod n), the last that starts at or below its angle in that range,
-    at p_i + s (p_i+1 - p_i), s clamped to [0, 1]; an exactly zero
-    denominator reads as 1.  Returns i, s and the exit's x, y about c[ci]."""
+    the closed polygon pts (n, 2), whose polar angles about c[k] rise
+    along rows[k] from its first and close 2pi above it (polar_angles'
+    layout).  pts may instead be a stack (k, m, 2) of one polygon per
+    row of rows, about the origin: each padded to m points by repeating
+    its last point, so that its row of angles repeats its last angle and
+    its chord from point m - 1 to point 0 closes it.  A ray leaves
+    through the chord from point i to i + 1 (mod n, or mod m in a
+    stack), the last that starts at or below its angle in that range, at
+    p_i + s (p_i+1 - p_i), s clamped to [0, 1]; an exactly zero
+    denominator reads as 1.  Returns i, s and the exit's x, y about
+    c[ci]; in a stack, i is m - 1 on a row's closing chord."""
     first = rows[ci, 0]
     q = first + np.mod(theta - first, 2.0 * math.pi)
     i = _row_search(rows[:, 1:-1], ci, q, "right")
-    x, y, j = pts[:, 0], pts[:, 1], i + 1
-    xi, yi = x.take(i), y.take(i)
-    ex, ey = x.take(j, mode="wrap") - xi, y.take(j, mode="wrap") - yi
+    a, b = i, i + 1
+    if pts.ndim == 3:  # flat indices into the rows, b wrapped at m
+        m = pts.shape[1]
+        a = i + ci * m
+        b = a + 1 - m * (i == m - 1)
+        pts = pts.reshape(-1, 2)
+    x, y = pts[:, 0], pts[:, 1]
+    xi, yi = x.take(a), y.take(a)
+    ex, ey = x.take(b, mode="wrap") - xi, y.take(b, mode="wrap") - yi
     x1, y1 = (xi, yi) if c is None else (xi - c[ci, 0], yi - c[ci, 1])
     dx, dy = np.cos(theta), np.sin(theta)
     den = dx * ey - dy * ex

@@ -6,8 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bodies import H_EPS_A_MAX, h_eps_dpx, h_eps_dv12
-from .geom import (cell_bounds_sq, points_diameter, ray_exit,
+from .bodies import (H_EPS_A_MAX, as_stack, h_eps_dpx, h_eps_dv12,
+                     per_body, stacks, unstack)
+from .geom import (_CHUNK, cell_bounds_sq, points_diameter, ray_exit,
                    region_diameters_sq)
 from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
                          _BoundaryWalk, _cell_regions, _first_root, _tri_area,
@@ -205,6 +206,15 @@ def trisection_dm(tri):
     return max(points_diameter(r) for r in tri.regions)
 
 
+def _dm(pts, verts, start, length):
+    """d_M of each cell of verts (k, 3, V, 2), start and length (k, 3)
+    on the points pts, as region_diameters_sq scores its regions: equal
+    bit for bit to trisection_dm of the cell's Trisection."""
+    d2 = region_diameters_sq(pts, verts.reshape(-1, *verts.shape[2:]),
+                             start.ravel(), length.ravel())
+    return np.sqrt(d2.reshape(-1, 3).max(axis=1))
+
+
 # _solve_cells stacks its common points in blocks of one walk each: a
 # block's walk arrays hold k x (n + 1) floats and its solve k x m rows,
 # and k is the most that keeps their sum within this many elements.
@@ -338,10 +348,8 @@ def _cells_dm(cells, floor):
     limit = max(floor, float(bound.min()))
     todo = bound <= limit
     while np.any(todo):
-        d2 = region_diameters_sq(
-            cells.pts, cells.verts[todo].reshape(-1, *cells.verts.shape[2:]),
-            cells.start[todo].ravel(), cells.length[todo].ravel())
-        dm[todo] = np.sqrt(d2.reshape(-1, 3).max(axis=1))
+        dm[todo] = _dm(cells.pts, cells.verts[todo], cells.start[todo],
+                       cells.length[todo])
         scored |= todo
         limit = max(limit, float(dm.min()))
         todo = (bound <= limit) & ~scored
@@ -383,7 +391,7 @@ def sweep_segment_trisections(body, grid, seed=42):
 def lemma_floor_checks(body):
     """Whether the standard trisection attains the lemma floor: its exact
     d_M lies within ATTAIN_TOL * floor of the floor max(R, sqrt(3)*rho),
-    on both sides.
+    on both sides; of a body, or of each row of a BodyStack at once.
 
     No trisection's d_M is below the floor.  Its regions meet the boundary
     in three arcs covering 360 degrees about the centre; one spans 120 or
@@ -393,9 +401,11 @@ def lemma_floor_checks(body):
     sum_k |c - x_k|^2 = 3|c|^2 + 3R^2, so some |c - x_k| >= R.  So the
     upper side tests the paper's claim, the lower side the program.
     """
-    dm = trisection_dm(standard_trisection(body))
-    floor = closed_form_dm_standard(body)
-    return abs(dm - floor) <= ATTAIN_TOL * floor
+    stack = as_stack(body)
+    cut = standard_trisection(stack)
+    dm = _dm(cut.pts, cut.verts, cut.start, cut.length)
+    floor = closed_form_dm_standard(stack)
+    return unstack(body, np.abs(dm - floor) <= ATTAIN_TOL * floor)
 
 
 def sweep_h_eps(count):
@@ -409,8 +419,11 @@ def sweep_h_eps(count):
 
 
 def functional_quotient(body):
-    """Dilation-invariant quotient dm(standard)^2 / area."""
-    return closed_form_dm_standard(body) ** 2 / body.area
+    """Dilation-invariant quotient dm(standard)^2 / area, of a body or of
+    each row of a BodyStack."""
+    stack = as_stack(body)
+    return unstack(body, np.square(closed_form_dm_standard(stack))
+                   / stack.area)
 
 
 @dataclass(frozen=True)
@@ -431,9 +444,10 @@ def verify_h_tilde_optimal(candidates):
     and its d_M is sqrt(3), so d_M^2 / area is 3 over that area."""
     tol = 1e-4
     bound = 1.0 / (math.sqrt(2.0) + math.pi - 3.0 * math.atan(math.sqrt(2.0)))
+    candidates = list(candidates)
     entries, failures = [], []
-    for body in candidates:
-        q = functional_quotient(body)
+    for body, q in zip(candidates,
+                       per_body(functional_quotient, stacks(candidates))):
         equal = abs(q - bound) <= tol
         entries.append((body.label, float(q), bool(equal)))
         if q < bound - tol:
@@ -444,13 +458,25 @@ def verify_h_tilde_optimal(candidates):
 
 def antipodal_gap(body, sample_count=1024):
     """Min over sampled directions of d(y, y_bar) - sqrt(3)*rho, where y and
-    y_bar are the boundary hits of a line through the center."""
+    y_bar are the boundary hits of a line through the center; of a body,
+    or of each row of a BodyStack.  The rays are cast in blocks of rows
+    and directions of at most geom._CHUNK rays, or of one direction's two
+    rays on one row, and each row keeps its least sum."""
     if sample_count < 64:
         raise ValueError("sample_count must be at least 64")
+    stack = as_stack(body)
     thetas = np.arange(sample_count) * math.pi / sample_count
-    r = body.radius_at(np.concatenate((thetas, thetas + math.pi)))
-    d = r[:sample_count] + r[sample_count:]
-    return float(np.min(d) - math.sqrt(3.0) * inscribed_ball_radius(body))
+    rows = max(1, _CHUNK // (2 * sample_count))
+    width = max(1, min(sample_count, _CHUNK // 2))
+    least = np.full(len(stack.n), np.inf)
+    for lo in range(0, len(least), rows):
+        for t in np.split(thetas, range(width, sample_count, width)):
+            r = stack.radius_at(np.concatenate((t, t + math.pi)),
+                                slice(lo, lo + rows))
+            least[lo:lo + rows] = np.minimum(
+                least[lo:lo + rows], np.min(r[:, :len(t)] + r[:, len(t):],
+                                            axis=1))
+    return unstack(body, least - math.sqrt(3.0) * inscribed_ball_radius(stack))
 
 
 def uniqueness_probe(body, samples=10, seed=42):

@@ -6,7 +6,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .bodies import SECTOR, regular_polygon_apothem
+from .bodies import (SECTOR, BodyStack, as_stack, regular_polygon_apothem,
+                     unstack)
 from .geom import (_row_search, polar_angles, polygon_area, ray_exit,
                    region_diameter)
 
@@ -30,7 +31,12 @@ class Trisection:
     the first (V + 1) // 2 vertices; region j is that curve, the arc run
     pts[start[j] : start[j] + length[j]] (mod n), then the rest of
     verts[j], curve j + 1 back from its endpoint.  pts is the boundary the
-    cell was cut on, shared, not copied."""
+    cell was cut on, shared, not copied.
+
+    standard_trisection of a BodyStack gives a stack of cells, one a row:
+    verts, start and length then lead with the row axis, and pts holds
+    the stack's rows (_stacked).  The properties below are a single
+    cell's."""
 
     pts: np.ndarray      # (n, 2) the boundary
     verts: np.ndarray    # (3, V, 2) curve vertices [c, (m_a), w_a, w_b, (m_b)]
@@ -80,7 +86,8 @@ class Trisection:
 
 
 def inscribed_ball_radius(body):
-    """Radius of the inscribed ball (apothem of the enclosing triangle)."""
+    """Radius of the inscribed ball (apothem of the enclosing triangle),
+    of a body or of each row of a BodyStack."""
     return body.nearest_point[1]
 
 
@@ -132,23 +139,14 @@ class _BoundaryWalk:
         i, s, _, _ = ray_exit(self.pts, self.phi, theta, self.c, ci)
         return i + s
 
-    def _split(self, t):
-        """Position(s) t as turns * n + i + u: whole turns, an index
-        0 <= i < n and a fraction 0 <= u < 1.  For t >= 0 every part is
-        exact and equal to what divmod(t, n) gives; integer floor
-        division costs about half of divmod on floats."""
-        whole = np.floor(t).astype(int)
-        turns = whole // self.n
-        return turns, whole - turns * self.n, t - whole
-
     def point_at(self, t):
-        _, i, u = self._split(t)
+        _, i, u = _split(t, self.n)
         # i + 1 - n indexes point i + 1, and point 0 after the last
         a, b = self.pts[i], self.pts[i + (1 - self.n)]
         return a + np.asarray(u)[..., None] * (b - a)
 
     def swept_area(self, t, ci=0):
-        turns, i, u = self._split(t)
+        turns, i, u = _split(t, self.n)
         # row ci of prefix starts at ci * (n + 1) in the flat array
         j = i + ci * (self.n + 1)
         prefix = self.prefix.ravel()
@@ -156,17 +154,7 @@ class _BoundaryWalk:
         return val + turns * self.total_area[ci]
 
     def arc_run(self, t_a, t_b):
-        """The boundary points strictly between positions t_a < t_b
-        (mod n) as a cyclic run: its first index and its length.  Takes
-        positions or arrays of them; a region's arc is the run between its
-        two endpoints.  A run ends at ceil(t_b) - 1 and the next starts at
-        floor(t_b) + 1, of the same reduced t_b, so the runs of a cell's
-        three arcs partition the boundary but for the points that are its
-        endpoints, at integer positions."""
-        ta, tb = np.remainder(t_a, self.n), np.remainder(t_b, self.n)
-        first = np.floor(ta) + 1.0
-        last = np.ceil(tb) - 1.0 + np.where(tb < ta, self.n, 0.0)
-        return (first % self.n).astype(int), (last - first + 1.0).astype(int)
+        return _arc_run(t_a, t_b, self.n)
 
     def swept_position(self, f0, share, t_lo, t_hi, ci=0):
         """Root of (swept_area(t, ci) - f0) - share on [t_lo, t_hi], where
@@ -198,6 +186,32 @@ class _BoundaryWalk:
         guess = turns * self.n + _row_search(self.prefix, ci,
                                              target - turns * total, "left")
         return _first_root(gap, lo, hi, guess)
+
+
+def _split(t, n):
+    """Position(s) t on a polygon of n points (n broadcast against t) as
+    turns * n + i + u: whole turns, an index 0 <= i < n and a fraction
+    0 <= u < 1.  For t >= 0 every part is exact and equal to what
+    divmod(t, n) gives; integer floor division costs about half of divmod
+    on floats."""
+    whole = np.floor(t).astype(int)
+    turns = whole // n
+    return turns, whole - turns * n, t - whole
+
+
+def _arc_run(t_a, t_b, n):
+    """The points of a polygon of n points (n broadcast against the
+    positions) strictly between positions t_a < t_b (mod n) as a cyclic
+    run: its first index and its length.  Takes positions or arrays of
+    them; a region's arc is the run between its two endpoints.  A run
+    ends at ceil(t_b) - 1 and the next starts at floor(t_b) + 1, of the
+    same reduced t_b, so the runs of a cell's three arcs partition the
+    boundary but for the points that are its endpoints, at integer
+    positions."""
+    ta, tb = np.remainder(t_a, n), np.remainder(t_b, n)
+    first = np.floor(ta) + 1.0
+    last = np.ceil(tb) - 1.0 + np.where(tb < ta, n, 0.0)
+    return (first % n).astype(int), (last - first + 1.0).astype(int)
 
 
 def _first_root(gap, lo, hi, guess):
@@ -287,11 +301,46 @@ def _cell_regions(walk, ts, mids=None, ci=0):
 
 def standard_trisection(body):
     """Trisection joining the center to the edge midpoints of the smallest
-    enclosing equilateral triangle."""
-    walk = _BoundaryWalk(body.boundary, np.zeros(2))
-    m, _ = body.nearest_point
-    ts = walk.ray_position(math.atan2(m[1], m[0]) + np.arange(3) * SECTOR)
-    return Trisection(walk.pts, *(a[0] for a in _cell_regions(walk, ts[None])))
+    enclosing equilateral triangle: the rays from the center at the
+    nearest point's polar angle plus 0, SECTOR and 2 SECTOR, cut at their
+    walk positions about the center.  A BodyStack's rows are cut all at
+    once, into a stack of cells (_stacked); a padded row's closing chord
+    is its chord n - 1, and its positions, endpoints and runs use its
+    own n, so each row's cell is that of its body alone, bit for bit.
+
+    The angle is math.atan2's, which numpy's arctan2 differs from in
+    the last bit for some points."""
+    stack = as_stack(body)
+    feet, _ = stack.nearest_point
+    n, m = stack.n[:, None], stack.pts.shape[1]
+    rows = np.arange(len(n))[:, None]
+    theta = np.array([math.atan2(y, x) for x, y in feet.tolist()])
+    i, s, _, _ = ray_exit(stack.pts, stack.point_angles,
+                          theta[:, None] + np.arange(3) * SECTOR, None, rows)
+    ts = np.minimum(i, n - 1) + s
+    _, i, u = _split(ts, n)
+    pts = stack.pts.reshape(-1, 2)
+    a, b = pts[rows * m + i], pts[rows * m + np.where(i + 1 < n, i + 1, 0)]
+    ws = a + u[..., None] * (b - a)
+    nxt = [1, 2, 0]
+    start, length = _arc_run(ts, ts[:, nxt], n)
+    verts = np.stack((np.zeros_like(ws), ws, ws[:, nxt]), axis=2)
+    if isinstance(body, BodyStack):
+        return _stacked(stack, verts, start, length)
+    return Trisection(body.boundary, verts[0], start[0], length[0])
+
+
+def _stacked(stack, verts, start, length):
+    """The stacked Trisection of cells verts (k, 3, V, 2), start and
+    length (k, 3), one a row of stack, whose runs index the row's own
+    points: on the rows, each twice over, which no run passes the end of,
+    as region_diameters_sq can take them; a stack of one keeps its row."""
+    if len(stack.bodies) == 1:  # its runs wrap at its n
+        return Trisection(stack.pts[0], verts, start, length)
+    n, m = stack.n[:, None], stack.pts.shape[1]
+    rows = np.arange(len(n))[:, None]
+    twice = stack.pts[rows, np.arange(2 * m) % n].reshape(-1, 2)
+    return Trisection(twice, verts, start + 2 * m * rows, length)
 
 
 def max_relative_diameter(body, tri):
@@ -308,15 +357,17 @@ def max_relative_diameter(body, tri):
 
 
 def closed_form_dm_standard(body):
-    """d_M of the standard trisection without building regions.
+    """d_M of the standard trisection without building regions, of a body
+    or of each row of a BodyStack.
 
     The value is attained either between two trisection endpoints
     (sqrt(3) * rho) or between the center and a farthest boundary
     point (R), whichever is larger: the floor under every trisection's
     d_M, which search.lemma_floor_checks checks the standard one attains.
     """
-    rho = inscribed_ball_radius(body)
-    return max(math.sqrt(3.0) * rho, body.max_radius())
+    stack = as_stack(body)
+    rho = inscribed_ball_radius(stack)
+    return unstack(body, np.maximum(math.sqrt(3.0) * rho, stack.max_radius))
 
 
 def dm_regular_closed_form(m):

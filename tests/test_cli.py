@@ -363,14 +363,19 @@ def test_verify_passes(capsys):
 
 
 def test_verify_validates_each_body_once(capsys, monkeypatch):
-    calls = []
+    # validate runs a stack at a time, and each pool body is a row of one
+    # stack: the corner bodies share one, reuleaux and h_tilde are alone
+    rows = []
     real = cli.validate
-    monkeypatch.setattr(cli, "validate",
-                        lambda body: calls.append(body.label) or real(body))
+    monkeypatch.setattr(cli, "validate", lambda stack: rows.append(
+        [body.label for body in stack.bodies]) or real(stack))
     code, out = run(capsys, "verify", "--heps-samples", "2", "--random", "3")
     assert code == 0
     pool_size = 4 + 2 + 3 + 1  # presets, h_eps, random bodies, h_tilde
-    assert len(calls) == out.count("validate[") == pool_size
+    labels = sorted(label for row in rows for label in row)
+    assert labels == sorted(line[len("PASS validate["):-1] for line in
+                            out.splitlines() if "validate[" in line)
+    assert len(labels) == pool_size and len(rows) == 3
 
 
 def test_verify_flags_bad_body(tmp_path, capsys):
@@ -465,6 +470,28 @@ def test_damaged_json_profile_exits_0_or_2(body_path, command, damage):
     assert_exit_0_or_2(TINY[command] + ["--body", str(body_path)])
 
 
+@pytest.mark.parametrize("damage, line", [
+    ("bulge", "FAIL validate[custom] (reconstructed boundary is not convex)"),
+    ("nan", "FAIL validate[custom] (profile has non-positive or non-finite "
+            "radii; area 0.00000000 deviates from 1 by more than 1e-6)")])
+def test_a_bad_body_changes_no_other_line(tmp_path, capsys, damage, line):
+    # the bad body file is validated as a stack of its own and left out
+    # of the later stacks, so no NaN or failed check of its row reaches
+    # another body's line
+    profile = np.array(HEXAGON_PROFILE)
+    k = len(profile) // 2
+    profile[k, 1] = profile[k, 1] * 1.5 if damage == "bulge" else math.nan
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"sector_profile": profile.tolist()}))
+    argv = ["verify", "--heps-samples", "2", "--random", "3"]
+    code, out = run(capsys, *argv, "--body", str(path))
+    assert code == 1
+    lines = out.splitlines()
+    assert [x for x in lines if "custom" in x] == [line]
+    lines.remove(line)
+    assert "\n".join(lines) + "\n" == run(capsys, *argv)[1]
+
+
 def run_module(argv, flags=()):
     """Run ``python -m trisect.cli`` on this checkout's sources."""
     env = dict(os.environ)
@@ -483,7 +510,10 @@ def run_module(argv, flags=()):
      "--mode", "perturbed_polylines"],
     ["render", "--body", "reuleaux", "--what", "sweep_argmin",
      "--grid-c", "2", "--grid-theta", "8"],
-    ["verify", "--heps-samples", "2", "--random", "2"]])
+    ["verify", "--heps-samples", "2", "--random", "2"],
+    # one stack of 3 to 30 corners, padded to regular:30's
+    ["verify", "--heps-samples", "3", "--random", "3", "--body",
+     "regular:30"]])
 def test_output_does_not_depend_on_python_O(argv):
     outs = [run_module(argv, flags) for flags in ([], ["-O"])]
     assert [out.returncode for out in outs] == [0, 0]
@@ -514,6 +544,27 @@ def test_non_finite_profile_prints_only_the_usage_error(tmp_path, capsys,
     assert lines[-1].startswith("trisect: error: cannot load body file")
 
 
+@pytest.mark.parametrize("command", [["dm"], ["verify", "--heps-samples",
+                                             "0", "--random", "0"]])
+def test_huge_negative_radius_is_only_reported(tmp_path, capsys, command):
+    # a radius of -1e308 loads, and validate reports it without measuring
+    # the boundary it builds, whose turns and area overflow
+    profile = [list(r) for r in HEXAGON_PROFILE]
+    profile[3][1] = -1e308
+    path = tmp_path / "body.json"
+    path.write_text(json.dumps({"sector_profile": profile}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = cli.main(command + ["--body", str(path)])
+        except SystemExit as exc:
+            code = exc.code
+    captured = capsys.readouterr()
+    assert "profile has non-positive or non-finite radii" in (
+        captured.err + captured.out)
+    assert code == (2 if command == ["dm"] else 1)
+
+
 def test_infinite_angle_stderr_holds_only_the_usage_lines(tmp_path):
     profile = [list(r) for r in HEXAGON_PROFILE]
     profile[3][0] = math.inf
@@ -529,20 +580,24 @@ def test_infinite_angle_stderr_holds_only_the_usage_lines(tmp_path):
 
 def test_verify_computes_the_full_dm_once_per_body(capsys, monkeypatch):
     # each floors line is decided on the exact d_M of the standard
-    # trisection, computed once per pool body
+    # trisection: region_diameters_sq scores the three regions of every
+    # pool body once, a stack at a time
     calls = []
-    exact = search.trisection_dm
-    monkeypatch.setattr(search, "trisection_dm",
-                        lambda tri: calls.append(tri) or exact(tri))
+    exact = search.region_diameters_sq
+    monkeypatch.setattr(search, "region_diameters_sq",
+                        lambda pts, verts, start, length: calls.append(
+                            len(start)) or exact(pts, verts, start, length))
     code, out = run(capsys, "verify", "--heps-samples", "2", "--random", "3")
     assert code == 0
-    assert out.count("PASS floors[") == len(calls) == 10
+    assert out.count("PASS floors[") == sum(calls) // 3 == 10
+    assert sum(calls) == 30 and len(calls) == 3
 
 
 def test_verify_fails_floors_on_a_shifted_fan(capsys, monkeypatch):
-    # the standard trisection's fan built about (1e-3, 0), not the centre:
-    # its d_M rises above max(R, sqrt(3) rho)
+    # the standard trisection's fan built about (1e-3, 0), not the centre,
+    # in every stack: its d_M rises above max(R, sqrt(3) rho) on every
+    # pool body
     monkeypatch.setattr(search, "standard_trisection", _shifted_fan)
     code, out = run(capsys, "verify", "--heps-samples", "2", "--random", "3")
     assert code == 1
-    assert "FAIL floors[" in out
+    assert out.count("FAIL floors[") == 10 and "PASS floors[" not in out

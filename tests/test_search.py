@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trisect import geom, search, trisection
-from trisect.bodies import (H_EPS_A_MAX, SECTOR, _corner_body, load_body,
-                            make_h_eps,
+from trisect.bodies import (H_EPS_A_MAX, SECTOR, BodyStack, _corner_body,
+                            load_body, make_h_eps,
                             make_regular_polygon, normalize_unit_area,
-                            random_body, solve_a0)
+                            per_body, random_body, solve_a0, stacks)
 from trisect.cli import PRESETS
 from trisect.geom import (convex_hull, points_diameter, polygon_area,
                           ray_exit, region_diameters_sq, rotate)
@@ -47,7 +47,13 @@ def _cell_trisection(walk, ts, mids=None):
 def _fan(body, c=(0.0, 0.0), delta=0.0):
     """The three rays from c in the standard endpoint directions turned by
     delta, as a Trisection on the body's polygon; standard_trisection's
-    fan at c = 0 and delta = 0."""
+    fan at c = 0 and delta = 0.  Of a BodyStack, its rows' fans, stacked
+    as standard_trisection stacks its cells."""
+    if isinstance(body, BodyStack):
+        fans = [_fan(b, c, delta) for b in body.bodies]
+        return trisection._stacked(body, *(
+            np.stack([getattr(f, name) for f in fans])
+            for name in ("verts", "start", "length")))
     walk = _BoundaryWalk(body.boundary, np.asarray(c, dtype=float))
     m, _ = body.nearest_point
     theta0 = math.atan2(m[1], m[0]) + delta
@@ -339,10 +345,10 @@ def _turned_by(delta):
     return lambda body: _turned_fan(body, delta)
 
 
-@property
-def _regions_without_arcs(tri):
-    """Trisection.regions without the regions' boundary runs."""
-    return tuple(tri.verts)
+def _regions_without_arcs(body):
+    """standard_trisection with every region's boundary run emptied."""
+    cut = standard_trisection(body)
+    return dataclasses.replace(cut, length=np.zeros_like(cut.length))
 
 
 _MUTATION_BODIES = {"triangle": PRESETS["triangle"],
@@ -370,16 +376,23 @@ _MUTATION_BODIES = {"triangle": PRESETS["triangle"],
      dict(dict.fromkeys(_MUTATION_BODIES, False), triangle=True)),
     # regions without their arcs: the triangle loses its corners, and its
     # d_M falls below R; the others keep their endpoint pairs
-    ((Trisection, "regions", _regions_without_arcs),
+    ((search, "standard_trisection", _regions_without_arcs),
      dict(dict.fromkeys(_MUTATION_BODIES, True), triangle=False)),
 ], ids=["shifted_fan", "turned_fan", "turned_by_a_grid_step",
         "turned_by_1e-5", "region_without_arc"])
 def test_floors_catch_a_broken_standard_trisection(monkeypatch, mutation,
                                                    verdicts):
+    # each mutation replaces the cut lemma_floor_checks scores, of a body
+    # alone and of the bodies as verify stacks them: the corner bodies
+    # in one stack of 3 to 6 corners, the curved ones alone
     monkeypatch.setattr(*mutation)
-    got = {name: lemma_floor_checks(make())
-           for name, make in _MUTATION_BODIES.items()}
-    assert got == verdicts
+    bodies = [make() for make in _MUTATION_BODIES.values()]
+    pairs = stacks(bodies)
+    assert sorted(len(rows) for rows, _ in pairs) == [1, 1, 3]
+    alone = [lemma_floor_checks(body) for body in bodies]
+    stacked = per_body(lemma_floor_checks, pairs)
+    for got in (alone, stacked):
+        assert dict(zip(_MUTATION_BODIES, got)) == verdicts
 
 
 def test_lemma_floors_off_center(hexagon):
