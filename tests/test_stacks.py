@@ -126,9 +126,12 @@ def test_runs_wrap_at_the_rows_own_corner_count():
             _, start, length = _cell(cut, stack, r)
             if n < stack.pts.shape[1]:
                 wraps += np.count_nonzero(start + length > n)
-            points = cut.pts[cut.start[r, 0] + np.arange(cut.length[r, 0])]
-            idx = (start[0] + np.arange(length[0])) % n
-            assert _bits(points) == _bits(body.boundary[idx]), body.label
+            for j in range(3):
+                # a stack of one's runs wrap at its n
+                run = cut.start[r, j] + np.arange(cut.length[r, j])
+                idx = (start[j] + np.arange(length[j])) % n
+                assert _bits(cut.pts[run % len(cut.pts)]) == _bits(
+                    body.boundary[idx]), body.label
     assert wraps >= 100
 
 
