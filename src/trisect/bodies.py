@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geom import (_CHUNK, DegenerateGeometryError, convex_hull,
-                   polar_angles, polygon_area, ray_exit, rotate)
+from .geom import (DegenerateGeometryError, convex_hull, polar_angles,
+                   polygon_area, ray_exit, rotate)
 
 SECTOR = 2.0 * math.pi / 3.0
 # profile samples per sector: a curved body's, and a polygon's to_dict
@@ -158,54 +158,39 @@ class ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class BodyStack:
-    """Bodies as one array, for the quantities and checks that run on
-    all of them at once (stacks forms them).
+    """Bodies of one point count n as one array, for the quantities and
+    checks that run on all of them at once (stacks forms them).
 
-    Row b of pts (k, m, 2) is bodies[b].boundary, its n[b] points padded
-    to m by repeating its last point: geom.ray_exit's stack form.  A
-    point's successor on its polygon is the next point of its row, or
-    point 0 for the points of seam, so a padded point repeats its row's
-    closing chord, from point n[b] - 1 to point 0.  A profile body (a
-    curved body, a body file) is only ever a stack of one, and so never
-    padded.  Each cached quantity has one entry per row.
+    Row b of pts (k, n, 2) is bodies[b].boundary: geom.ray_exit's stack
+    form.  A profile body (a curved body, a body file) is only ever a
+    stack of one.  Each cached quantity has one entry per row.
     """
 
     bodies: tuple
+    n: int = field(init=False)
 
-    @cached_property
-    def n(self):
-        return np.array([len(b.boundary) for b in self.bodies])
+    def __post_init__(self):
+        counts = {len(b.boundary) for b in self.bodies}
+        if len(counts) != 1:
+            raise ValueError(f"a BodyStack holds bodies of one point count, "
+                             f"not {sorted(counts)}")
+        object.__setattr__(self, "n", counts.pop())
 
     @cached_property
     def pts(self):
-        if len(self.bodies) == 1:
+        if len(self.bodies) == 1:  # a view of the body's boundary
             return self.bodies[0].boundary[None]
-        n = self.n
-        own = np.minimum(np.arange(n.max()), n[:, None] - 1)
-        flat = np.concatenate([b.boundary for b in self.bodies])
-        return flat[(np.cumsum(n) - n)[:, None] + own]
+        return np.stack([b.boundary for b in self.bodies])
 
-    @cached_property
-    def seam(self):
-        """The (row, column) indices of the points n[b] - 1 to m - 2 of
-        each row, its last point and its padded copies, whose successor
-        is the row's point 0: none in a row without padding."""
-        if len(self.bodies) == 1:
-            return (np.zeros(0, dtype=int),) * 2
-        j = np.arange(self.pts.shape[1])
-        return np.nonzero((j >= self.n[:, None] - 1) & (j < len(j) - 1))
-
-    def _next(self, v):
-        """v (k, m) at each point's successor on its polygon."""
-        after = np.concatenate((v[:, 1:], v[:, :1]), axis=1)
-        after[self.seam] = v[self.seam[0], 0]
-        return after
+    @staticmethod
+    def _next(v):
+        """v (k, n) at each point's successor on its polygon."""
+        return np.concatenate((v[:, 1:], v[:, :1]), axis=1)
 
     @cached_property
     def angles(self):
         """radius_at's rows of angles: a body's own polygon_angles, or
-        polar_angles of the rows' points about the center (k, m + 1),
-        whose padding repeats a row's last angle."""
+        polar_angles of the rows' points about the center (k, n + 1)."""
         if len(self.bodies) == 1:
             return self.bodies[0].polygon_angles
         return polar_angles(self.pts[..., 0], self.pts[..., 1])
@@ -271,8 +256,6 @@ class BodyStack:
         chords, (rows, *theta's shape): geom.ray_exit's stack form on
         angles, whose search keys hold those rows only."""
         pts, angles = self.pts[rows], self.angles[rows]
-        if len(pts) == 1:  # one polygon: ray_exit's plain form
-            return np.hypot(*ray_exit(pts[0], angles, theta)[2:])[None]
         ci = np.arange(len(pts)).reshape((-1,) + (1,) * np.ndim(theta))
         return np.hypot(*ray_exit(pts, angles, theta, None, ci)[2:])
 
@@ -290,23 +273,17 @@ def unstack(body, values):
 
 def stacks(bodies):
     """bodies as (rows, BodyStack) pairs, rows the indices in bodies of
-    the stack's rows: each profile body as its own stack of one, and the
-    corner bodies in order of corner count, as many to a stack as keep
-    its padded points within geom._CHUNK (a larger body alone)."""
+    the stack's rows: each profile body as its own stack of one, then
+    one stack per corner count, in order of count."""
     bodies = list(bodies)
     out = [([i], BodyStack((b,))) for i, b in enumerate(bodies)
            if b.corners is None]
-    rows = sorted((i for i, b in enumerate(bodies) if b.corners is not None),
-                  key=lambda i: len(bodies[i].corners))
-    while rows:
-        count = 1
-        while (count < len(rows) and (count + 1)
-               * len(bodies[rows[count]].corners) <= _CHUNK):
-            count += 1
-        out.append((rows[:count],
-                    BodyStack(tuple(bodies[i] for i in rows[:count]))))
-        rows = rows[count:]
-    return out
+    counts = {}
+    for i, b in enumerate(bodies):
+        if b.corners is not None:
+            counts.setdefault(len(b.corners), []).append(i)
+    return out + [(rows, BodyStack(tuple(bodies[i] for i in rows)))
+                  for _, rows in sorted(counts.items())]
 
 
 def per_body(check, pairs, *args):
@@ -508,18 +485,13 @@ def _corner_checks(stack):
     positive, symmetry and coverage verdicts and their messages."""
     # each edge passes the center on its left; the corners rotated by
     # SECTOR are them moved on by a third; their angles rise one turn
-    x, y = stack.pts[..., 0], stack.pts[..., 1]
-    n, m = stack.n[:, None], x.shape[1]
+    x, y, n = stack.pts[..., 0], stack.pts[..., 1], stack.n
     positive = np.all(x * stack._next(y) - y * stack._next(x) > 0.0, axis=1)
-    third = (np.minimum(np.arange(m), n - 1) + n // 3) % n
+    third = (np.arange(n) + n // 3) % n
     rx, ry = np.moveaxis(rotate(stack.pts, SECTOR), 2, 0)
-    off = np.maximum(np.abs(rx - np.take_along_axis(x, third, axis=1)),
-                     np.abs(ry - np.take_along_axis(y, third, axis=1)))
-    symmetry = (n[:, 0] % 3 == 0) & (np.max(off, axis=1) <= SYMMETRY_TOL)
-    # a padded row's repeated angles neither rise nor count
-    rises = np.diff(stack.angles) > 0.0
-    rises[stack.seam] = True
-    coverage = np.all(rises, axis=1)
+    off = np.maximum(np.abs(rx - x[:, third]), np.abs(ry - y[:, third]))
+    symmetry = (n % 3 == 0) & (np.max(off, axis=1) <= SYMMETRY_TOL)
+    coverage = np.all(np.diff(stack.angles) > 0.0, axis=1)
     texts = ("an edge does not pass the center on its left",
              f"corners are not threefold symmetric within {SYMMETRY_TOL:g}",
              "corners do not turn once about the center")

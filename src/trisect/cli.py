@@ -206,14 +206,14 @@ def cmd_verify(args, parser):
         check(f"validate[{body.label}]", report.clean, "; ".join(report.messages))
     valid_pool = [body for body, report in zip(pool, reports) if report.clean]
 
-    opt = verify_h_tilde_optimal(valid_pool)
+    valid = stacks(valid_pool)
+    opt = verify_h_tilde_optimal(valid)
     check("quotient-bound", opt.all_pass,
           f"bound={opt.bound:.6f}, failures={opt.failures}")
     equal = [label for label, _, eq in opt.entries if eq]
     check("quotient-equality-only-at-h_tilde",
           all(lbl == "h_tilde" for lbl in equal), f"equal={equal}")
 
-    valid = stacks(valid_pool)
     for body, gap in zip(valid_pool, per_body(antipodal_gap, valid,
                                               args.samples)):
         check(f"antipodal[{body.label}]", gap >= -1e-6, f"gap={gap:.2e}")

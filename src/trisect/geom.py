@@ -53,15 +53,12 @@ def ray_exit(pts, rows, theta, c=None, ci=0):
     c[ci] (ci broadcast against theta; the origin if c is None) leave
     the closed polygon pts (n, 2), whose polar angles about c[k] rise
     along rows[k] from its first and close 2pi above it (polar_angles'
-    layout).  pts may instead be a stack (k, m, 2) of one polygon per
-    row of rows, about the origin: each padded to m points by repeating
-    its last point, so that its row of angles repeats its last angle and
-    its chord from point m - 1 to point 0 closes it.  A ray leaves
-    through the chord from point i to i + 1 (mod n, or mod m in a
-    stack), the last that starts at or below its angle in that range, at
-    p_i + s (p_i+1 - p_i), s clamped to [0, 1]; an exactly zero
-    denominator reads as 1.  Returns i, s and the exit's x, y about
-    c[ci]; in a stack, i is m - 1 on a row's closing chord."""
+    layout).  pts may instead be a stack (k, n, 2) of one polygon per
+    row of rows, about the origin.  A ray leaves through the chord from
+    point i to i + 1 (mod n), the last that starts at or below its angle
+    in that range, at p_i + s (p_i+1 - p_i), s clamped to [0, 1]; an
+    exactly zero denominator reads as 1.  Returns i, s and the exit's
+    x, y about c[ci]."""
     first = rows[ci, 0]
     # np.mod's remainder but for the sign of a zero, which the search
     # does not see, at about half its cost
@@ -69,10 +66,10 @@ def ray_exit(pts, rows, theta, c=None, ci=0):
     q += 2.0 * math.pi * (q < 0.0)
     i = _row_search(rows[:, 1:-1], ci, first + q, "right")
     a, b = i, i + 1
-    if pts.ndim == 3:  # flat indices into the rows, b wrapped at m
-        m = pts.shape[1]
-        a = i + ci * m
-        b = a + 1 - m * (i == m - 1)
+    if pts.ndim == 3:  # flat indices into the rows, b wrapped at n
+        n = pts.shape[1]
+        a = i + ci * n
+        b = a + 1 - n * (i == n - 1)
         pts = pts.reshape(-1, 2)
     x, y = pts[:, 0], pts[:, 1]
     xi, yi = x.take(a), y.take(a)
@@ -384,14 +381,3 @@ def region_diameter(region):
     samples = resample_boundary(b, 4096)
     return points_diameter(convex_hull(samples))
 
-
-def is_ccw_convex(boundary, tol=EPS):
-    """True if every turn of the closed boundary is a left turn (>= -tol)."""
-    b = np.asarray(boundary, dtype=float)
-    x, y = b[:, 0], b[:, 1]
-    # edge i runs from vertex i to i + 1; cr[i] is the turn at vertex i + 1
-    ex = np.concatenate((x[1:], x[:1])) - x
-    ey = np.concatenate((y[1:], y[:1])) - y
-    cr = (ex * np.concatenate((ey[1:], ey[:1]))
-          - ey * np.concatenate((ex[1:], ex[:1])))
-    return bool(np.all(cr >= -tol))

@@ -7,13 +7,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import (H_EPS_A_MAX, as_stack, h_eps_dpx, h_eps_dv12,
-                     per_body, stacks, unstack)
+                     per_body, unstack)
 from .geom import (_CHUNK, cell_bounds_sq, points_diameter, ray_exit,
                    region_diameters_sq)
 from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
                          _BoundaryWalk, _cell_regions, _first_root, _tri_area,
                          closed_form_dm_standard, inscribed_ball_radius,
-                         standard_trisection)
+                         standard_cells)
 
 VIOLATION_TOL = 1e-3  # slack below the closed form before a sweep cell counts
 FLOOR_TOL = 1e-6  # slack of a sweep's floor_margin below 0
@@ -391,7 +391,9 @@ def sweep_segment_trisections(body, grid, seed=42):
 def lemma_floor_checks(body):
     """Whether the standard trisection attains the lemma floor: its exact
     d_M lies within ATTAIN_TOL * floor of the floor max(R, sqrt(3)*rho),
-    on both sides; of a body, or of each row of a BodyStack at once.
+    on both sides; of a body, or of each row of a BodyStack at once,
+    whose standard_cells are scored on its rows taken twice over, so that
+    no run passes the end of its row.
 
     No trisection's d_M is below the floor.  Its regions meet the boundary
     in three arcs covering 360 degrees about the centre; one spans 120 or
@@ -402,8 +404,10 @@ def lemma_floor_checks(body):
     upper side tests the paper's claim, the lower side the program.
     """
     stack = as_stack(body)
-    cut = standard_trisection(stack)
-    dm = _dm(cut.pts, cut.verts, cut.start, cut.length)
+    verts, start, length = standard_cells(stack)
+    n, rows = stack.n, np.arange(len(stack.bodies))[:, None]
+    twice = np.concatenate((stack.pts, stack.pts), axis=1).reshape(-1, 2)
+    dm = _dm(twice, verts, start + 2 * n * rows, length)
     floor = closed_form_dm_standard(stack)
     return unstack(body, np.abs(dm - floor) <= ATTAIN_TOL * floor)
 
@@ -434,9 +438,10 @@ class OptimalityReport:
     failures: tuple = field(default=())
 
 
-def verify_h_tilde_optimal(candidates):
-    """Check the universal quotient bound over a candidate pool; equality is
-    expected only at the optimal rounded hexagon itself.
+def verify_h_tilde_optimal(pairs):
+    """Check the universal quotient bound over a candidate pool, given as
+    the (rows, stack) pairs of bodies.stacks; equality is expected only at
+    the optimal rounded hexagon itself.
 
     The bound is h_tilde's quotient in closed form.  h_tilde is the disk
     of radius R = sqrt(3) rho cut by the triangle of the tangents at
@@ -444,10 +449,9 @@ def verify_h_tilde_optimal(candidates):
     and its d_M is sqrt(3), so d_M^2 / area is 3 over that area."""
     tol = 1e-4
     bound = 1.0 / (math.sqrt(2.0) + math.pi - 3.0 * math.atan(math.sqrt(2.0)))
-    candidates = list(candidates)
     entries, failures = [], []
-    for body, q in zip(candidates,
-                       per_body(functional_quotient, stacks(candidates))):
+    for body, q in zip(per_body(lambda stack: stack.bodies, pairs),
+                       per_body(functional_quotient, pairs)):
         equal = abs(q - bound) <= tol
         entries.append((body.label, float(q), bool(equal)))
         if q < bound - tol:
@@ -468,7 +472,7 @@ def antipodal_gap(body, sample_count=1024):
     thetas = np.arange(sample_count) * math.pi / sample_count
     rows = max(1, _CHUNK // (2 * sample_count))
     width = max(1, min(sample_count, _CHUNK // 2))
-    least = np.full(len(stack.n), np.inf)
+    least = np.full(len(stack.bodies), np.inf)
     for lo in range(0, len(least), rows):
         for t in np.split(thetas, range(width, sample_count, width)):
             r = stack.radius_at(np.concatenate((t, t + math.pi)),

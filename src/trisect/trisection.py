@@ -6,8 +6,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bodies import (SECTOR, BodyStack, as_stack, regular_polygon_apothem,
-                     unstack)
+from .bodies import SECTOR, as_stack, regular_polygon_apothem, unstack
 from .geom import (_row_search, polar_angles, polygon_area, ray_exit,
                    region_diameter)
 
@@ -31,12 +30,7 @@ class Trisection:
     the first (V + 1) // 2 vertices; region j is that curve, the arc run
     pts[start[j] : start[j] + length[j]] (mod n), then the rest of
     verts[j], curve j + 1 back from its endpoint.  pts is the boundary the
-    cell was cut on, shared, not copied.
-
-    standard_trisection of a BodyStack gives a stack of cells, one a row:
-    verts, start and length then lead with the row axis, and pts holds
-    the stack's rows (_stacked).  The properties below are a single
-    cell's."""
+    cell was cut on, shared, not copied."""
 
     pts: np.ndarray      # (n, 2) the boundary
     verts: np.ndarray    # (3, V, 2) curve vertices [c, (m_a), w_a, w_b, (m_b)]
@@ -189,25 +183,23 @@ class _BoundaryWalk:
 
 
 def _split(t, n):
-    """Position(s) t on a polygon of n points (n broadcast against t) as
-    turns * n + i + u: whole turns, an index 0 <= i < n and a fraction
-    0 <= u < 1.  For t >= 0 every part is exact and equal to what
-    divmod(t, n) gives; integer floor division costs about half of divmod
-    on floats."""
+    """Position(s) t on a polygon of n points as turns * n + i + u:
+    whole turns, an index 0 <= i < n and a fraction 0 <= u < 1.  For
+    t >= 0 every part is exact and equal to what divmod(t, n) gives;
+    integer floor division costs about half of divmod on floats."""
     whole = np.floor(t).astype(int)
     turns = whole // n
     return turns, whole - turns * n, t - whole
 
 
 def _arc_run(t_a, t_b, n):
-    """The points of a polygon of n points (n broadcast against the
-    positions) strictly between positions t_a < t_b (mod n) as a cyclic
-    run: its first index and its length.  Takes positions or arrays of
-    them; a region's arc is the run between its two endpoints.  A run
-    ends at ceil(t_b) - 1 and the next starts at floor(t_b) + 1, of the
-    same reduced t_b, so the runs of a cell's three arcs partition the
-    boundary but for the points that are its endpoints, at integer
-    positions."""
+    """The points of a polygon of n points strictly between positions
+    t_a < t_b (mod n) as a cyclic run: its first index and its length.
+    Takes positions or arrays of them; a region's arc is the run between
+    its two endpoints.  A run ends at ceil(t_b) - 1 and the next starts
+    at floor(t_b) + 1, of the same reduced t_b, so the runs of a cell's
+    three arcs partition the boundary but for the points that are its
+    endpoints, at integer positions."""
     ta, tb = np.remainder(t_a, n), np.remainder(t_b, n)
     first = np.floor(ta) + 1.0
     last = np.ceil(tb) - 1.0 + np.where(tb < ta, n, 0.0)
@@ -299,48 +291,35 @@ def _cell_regions(walk, ts, mids=None, ci=0):
     return np.stack(parts, axis=2), start, length
 
 
-def standard_trisection(body):
-    """Trisection joining the center to the edge midpoints of the smallest
-    enclosing equilateral triangle: the rays from the center at the
-    nearest point's polar angle plus 0, SECTOR and 2 SECTOR, cut at their
-    walk positions about the center.  A BodyStack's rows are cut all at
-    once, into a stack of cells (_stacked); a padded row's closing chord
-    is its chord n - 1, and its positions, endpoints and runs use its
-    own n, so each row's cell is that of its body alone, bit for bit.
+def standard_cells(stack):
+    """The standard trisection of each row of a BodyStack, as cells:
+    curve vertices verts (k, 3, 3, 2) and the arc runs start and length
+    (k, 3), which index the row's own points.  Its rays leave the center
+    at the row's nearest point's polar angle plus 0, SECTOR and
+    2 SECTOR, cut at their walk positions about the center.
 
     The angle is math.atan2's, which numpy's arctan2 differs from in
     the last bit for some points."""
-    stack = as_stack(body)
     feet, _ = stack.nearest_point
-    n, m = stack.n[:, None], stack.pts.shape[1]
-    rows = np.arange(len(n))[:, None]
+    n, rows = stack.n, np.arange(len(stack.bodies))[:, None]
     theta = np.array([math.atan2(y, x) for x, y in feet.tolist()])
     i, s, _, _ = ray_exit(stack.pts, stack.point_angles,
                           theta[:, None] + np.arange(3) * SECTOR, None, rows)
-    ts = np.minimum(i, n - 1) + s
+    ts = i + s
     _, i, u = _split(ts, n)
-    pts = stack.pts.reshape(-1, 2)
-    a, b = pts[rows * m + i], pts[rows * m + np.where(i + 1 < n, i + 1, 0)]
+    a, b = stack.pts[rows, i], stack.pts[rows, (i + 1) % n]
     ws = a + u[..., None] * (b - a)
     nxt = [1, 2, 0]
     start, length = _arc_run(ts, ts[:, nxt], n)
-    verts = np.stack((np.zeros_like(ws), ws, ws[:, nxt]), axis=2)
-    if isinstance(body, BodyStack):
-        return _stacked(stack, verts, start, length)
+    return np.stack((np.zeros_like(ws), ws, ws[:, nxt]), axis=2), start, length
+
+
+def standard_trisection(body):
+    """Trisection joining the center to the edge midpoints of the smallest
+    enclosing equilateral triangle: row 0 of standard_cells of the body's
+    stack of one, on its boundary."""
+    verts, start, length = standard_cells(body.stack)
     return Trisection(body.boundary, verts[0], start[0], length[0])
-
-
-def _stacked(stack, verts, start, length):
-    """The stacked Trisection of cells verts (k, 3, V, 2), start and
-    length (k, 3), one a row of stack, whose runs index the row's own
-    points: on the rows, each twice over, which no run passes the end of,
-    as region_diameters_sq can take them; a stack of one keeps its row."""
-    if len(stack.bodies) == 1:  # its runs wrap at its n
-        return Trisection(stack.pts[0], verts, start, length)
-    n, m = stack.n[:, None], stack.pts.shape[1]
-    rows = np.arange(len(n))[:, None]
-    twice = stack.pts[rows, np.arange(2 * m) % n].reshape(-1, 2)
-    return Trisection(twice, verts, start + 2 * m * rows, length)
 
 
 def max_relative_diameter(body, tri):

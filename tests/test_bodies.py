@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import directed_hausdorff
 
+from test_geom import roll_is_ccw_convex
+
 from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody, _corner_body,
                             _h_eps_vertices, h_eps_dpx, h_eps_side_b,
                             load_body, make_h_eps, make_h_tilde,
@@ -14,7 +16,7 @@ from trisect.bodies import (H_EPS_A_MAX, SECTOR, SymmetricBody, _corner_body,
                             normalize_unit_area, random_body, solve_a0,
                             validate)
 from trisect.cli import PRESETS
-from trisect.geom import is_ccw_convex, polygon_area, ray_exit
+from trisect.geom import polygon_area, ray_exit
 from trisect.trisection import inscribed_ball_radius
 
 REULEAUX_WIDTH = (2.0 / (math.pi - math.sqrt(3.0))) ** 0.5
@@ -415,7 +417,7 @@ def check_corner_polygon(body):
     """The corners are a convex CCW polygon with its profile's area, and
     every profile point lies on it, within 1e-12."""
     corners = body.corners
-    assert is_ccw_convex(corners, tol=0.0), body.label
+    assert roll_is_ccw_convex(corners, 0.0), body.label
     assert np.all(np.diff(body.polygon_angles) > 0.0), body.label
     profile = profile_of(body)
     assert abs(polygon_area(corners) - profile.area) <= 1e-12, body.label
@@ -476,7 +478,7 @@ def test_curved_sweep_polygon_is_a_subset_of_the_profile(make):
     assert 3 * 256 <= len(poly) <= 3 * 256 + len(corners)
     gap = np.hypot(poly[:, None, 0] - corners[:, 0], poly[:, None, 1] - corners[:, 1])
     assert np.all(gap.min(axis=0) <= 1e-12)
-    assert is_ccw_convex(poly, tol=1e-15)
+    assert roll_is_ccw_convex(poly, 1e-15)
 
 
 @lru_cache(maxsize=1)

@@ -364,7 +364,7 @@ def test_verify_passes(capsys):
 
 def test_verify_validates_each_body_once(capsys, monkeypatch):
     # validate runs a stack at a time, and each pool body is a row of one
-    # stack: the corner bodies share one, reuleaux and h_tilde are alone
+    # stack: a stack for each corner count, reuleaux and h_tilde alone
     rows = []
     real = cli.validate
     monkeypatch.setattr(cli, "validate", lambda stack: rows.append(
@@ -375,7 +375,10 @@ def test_verify_validates_each_body_once(capsys, monkeypatch):
     labels = sorted(label for row in rows for label in row)
     assert labels == sorted(line[len("PASS validate["):-1] for line in
                             out.splitlines() if "validate[" in line)
-    assert len(labels) == pool_size and len(rows) == 3
+    assert len(labels) == pool_size
+    # corners 3 (triangle, h_eps:0), 6 (hexagon, h_eps at H_EPS_A_MAX),
+    # 9 (enneagon and a random body), 12 and 15 (a random body each)
+    assert sorted(map(len, rows)) == [1, 1, 1, 1, 2, 2, 2]
 
 
 def test_verify_flags_bad_body(tmp_path, capsys):
@@ -511,7 +514,7 @@ def run_module(argv, flags=()):
     ["render", "--body", "reuleaux", "--what", "sweep_argmin",
      "--grid-c", "2", "--grid-theta", "8"],
     ["verify", "--heps-samples", "2", "--random", "2"],
-    # one stack of 3 to 30 corners, padded to regular:30's
+    # stacks of 3, 6, 9, 12, 15 and 30 corners, regular:30 alone
     ["verify", "--heps-samples", "3", "--random", "3", "--body",
      "regular:30"]])
 def test_output_does_not_depend_on_python_O(argv):
@@ -590,14 +593,14 @@ def test_verify_computes_the_full_dm_once_per_body(capsys, monkeypatch):
     code, out = run(capsys, "verify", "--heps-samples", "2", "--random", "3")
     assert code == 0
     assert out.count("PASS floors[") == sum(calls) // 3 == 10
-    assert sum(calls) == 30 and len(calls) == 3
+    assert sum(calls) == 30 and len(calls) == 7
 
 
 def test_verify_fails_floors_on_a_shifted_fan(capsys, monkeypatch):
     # the standard trisection's fan built about (1e-3, 0), not the centre,
     # in every stack: its d_M rises above max(R, sqrt(3) rho) on every
     # pool body
-    monkeypatch.setattr(search, "standard_trisection", _shifted_fan)
+    monkeypatch.setattr(search, "standard_cells", _shifted_fan)
     code, out = run(capsys, "verify", "--heps-samples", "2", "--random", "3")
     assert code == 1
     assert out.count("FAIL floors[") == 10 and "PASS floors[" not in out

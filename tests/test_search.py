@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trisect import geom, search, trisection
-from trisect.bodies import (H_EPS_A_MAX, SECTOR, BodyStack, _corner_body,
+from trisect.bodies import (H_EPS_A_MAX, SECTOR, _corner_body,
                             load_body, make_h_eps,
                             make_regular_polygon, normalize_unit_area,
                             per_body, random_body, solve_a0, stacks)
@@ -47,13 +47,7 @@ def _cell_trisection(walk, ts, mids=None):
 def _fan(body, c=(0.0, 0.0), delta=0.0):
     """The three rays from c in the standard endpoint directions turned by
     delta, as a Trisection on the body's polygon; standard_trisection's
-    fan at c = 0 and delta = 0.  Of a BodyStack, its rows' fans, stacked
-    as standard_trisection stacks its cells."""
-    if isinstance(body, BodyStack):
-        fans = [_fan(b, c, delta) for b in body.bodies]
-        return trisection._stacked(body, *(
-            np.stack([getattr(f, name) for f in fans])
-            for name in ("verts", "start", "length")))
+    fan at c = 0 and delta = 0."""
     walk = _BoundaryWalk(body.boundary, np.asarray(c, dtype=float))
     m, _ = body.nearest_point
     theta0 = math.atan2(m[1], m[0]) + delta
@@ -330,25 +324,29 @@ def test_floors_fail_above_the_full_dm(monkeypatch):
             assert lemma_floor_checks(body) is passed, (body.label, shift)
 
 
-def _shifted_fan(body):
-    """standard_trisection's fan about the point (1e-3, 0), not the
-    centre."""
-    return _fan(body, c=(1e-3, 0.0))
+def _row_by_row(cut):
+    """A stand-in for standard_cells: the Trisection cut(body) of each
+    row's body, stacked as (verts, start, length)."""
+    def cells(stack):
+        tris = [cut(body) for body in stack.bodies]
+        return tuple(np.stack([getattr(t, name) for t in tris])
+                     for name in ("verts", "start", "length"))
+    return cells
 
 
-def _turned_fan(body, delta=0.01):
-    """standard_trisection's fan with its rays turned by delta rad."""
-    return _fan(body, delta=delta)
+# standard_cells' fan about the point (1e-3, 0), not the centre
+_shifted_fan = _row_by_row(lambda body: _fan(body, c=(1e-3, 0.0)))
 
 
 def _turned_by(delta):
-    return lambda body: _turned_fan(body, delta)
+    """standard_cells' fan with its rays turned by delta rad."""
+    return _row_by_row(lambda body: _fan(body, delta=delta))
 
 
-def _regions_without_arcs(body):
-    """standard_trisection with every region's boundary run emptied."""
-    cut = standard_trisection(body)
-    return dataclasses.replace(cut, length=np.zeros_like(cut.length))
+def _regions_without_arcs(stack):
+    """standard_cells with every region's boundary run emptied."""
+    verts, start, length = trisection.standard_cells(stack)
+    return verts, start, np.zeros_like(length)
 
 
 _MUTATION_BODIES = {"triangle": PRESETS["triangle"],
@@ -360,35 +358,35 @@ _MUTATION_BODIES = {"triangle": PRESETS["triangle"],
 
 @pytest.mark.parametrize("mutation, verdicts", [
     # the fan about a point off the centre: d_M rises by 5e-4 to 9e-4
-    ((search, "standard_trisection", _shifted_fan),
+    ((search, "standard_cells", _shifted_fan),
      dict.fromkeys(_MUTATION_BODIES, False)),
     # the fan turned: d_M rises by 2.5e-5 to 5e-5, but for the triangle,
     # whose d_M is R from the centre to a corner, in any direction
-    ((search, "standard_trisection", _turned_fan),
+    ((search, "standard_cells", _turned_by(0.01)),
      dict(dict.fromkeys(_MUTATION_BODIES, False), triangle=True)),
     # turned by one step of a 1,024-angle sector grid, 2.0e-3 rad: d_M
     # rises by 1.1e-6 to 2.1e-6 of itself, which an absolute 1e-6 let
     # pass on reuleaux
-    ((search, "standard_trisection", _turned_by(SECTOR / 1024)),
+    ((search, "standard_cells", _turned_by(SECTOR / 1024)),
      dict(dict.fromkeys(_MUTATION_BODIES, False), triangle=True)),
     # turned by 1e-5 rad: d_M rises by 5e-11 of itself
-    ((search, "standard_trisection", _turned_by(1e-5)),
+    ((search, "standard_cells", _turned_by(1e-5)),
      dict(dict.fromkeys(_MUTATION_BODIES, False), triangle=True)),
     # regions without their arcs: the triangle loses its corners, and its
     # d_M falls below R; the others keep their endpoint pairs
-    ((search, "standard_trisection", _regions_without_arcs),
+    ((search, "standard_cells", _regions_without_arcs),
      dict(dict.fromkeys(_MUTATION_BODIES, True), triangle=False)),
 ], ids=["shifted_fan", "turned_fan", "turned_by_a_grid_step",
         "turned_by_1e-5", "region_without_arc"])
 def test_floors_catch_a_broken_standard_trisection(monkeypatch, mutation,
                                                    verdicts):
     # each mutation replaces the cut lemma_floor_checks scores, of a body
-    # alone and of the bodies as verify stacks them: the corner bodies
-    # in one stack of 3 to 6 corners, the curved ones alone
+    # alone and of the bodies as verify stacks them: the hexagon and
+    # h_eps:0.3 in one stack of 6 corners, every other body alone
     monkeypatch.setattr(*mutation)
     bodies = [make() for make in _MUTATION_BODIES.values()]
     pairs = stacks(bodies)
-    assert sorted(len(rows) for rows, _ in pairs) == [1, 1, 3]
+    assert sorted(len(rows) for rows, _ in pairs) == [1, 1, 1, 2]
     alone = [lemma_floor_checks(body) for body in bodies]
     stacked = per_body(lemma_floor_checks, pairs)
     for got in (alone, stacked):
@@ -490,7 +488,7 @@ def test_functional_quotient_dilation_invariant(hexagon, reuleaux):
 def test_verify_h_tilde_optimal(triangle, hexagon, reuleaux, h_tilde):
     pool = [triangle, hexagon, reuleaux, h_tilde,
             make_h_eps(0.05), make_h_eps(0.3)]
-    report = verify_h_tilde_optimal(pool)
+    report = verify_h_tilde_optimal(stacks(pool))
     assert isinstance(report, OptimalityReport)
     assert report.all_pass
     assert not report.failures
@@ -510,7 +508,7 @@ def test_quotient_bound_is_the_closed_form(h_tilde):
     # which the quotient of its profile polygon meets within 1e-8; a wrong
     # sign in the formula misses it
     bound = _quotient_formula((1, 1, -1))
-    assert verify_h_tilde_optimal([h_tilde]).bound == bound
+    assert verify_h_tilde_optimal(stacks([h_tilde])).bound == bound
     assert bound == 0.5917662724064134
     assert abs(functional_quotient(h_tilde) - bound) <= 1e-8
     for signs in itertools.product((1, -1), repeat=3):
@@ -566,7 +564,7 @@ def test_uniqueness_probe_trisections_are_valid(name):
 
 def test_rotate_trisection_preserves_dm(triangle):
     base = max_relative_diameter(triangle, standard_trisection(triangle))
-    tri = _turned_fan(triangle)
+    tri = _fan(triangle, delta=0.01)
     assert trisection_dm(tri) == pytest.approx(base, abs=1e-4)
     assert np.allclose(tri.region_areas(), triangle.area / 3.0, atol=1e-4)
 

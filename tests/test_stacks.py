@@ -1,6 +1,7 @@
 """A BodyStack computes what its bodies give one at a time, bit for bit:
 rho, R, the standard cut, its d_M, the antipodal gaps and validate's
-reports, on stacks that pad bodies of 3 to 3,072 corners together."""
+reports, on a pool of bodies of 3 to 3,072 corners, a stack for each
+corner count."""
 
 import math
 from functools import lru_cache
@@ -18,7 +19,8 @@ from trisect.bodies import (H_EPS_A_MAX, SECTOR, BodyStack, SymmetricBody,
                             stacks, validate)
 from trisect.cli import PRESETS
 from trisect.search import antipodal_gap, lemma_floor_checks, trisection_dm
-from trisect.trisection import closed_form_dm_standard, standard_trisection
+from trisect.trisection import (closed_form_dm_standard, standard_cells,
+                                standard_trisection)
 
 SAMPLES = 1024
 
@@ -54,16 +56,35 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
-def test_stacks_pad_bodies_of_many_corner_counts_together():
-    pairs = _pairs()
+def test_stacks_group_bodies_by_corner_count():
+    # every pool body is in exactly one stack, at its row; a stack's
+    # corner bodies share one corner count, which no other stack has;
+    # a profile body is alone
+    pool, pairs = _pool(), _pairs()
     assert sorted(i for rows, _ in pairs for i in rows) == list(
-        range(len(_pool())))
-    padded = [stack for _, stack in pairs if len(set(stack.n)) > 1]
-    assert len(padded) >= 3
-    assert max(len(set(stack.n)) for stack in padded) >= 10
-    for _, stack in pairs:
+        range(len(pool)))
+    counts = []
+    for rows, stack in pairs:
+        assert [pool[i] for i in rows] == list(stack.bodies)
         if stack.bodies[0].corners is None:
             assert len(stack.bodies) == 1
+        else:
+            assert {len(b.corners) for b in stack.bodies} == {stack.n}
+            counts.append(stack.n)
+    assert len(counts) == len(set(counts)) and max(map(len, (
+        rows for rows, _ in pairs))) >= 100
+
+
+def test_a_stack_holds_bodies_of_one_point_count():
+    triangle, hexagon = make_regular_polygon(1), make_regular_polygon(2)
+    stack = BodyStack((triangle, triangle.scaled(2.0)))
+    assert stack.n == 3 and type(stack.n) is int
+    assert stack.pts.shape == (2, 3, 2)
+    # a profile body counts its boundary's points
+    for bodies in ((triangle, hexagon), (hexagon, triangle),
+                   (PRESETS["reuleaux"](), triangle), ()):
+        with pytest.raises(ValueError, match="one point count"):
+            BodyStack(bodies)
 
 
 def test_rho_and_r_equal_one_body_at_a_time():
@@ -80,22 +101,27 @@ def test_rho_and_r_equal_one_body_at_a_time():
         assert body.max_radius() == big_r
 
 
-def _cell(cut, stack, r):
-    """Row r of a stacked cut: its vertices, and its runs as indices into
-    the row's own points."""
-    return (cut.verts[r], cut.start[r] - 2 * stack.pts.shape[1] * r,
-            cut.length[r])
+def _scored(monkeypatch):
+    """A list that gets the arguments and the result of each search._dm
+    call: the cells lemma_floor_checks scores and their d_M."""
+    calls, real = [], search._dm
+    monkeypatch.setattr(search, "_dm", lambda *args: calls.append(
+        (*args, real(*args))) or calls[-1][-1])
+    return calls
 
 
-def test_standard_cut_and_its_dm_equal_one_body_at_a_time():
+def test_standard_cut_and_its_dm_equal_one_body_at_a_time(monkeypatch):
     # the reference is the fan of a walk about the centre on the body's
     # own polygon, d_M over its regions' points by points_diameter
+    calls = _scored(monkeypatch)
     for _, stack in _pairs():
-        cut = standard_trisection(stack)
-        dm = search._dm(cut.pts, cut.verts, cut.start, cut.length)
+        cells = standard_cells(stack)
+        calls.clear()
+        lemma_floor_checks(stack)
+        (*_, dm), = calls
         for r, body in enumerate(stack.bodies):
             want = _fan(body)
-            verts, start, length = _cell(cut, stack, r)
+            verts, start, length = (a[r] for a in cells)
             assert _bits(verts) == _bits(want.verts), body.label
             assert np.array_equal(start, want.start), body.label
             assert np.array_equal(length, want.length), body.label
@@ -115,23 +141,25 @@ def test_the_nearest_angle_is_math_atan2s():
     assert moved
 
 
-def test_runs_wrap_at_the_rows_own_corner_count():
-    # in a padded row a run that passes the row's last corner wraps to
-    # its corner 0, not on into the padding
+def test_runs_wrap_at_the_rows_own_corner_count(monkeypatch):
+    # lemma_floor_checks scores each row's runs on the row taken twice
+    # over: a run that passes the row's last corner goes on at its
+    # corner 0, not into the next row, and no run passes the end
+    calls = _scored(monkeypatch)
     wraps = 0
     for _, stack in _pairs():
-        cut = standard_trisection(stack)
+        _, own, _ = standard_cells(stack)
+        calls.clear()
+        lemma_floor_checks(stack)
+        (pts, _, start, length, _), = calls
         for r, body in enumerate(stack.bodies):
             n = len(body.boundary)
-            _, start, length = _cell(cut, stack, r)
-            if n < stack.pts.shape[1]:
-                wraps += np.count_nonzero(start + length > n)
+            wraps += np.count_nonzero(own[r] + length[r] > n)
             for j in range(3):
-                # a stack of one's runs wrap at its n
-                run = cut.start[r, j] + np.arange(cut.length[r, j])
-                idx = (start[j] + np.arange(length[j])) % n
-                assert _bits(cut.pts[run % len(cut.pts)]) == _bits(
-                    body.boundary[idx]), body.label
+                run = start[r, j] + np.arange(length[r, j])
+                idx = (own[r, j] + np.arange(length[r, j])) % n
+                assert _bits(pts[run]) == _bits(body.boundary[idx]), \
+                    body.label
     assert wraps >= 100
 
 
@@ -191,7 +219,7 @@ def _broken():
 
 
 def test_validate_reports_equal_one_body_at_a_time():
-    # broken bodies padded among clean ones keep their reports, and leave
+    # broken bodies stacked with clean ones keep their reports, and leave
     # every other row's report clean
     bodies = list(_pool()[:60]) + _broken() + list(_pool()[60:120])
     got = per_body(validate, stacks(bodies))
@@ -199,5 +227,8 @@ def test_validate_reports_equal_one_body_at_a_time():
     assert [r.clean for r in got] == [b.label not in (
         "moved", "dented", "star", "five") and b.area == pytest.approx(
             1.0, abs=1e-6) for b in bodies]
-    stack = BodyStack(tuple(bodies[55:70]))
-    assert len(set(stack.n)) > 1 and validate(stack) == tuple(got[55:70])
+    # the hexagons: three broken, the others clean
+    six = [i for i, b in enumerate(bodies) if len(b.boundary) == 6]
+    reports = validate(BodyStack(tuple(bodies[i] for i in six)))
+    assert reports == tuple(got[i] for i in six)
+    assert 3 == sum(not r.clean for r in reports) < len(reports)
