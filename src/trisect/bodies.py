@@ -80,12 +80,8 @@ class SymmetricBody:
     @cached_property
     def polygon_angles(self):
         """The boundary's polar angles, one row (1, n + 1) in polar_angles'
-        layout: the corners' by that formula, else the profile angles."""
-        if self.corners is None:
-            t = self.sector_theta
-            return np.concatenate([t + k * SECTOR for k in range(3)]
-                                  + [t[:1] + 2.0 * math.pi])[None]
-        return polar_angles(*self.corners.T[:, None])
+        layout."""
+        return polar_angles(*self.boundary.T[:, None])
 
     @cached_property
     def sweep_polygon(self):
@@ -108,8 +104,8 @@ class SymmetricBody:
         return float(r) if theta.ndim == 0 else r
 
     def max_radius(self):
-        """Max distance from the center to the boundary: the farthest
-        corner's norm, or the largest profile radius."""
+        """Max distance from the center to the boundary polygon: its
+        farthest point's norm."""
         return self.stack.max_radius[0].item()
 
     @cached_property
@@ -162,8 +158,8 @@ class BodyStack:
     checks that run on all of them at once (stacks forms them).
 
     Row b of pts (k, n, 2) is bodies[b].boundary: geom.ray_exit's stack
-    form.  A profile body (a curved body, a body file) is only ever a
-    stack of one.  Each cached quantity has one entry per row.
+    form.  The bodies are all corner bodies or all profile bodies (curved
+    bodies, body files).  Each cached quantity has one entry per row.
     """
 
     bodies: tuple
@@ -174,6 +170,9 @@ class BodyStack:
         if len(counts) != 1:
             raise ValueError(f"a BodyStack holds bodies of one point count, "
                              f"not {sorted(counts)}")
+        if len({b.corners is None for b in self.bodies}) != 1:
+            raise ValueError("a BodyStack holds corner bodies or profile "
+                             "bodies, not both")
         object.__setattr__(self, "n", counts.pop())
 
     @cached_property
@@ -189,19 +188,10 @@ class BodyStack:
 
     @cached_property
     def angles(self):
-        """radius_at's rows of angles: a body's own polygon_angles, or
-        polar_angles of the rows' points about the center (k, n + 1)."""
+        """polar_angles of the rows' points about the center (k, n + 1),
+        which a body of one row keeps as its polygon_angles."""
         if len(self.bodies) == 1:
             return self.bodies[0].polygon_angles
-        return polar_angles(self.pts[..., 0], self.pts[..., 1])
-
-    @property
-    def point_angles(self):
-        """polar_angles of the rows' points, the angles a walk about the
-        center sees: angles, but for a profile body, whose are made at
-        each call."""
-        if self.bodies[0].corners is not None:
-            return self.angles
         return polar_angles(self.pts[..., 0], self.pts[..., 1])
 
     @cached_property
@@ -211,11 +201,8 @@ class BodyStack:
 
     @cached_property
     def max_radius(self):
-        """Each row's largest distance from the center to its boundary:
-        the farthest corner's norm, or a profile's largest radius."""
-        body = self.bodies[0]
-        if body.corners is None:
-            return np.max(body.sector_r, keepdims=True)
+        """Each row's largest distance from the center to its boundary
+        polygon, R: its farthest point's norm."""
         return np.max(np.hypot(self.pts[..., 0], self.pts[..., 1]), axis=1)
 
     @cached_property
@@ -273,17 +260,15 @@ def unstack(body, values):
 
 def stacks(bodies):
     """bodies as (rows, BodyStack) pairs, rows the indices in bodies of
-    the stack's rows: each profile body as its own stack of one, then
-    one stack per corner count, in order of count."""
+    the stack's rows: one stack per kind and point count, the profile
+    bodies' first, each kind in order of count."""
     bodies = list(bodies)
-    out = [([i], BodyStack((b,))) for i, b in enumerate(bodies)
-           if b.corners is None]
-    counts = {}
+    groups = {}
     for i, b in enumerate(bodies):
-        if b.corners is not None:
-            counts.setdefault(len(b.corners), []).append(i)
-    return out + [(rows, BodyStack(tuple(bodies[i] for i in rows)))
-                  for _, rows in sorted(counts.items())]
+        groups.setdefault((b.corners is not None, len(b.boundary)),
+                          []).append(i)
+    return [(rows, BodyStack(tuple(bodies[i] for i in rows)))
+            for _, rows in sorted(groups.items())]
 
 
 def per_body(check, pairs, *args):
@@ -529,9 +514,8 @@ def validate(body):
     ValidationReport for a body, and a tuple of one a row for a
     BodyStack, whose checks run on all its rows at once."""
     stack = as_stack(body)
-    first = stack.bodies[0]
-    checks = (_corner_checks(stack) if first.corners is not None
-              else [_profile_checks(first)])
+    checks = (_corner_checks(stack) if stack.bodies[0].corners is not None
+              else [_profile_checks(b) for b in stack.bodies])
     # a profile with a non-positive or non-finite radius builds no
     # boundary worth measuring: its turns and area could overflow
     turns = [False] * len(checks)

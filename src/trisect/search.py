@@ -391,9 +391,10 @@ def sweep_segment_trisections(body, grid, seed=42):
 def lemma_floor_checks(body):
     """Whether the standard trisection attains the lemma floor: its exact
     d_M lies within ATTAIN_TOL * floor of the floor max(R, sqrt(3)*rho),
-    on both sides; of a body, or of each row of a BodyStack at once,
-    whose standard_cells are scored on its rows taken twice over, so that
-    no run passes the end of its row.
+    on both sides; of a body, or of each row of a BodyStack at once.
+    The standard_cells of a stack of one are scored on its row, whose
+    runs wrap at its n, and of a larger stack on its rows taken twice
+    over, so that no run passes the end of its row.
 
     No trisection's d_M is below the floor.  Its regions meet the boundary
     in three arcs covering 360 degrees about the centre; one spans 120 or
@@ -405,9 +406,12 @@ def lemma_floor_checks(body):
     """
     stack = as_stack(body)
     verts, start, length = standard_cells(stack)
-    n, rows = stack.n, np.arange(len(stack.bodies))[:, None]
-    twice = np.concatenate((stack.pts, stack.pts), axis=1).reshape(-1, 2)
-    dm = _dm(twice, verts, start + 2 * n * rows, length)
+    pts = stack.pts[0]
+    if len(stack.bodies) > 1:
+        rows = np.arange(len(stack.bodies))[:, None]
+        pts = np.concatenate((stack.pts, stack.pts), axis=1).reshape(-1, 2)
+        start = start + 2 * stack.n * rows
+    dm = _dm(pts, verts, start, length)
     floor = closed_form_dm_standard(stack)
     return unstack(body, np.abs(dm - floor) <= ATTAIN_TOL * floor)
 

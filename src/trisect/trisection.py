@@ -303,7 +303,7 @@ def standard_cells(stack):
     feet, _ = stack.nearest_point
     n, rows = stack.n, np.arange(len(stack.bodies))[:, None]
     theta = np.array([math.atan2(y, x) for x, y in feet.tolist()])
-    i, s, _, _ = ray_exit(stack.pts, stack.point_angles,
+    i, s, _, _ = ray_exit(stack.pts, stack.angles,
                           theta[:, None] + np.arange(3) * SECTOR, None, rows)
     ts = i + s
     _, i, u = _split(ts, n)

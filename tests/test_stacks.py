@@ -1,7 +1,7 @@
 """A BodyStack computes what its bodies give one at a time, bit for bit:
 rho, R, the standard cut, its d_M, the antipodal gaps and validate's
-reports, on a pool of bodies of 3 to 3,072 corners, a stack for each
-corner count."""
+reports, on a pool of bodies of 3 to 3,072 corners and of profiles, a
+stack for each kind and point count."""
 
 import math
 from functools import lru_cache
@@ -9,7 +9,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from test_bodies import einsum_nearest_point, interleaved_ray_chord_radius
+from test_bodies import (einsum_nearest_point, interleaved_ray_chord_radius,
+                         profile_of)
 from test_search import _fan, _harsh_body
 
 from trisect import search
@@ -27,12 +28,14 @@ SAMPLES = 1024
 
 @lru_cache(maxsize=1)
 def _pool():
-    """The presets (reuleaux and h_tilde are stacks of one), every 7th of
-    regular:3 to regular:3069 and regular:3072, 52 h_eps from a = 0 to
-    H_EPS_A_MAX, 300 random and 20 harsh bodies."""
+    """The presets, h_tilde's body file (a stack of two with h_tilde) and
+    reuleaux scaled by 1.1 (with reuleaux), every 7th of regular:3 to
+    regular:3069 and regular:3072, 52 h_eps from a = 0 to H_EPS_A_MAX,
+    300 random and 20 harsh bodies."""
     rng, harsh = np.random.default_rng(5), np.random.default_rng(9)
     return tuple(
         [make() for make in PRESETS.values()]
+        + [profile_of(PRESETS["h_tilde"]()), PRESETS["reuleaux"]().scaled(1.1)]
         + [make_regular_polygon(n) for n in [*range(1, 1025, 7), 1024]]
         + [make_h_eps(a) for a in np.linspace(0.0, H_EPS_A_MAX, 52)]
         + [random_body(rng) for _ in range(300)]
@@ -58,21 +61,22 @@ def _bits(a):
 
 def test_stacks_group_bodies_by_corner_count():
     # every pool body is in exactly one stack, at its row; a stack's
-    # corner bodies share one corner count, which no other stack has;
-    # a profile body is alone
+    # bodies share one kind (corners or profile) and one point count,
+    # which no other stack has
     pool, pairs = _pool(), _pairs()
     assert sorted(i for rows, _ in pairs for i in rows) == list(
         range(len(pool)))
-    counts = []
+    kinds = []
     for rows, stack in pairs:
         assert [pool[i] for i in rows] == list(stack.bodies)
-        if stack.bodies[0].corners is None:
-            assert len(stack.bodies) == 1
-        else:
-            assert {len(b.corners) for b in stack.bodies} == {stack.n}
-            counts.append(stack.n)
-    assert len(counts) == len(set(counts)) and max(map(len, (
+        kind, = {b.corners is None for b in stack.bodies}
+        assert {len(b.boundary) for b in stack.bodies} == {stack.n}
+        kinds.append((kind, stack.n))
+    assert len(kinds) == len(set(kinds)) and max(map(len, (
         rows for rows, _ in pairs))) >= 100
+    # reuleaux and h_tilde each stack with a profile of their point count
+    assert sorted(len(stack.bodies) for _, stack in pairs
+                  if stack.bodies[0].corners is None) == [2, 2]
 
 
 def test_a_stack_holds_bodies_of_one_point_count():
@@ -87,6 +91,25 @@ def test_a_stack_holds_bodies_of_one_point_count():
             BodyStack(bodies)
 
 
+def test_a_stack_of_profile_bodies_gives_each_row_its_own_values():
+    # R, validate and the closed-form d_M have one entry a row, each what
+    # the row's body gives alone; a profile body does not stack with a
+    # corner body of its point count
+    reuleaux = PRESETS["reuleaux"]()
+    bodies = (reuleaux, reuleaux.scaled(1.1))
+    stack = BodyStack(bodies)
+    assert _bits(stack.max_radius) == _bits([b.max_radius() for b in bodies])
+    assert _bits(closed_form_dm_standard(stack)) == _bits(
+        [closed_form_dm_standard(b) for b in bodies])
+    assert validate(stack) == tuple(validate(b) for b in bodies)
+    assert [r.clean for r in validate(stack)] == [True, False]
+    corners = make_regular_polygon(stack.n // 3)
+    assert len(corners.boundary) == stack.n
+    for pair in ((reuleaux, corners), (corners, reuleaux)):
+        with pytest.raises(ValueError, match="not both"):
+            BodyStack(pair)
+
+
 def test_rho_and_r_equal_one_body_at_a_time():
     for body, stack, r in _rows():
         feet, rho = stack.nearest_point
@@ -95,8 +118,7 @@ def test_rho_and_r_equal_one_body_at_a_time():
         assert _bits(rho[r]) == _bits(want_rho), body.label
         alone, alone_rho = body.nearest_point
         assert _bits(alone) == _bits(want) and alone_rho == want_rho
-        big_r = (np.max(body.sector_r) if body.corners is None
-                 else np.max(np.hypot(body.corners[:, 0], body.corners[:, 1])))
+        big_r = np.max(np.hypot(body.boundary[:, 0], body.boundary[:, 1]))
         assert _bits(stack.max_radius[r]) == _bits(big_r), body.label
         assert body.max_radius() == big_r
 
@@ -142,9 +164,10 @@ def test_the_nearest_angle_is_math_atan2s():
 
 
 def test_runs_wrap_at_the_rows_own_corner_count(monkeypatch):
-    # lemma_floor_checks scores each row's runs on the row taken twice
-    # over: a run that passes the row's last corner goes on at its
-    # corner 0, not into the next row, and no run passes the end
+    # lemma_floor_checks scores a stack of one on its body's boundary
+    # itself, whose runs wrap at its n, and a larger stack's runs on its
+    # rows taken twice over: a run that passes the row's last corner goes
+    # on at its corner 0, not into the next row, and no run passes the end
     calls = _scored(monkeypatch)
     wraps = 0
     for _, stack in _pairs():
@@ -152,11 +175,15 @@ def test_runs_wrap_at_the_rows_own_corner_count(monkeypatch):
         calls.clear()
         lemma_floor_checks(stack)
         (pts, _, start, length, _), = calls
+        if len(stack.bodies) == 1:
+            assert np.shares_memory(pts, stack.bodies[0].boundary)
+        else:
+            assert np.all(start + length <= len(pts))
         for r, body in enumerate(stack.bodies):
             n = len(body.boundary)
             wraps += np.count_nonzero(own[r] + length[r] > n)
             for j in range(3):
-                run = start[r, j] + np.arange(length[r, j])
+                run = (start[r, j] + np.arange(length[r, j])) % len(pts)
                 idx = (own[r, j] + np.arange(length[r, j])) % n
                 assert _bits(pts[run]) == _bits(body.boundary[idx]), \
                     body.label

@@ -277,6 +277,13 @@ def test_solve_a0(h_tilde):
     assert abs(h_tilde.max_radius() - floor) <= 8 * math.ulp(floor)
 
 
+def test_h_tilde_attains_its_floor_exactly(h_tilde):
+    # R is the boundary polygon's farthest point, which the standard
+    # trisection's regions hold: their exact d_M is the closed form
+    dm = max_relative_diameter(h_tilde, standard_trisection(h_tilde))
+    assert dm == closed_form_dm_standard(h_tilde)
+
+
 def test_dm_invariant_under_symmetry_rotation(hexagon, reuleaux):
     for body in (hexagon, reuleaux):
         base = closed_form_dm_standard(body)
