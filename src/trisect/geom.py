@@ -40,12 +40,16 @@ def polar_angles(x, y):
     of a CCW polygon's points about a point inside it, rows (..., n + 1)
     of the first point's angle a0 plus mod(a - a0, 2pi) for each point's
     angle a, closed by a0 + 2pi; a row never decreases.  As
-    |a - a0| < 2pi, the mod adds 2pi to a negative difference."""
-    a = np.arctan2(y, x)
-    a0 = a[..., :1]
-    d = a - a0
-    np.add(d, 2.0 * math.pi, out=d, where=d < 0.0)
-    return np.concatenate((a0 + d, a0 + 2.0 * math.pi), axis=-1)
+    |a - a0| < 2pi, the mod adds 2pi to a negative difference.  The
+    steps run in place in the result, so the peak memory is one array."""
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    a = np.arctan2(y, x, out=out[..., :-1])
+    a0 = a[..., :1].copy()
+    a -= a0
+    np.add(a, 2.0 * math.pi, out=a, where=a < 0.0)
+    a += a0
+    out[..., -1:] = a0 + 2.0 * math.pi
+    return out
 
 
 def ray_exit(pts, rows, theta, c=None, ci=0):
