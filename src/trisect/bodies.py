@@ -43,8 +43,8 @@ class SymmetricBody:
         angle 0: its boundary, which everything computes on.
     sector_theta/sector_r: else the sampled radial profile over
         [0, 2*pi/3), whose points are the boundary.
-    nearest_point, max_radius and radius_at are row 0 of the body's
-        stack of one (BodyStack), whose code every stack runs.
+    nearest_point and max_radius are row 0 of the body's stack of one
+        (BodyStack), whose code every stack runs.
     sweep_rows: a curved body's indices into sector_theta of its sweep
         polygon; a body without them sweeps on its boundary.
     outline_hint: a curved body's exact drawing path for the full
@@ -100,7 +100,7 @@ class SymmetricBody:
         body's boundary polygon, exact on its chords: an array of theta's
         shape, or a float for a scalar theta."""
         theta = np.asarray(theta, dtype=float)
-        r = self.stack.radius_at(theta)[0]
+        r = np.hypot(*ray_exit(self.boundary, self.polygon_angles, theta)[2:])
         return float(r) if theta.ndim == 0 else r
 
     def max_radius(self):
@@ -236,15 +236,6 @@ class BodyStack:
         feet = np.full((len(rho), 2), np.nan)  # a NaN row ties nothing
         feet[r[won]] = np.column_stack((fx[won], fy[won]))
         return feet, rho
-
-    def radius_at(self, theta, rows=slice(None)):
-        """Distance from the center along the angles theta to the
-        boundary polygon of each row in the slice rows, exact on its
-        chords, (rows, *theta's shape): geom.ray_exit's stack form on
-        angles, whose search keys hold those rows only."""
-        pts, angles = self.pts[rows], self.angles[rows]
-        ci = np.arange(len(pts)).reshape((-1,) + (1,) * np.ndim(theta))
-        return np.hypot(*ray_exit(pts, angles, theta, None, ci)[2:])
 
 
 def as_stack(body):

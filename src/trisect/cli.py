@@ -36,7 +36,6 @@ MAX_GRID_C = 1_000
 MAX_GRID_THETA = 1_440
 MAX_HEPS_COUNT = 100_000        # rows of the heps table
 MAX_POOL_BODIES = 1_000         # verify's --heps-samples and --random, each
-MAX_ANTIPODAL_SAMPLES = 65_536  # verify's directions per body
 MAX_TABLE_M = 300_000           # table --max-m: 100,000 rows, as heps --count
 MAX_SEED = 2 ** 63 - 1          # numpy's generators take seeds from 0 up
 # (lo, hi) of every integer option, by argparse dest; main checks them all
@@ -44,7 +43,6 @@ INT_BOUNDS = {
     "grid_c": (1, MAX_GRID_C),
     "grid_theta": (8, MAX_GRID_THETA),
     "count": (16, MAX_HEPS_COUNT),
-    "samples": (64, MAX_ANTIPODAL_SAMPLES),
     "heps_samples": (0, MAX_POOL_BODIES),
     "random": (0, MAX_POOL_BODIES),
     "max_m": (3, MAX_TABLE_M),
@@ -214,8 +212,7 @@ def cmd_verify(args, parser):
     check("quotient-equality-only-at-h_tilde",
           all(lbl == "h_tilde" for lbl in equal), f"equal={equal}")
 
-    for body, gap in zip(valid_pool, per_body(antipodal_gap, valid,
-                                              args.samples)):
+    for body, gap in zip(valid_pool, per_body(antipodal_gap, valid)):
         check(f"antipodal[{body.label}]", gap >= -1e-6, f"gap={gap:.2e}")
     for body, passed in zip(valid_pool, per_body(lemma_floor_checks, valid)):
         check(f"floors[{body.label}]", passed)
@@ -280,7 +277,6 @@ def build_parser():
     p.add_argument("--body", default=None, help="extra body to add to the pool")
     p.add_argument("--heps-samples", type=int, default=40)
     p.add_argument("--random", type=int, default=100)
-    p.add_argument("--samples", type=int, default=1024)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("table", help="d_M of unit-area regular 3n-gons")

@@ -8,7 +8,7 @@ import numpy as np
 
 from .bodies import (H_EPS_A_MAX, as_stack, h_eps_dpx, h_eps_dv12,
                      per_body, unstack)
-from .geom import (_CHUNK, cell_bounds_sq, points_diameter, ray_exit,
+from .geom import (cell_bounds_sq, points_diameter, ray_exit,
                    region_diameters_sq)
 from .trisection import (AREA_TOL, InfeasibleConfigurationError, Trisection,
                          _BoundaryWalk, _cell_regions, _first_root, _tri_area,
@@ -464,26 +464,49 @@ def verify_h_tilde_optimal(pairs):
                             all_pass=not failures, failures=tuple(failures))
 
 
-def antipodal_gap(body, sample_count=1024):
-    """Min over sampled directions of d(y, y_bar) - sqrt(3)*rho, where y and
-    y_bar are the boundary hits of a line through the center; of a body,
-    or of each row of a BodyStack.  The rays are cast in blocks of rows
-    and directions of at most geom._CHUNK rays, or of one direction's two
-    rays on one row, and each row keeps its least sum."""
-    if sample_count < 64:
-        raise ValueError("sample_count must be at least 64")
+def antipodal_gap(body):
+    """Least chord through the center, exact on the boundary polygon, minus
+    sqrt(3)*rho; of a body, or of each row of a BodyStack.  Between the
+    points' polar angles mod pi, the rays at t and t + pi leave through the
+    edges p, p + e that ray_exit gives at the midpoint, at r = (p x e) /
+    (w x e), w the ray's direction: r' = r g, r'' = r + 2 r g^2 with g =
+    (w . e) / (w x e).  So the chord L is convex, above its midpoint tangent,
+    and least at an end or at the root of L' Newton steps find, to 1e-12."""
     stack = as_stack(body)
-    thetas = np.arange(sample_count) * math.pi / sample_count
-    rows = max(1, _CHUNK // (2 * sample_count))
-    width = max(1, min(sample_count, _CHUNK // 2))
-    least = np.full(len(stack.bodies), np.inf)
-    for lo in range(0, len(least), rows):
-        for t in np.split(thetas, range(width, sample_count, width)):
-            r = stack.radius_at(np.concatenate((t, t + math.pi)),
-                                slice(lo, lo + rows))
-            least[lo:lo + rows] = np.minimum(
-                least[lo:lo + rows], np.min(r[:, :len(t)] + r[:, len(t):],
-                                            axis=1))
+    pts, angles = stack.pts, stack.angles
+    rows = np.arange(len(pts))[:, None]
+    lo = np.sort(np.mod(angles[:, :-1], math.pi), axis=1)
+    hi = np.concatenate((lo[:, 1:], lo[:, :1] + math.pi), axis=1)
+    mid = (lo + hi) / 2.0
+    rays = [ray_exit(pts, angles, t, None, rows) for t in (mid, mid + math.pi)]
+    x, y = pts[..., 0], pts[..., 1]
+    ex, ey = stack._next(x) - x, stack._next(y) - y
+    chord = sum(np.hypot(u, v) for _, _, u, v in rays)
+    slope = sum(np.hypot(u, v) * (u * ex[rows, i] + v * ey[rows, i])
+                / (u * ey[rows, i] - v * ex[rows, i]) for i, _, u, v in rays)
+    least = chord.min(axis=1)
+    rk, k = np.nonzero(chord - np.abs(slope) * (hi - lo) / 2 < least[:, None])
+    i, lo, hi = np.stack([i[rk, k] for i, *_ in rays]), lo[rk, k], hi[rk, k]
+    num, ex, ey = (v[rk, i] for v in (x * ey - y * ex, ex, ey))
+
+    def slopes(t, k=slice(None)):  # L, L', L'' at t on the intervals k
+        c, s = np.cos(t) * [[1.0], [-1.0]], np.sin(t) * [[1.0], [-1.0]]
+        den = c * ey[:, k] - s * ex[:, k]
+        r, g = num[:, k] / den, (c * ex[:, k] + s * ey[:, k]) / den
+        return np.sum((r, r * g, r + 2.0 * r * g * g), axis=1)
+
+    (f_lo, d_lo, _), (f_hi, d_hi, _) = slopes(lo), slopes(hi)
+    np.minimum.at(least, rk, np.minimum(f_lo, f_hi))
+    k = np.flatnonzero((d_lo < 0.0) & (d_hi > 0.0))
+    a, b, t = lo[k], hi[k], 0.5 * (lo[k] + hi[k])
+    while len(k):  # the bracket [a, b] shrinks at every step
+        f, d1, d2 = slopes(t, k)
+        np.minimum.at(least, rk[k], f)
+        a, b = np.where(d1 < 0.0, t, a), np.where(d1 < 0.0, b, t)
+        step = t - d1 / d2
+        step = np.where((a < step) & (step < b), step, 0.5 * (a + b))
+        go = (np.abs(d1 / d2) > 1e-12) & (step != t)
+        t, k, a, b = step[go], k[go], a[go], b[go]
     return unstack(body, least - math.sqrt(3.0) * inscribed_ball_radius(stack))
 
 

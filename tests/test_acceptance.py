@@ -156,7 +156,7 @@ def test_criterion_5_quotient_bound(named_bodies, candidate_pool):
 
 
 def test_criterion_6_antipodal(candidate_pool):
-    worst = min(antipodal_gap(b, sample_count=1024) for b in candidate_pool)
+    worst = min(antipodal_gap(b) for b in candidate_pool)
     report("criterion 6: antipodal chords at least sqrt(3) rho",
            worst >= -1e-6, f"min gap={worst:.2e}")
 

@@ -130,7 +130,8 @@ def test_bad_grid_size_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["verify", "--samples", "63"], "--samples must be at least 64"),
+    # verify's antipodal check is exact and takes no sample count
+    (["verify", "--samples", "64"], "unrecognized arguments: --samples 64"),
     (["verify", "--heps-samples", "-1"], "--heps-samples must be at least 0"),
     (["verify", "--random", "-1"], "--random must be at least 0"),
     (["sweep", "--body", "hexagon", "--magnitude", "nan"], "--magnitude must"),
@@ -155,7 +156,7 @@ def test_bad_verify_or_sweep_value_exits_2(capsys, argv, message):
 
 @pytest.mark.parametrize("argv, cap", [
     (["heps", "--count"], cli.MAX_HEPS_COUNT),
-    (["verify", "--samples"], cli.MAX_ANTIPODAL_SAMPLES),
+    (["verify", "--seed"], cli.MAX_SEED),
     (["verify", "--heps-samples"], cli.MAX_POOL_BODIES),
     (["verify", "--random"], cli.MAX_POOL_BODIES),
     (["sweep", "--body", "hexagon", "--grid-c"], cli.MAX_GRID_C),
@@ -302,7 +303,7 @@ def test_sweep_of_a_json_body_keeps_its_corners(tmp_path, capsys, doc):
     ["sweep", "--body", "hexagon", "--grid-c", "1", "--grid-theta", "8"],
     ["heps", "--count", "16"],
     ["render", "--body", "hexagon"],
-    ["verify", "--heps-samples", "0", "--random", "0", "--samples", "64"],
+    ["verify", "--heps-samples", "0", "--random", "0"],
     ["table", "--max-m", "3"]], ids=lambda argv: argv[0])
 def test_unwritable_out_path_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "missing" / "out.txt"

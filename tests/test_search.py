@@ -9,6 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from test_bodies import interleaved_ray_chord_radius
 
 from trisect import geom, search, trisection
 from trisect.bodies import (H_EPS_A_MAX, SECTOR, _corner_body,
@@ -517,25 +518,134 @@ def test_quotient_bound_is_the_closed_form(h_tilde):
                        - _quotient_formula(signs)) > 1e-8, signs
 
 
+def _least_chord(body):
+    """The least chord through the centre that antipodal_gap finds."""
+    return antipodal_gap(body) + SQRT3 * inscribed_ball_radius(body)
+
+
+def _chords(body, t):
+    """The chords through the centre at the angles t, by test_bodies'
+    ray cast, which shares no code with antipodal_gap."""
+    r = interleaved_ray_chord_radius(body.boundary, body.polygon_angles[0],
+                                     np.concatenate((t, t + math.pi)))
+    return r[:len(t)] + r[len(t):]
+
+
+def _golden_least_chord(body):
+    """The least chord through the centre by golden-section search on
+    each interval between consecutive corner angles mod pi, where the
+    chord is convex, and at the intervals' ends."""
+    pts = body.boundary
+    lo = np.unique(np.mod(np.arctan2(pts[:, 1], pts[:, 0]), math.pi))
+    a, b = lo, np.append(lo[1:], lo[0] + math.pi)
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(100):
+        c, d = b - ratio * (b - a), a + ratio * (b - a)
+        left = _chords(body, c) < _chords(body, d)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+    return min(_chords(body, lo).min(), _chords(body, a).min(),
+               _chords(body, b).min())
+
+
+def _assert_least_chord_is_sampled_minimum(body):
+    """antipodal_gap's chord is at most the least of 65,536 chords at even
+    angles, up to the rounding of a sample at a corner's angle, which is
+    an end value, and within 1e-9 relative of it."""
+    exact = _least_chord(body)
+    sampled = _chords(body, np.arange(65_536) * math.pi / 65_536).min()
+    assert exact <= sampled + 4.0 * np.spacing(sampled), body.label
+    assert sampled - exact <= 1e-9 * sampled, body.label
+
+
 def test_antipodal_gap_hexagon(hexagon):
-    # opposite-direction radii sum to twice the apothem at minimum
-    apo = inscribed_ball_radius(hexagon)
+    # the least chord through the centre joins two opposite sides' feet
+    rho = inscribed_ball_radius(hexagon)
     gap = antipodal_gap(hexagon)
-    assert gap == pytest.approx(2 * apo - SQRT3 * apo, abs=1e-6)
+    assert gap + SQRT3 * rho == pytest.approx(2.0 * rho, rel=1e-15, abs=0.0)
     assert gap > 0
 
 
 def test_antipodal_gap_disk_like():
-    # constant-radius profile: r(t) + r(t+pi) = 2r, sqrt(3) rho = sqrt(3) r
-    from trisect.bodies import make_regular_polygon
+    # an even regular polygon's least chord joins two opposite sides' feet
     disk = make_regular_polygon(128)
-    r = disk.max_radius()
-    assert antipodal_gap(disk) == pytest.approx((2 - SQRT3) * r, abs=1e-3)
+    rho = inscribed_ball_radius(disk)
+    assert antipodal_gap(disk) == pytest.approx((2.0 - SQRT3) * rho,
+                                                rel=1e-14, abs=0.0)
 
 
 def test_antipodal_gap_nonnegative(triangle, reuleaux, h_tilde):
     for body in (triangle, reuleaux, h_tilde):
         assert antipodal_gap(body) >= -1e-6
+
+
+@pytest.mark.parametrize("m, chord", [(3, 4.0 / SQRT3), (6, 2.0), (12, 2.0),
+                                      (3072, 2.0)])
+def test_antipodal_chord_closed_forms(m, chord):
+    # the triangle's least chord runs parallel to a side, through the
+    # midpoints of the other two; an even polygon's joins opposite sides
+    body = make_regular_polygon(m // 3)
+    rho = inscribed_ball_radius(body)
+    assert _least_chord(body) == pytest.approx(chord * rho, rel=1e-15,
+                                               abs=0.0)
+
+
+def test_antipodal_gap_keeps_a_least_chord_at_a_corner():
+    # a 2 x 4 rectangle with a corner at the middle of its right side and
+    # one off the middle of its left: its least chord runs from the first
+    # straight across, where the chord's slope is 0 on both sides, so no
+    # root search reaches it, only the end values
+    body = _corner_body("rectangle", [(1.0, -2.0), (1.0, 0.0), (1.0, 2.0),
+                                      (-1.0, 2.0), (-1.0, 0.5), (-1.0, -2.0)])
+    assert _least_chord(body) == pytest.approx(2.0, rel=1e-15, abs=0.0)
+
+
+def test_antipodal_gap_is_the_least_sampled_chord():
+    rng = np.random.default_rng(11)
+    for body in ([make() for make in PRESETS.values()]
+                 + [make_h_eps(a) for a in np.linspace(0.0, H_EPS_A_MAX, 9)]
+                 + [random_body(rng) for _ in range(20)]):
+        _assert_least_chord_is_sampled_minimum(body)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, SECTOR, exclude_max=True),
+                          st.floats(0.2, 2.0)), min_size=1, max_size=8),
+       st.booleans(), st.sampled_from((None, 0.0, 1e-12, 1e-9)))
+def test_antipodal_gap_is_the_least_chord_of_harsh_bodies(points, opposite,
+                                                          bulge):
+    """Harsh bodies: with opposite, each point also turned by pi/3, whose
+    threefold copies lie opposite the point's; with a bulge, a corner at
+    each edge's midpoint, pushed out by bulge times the edge's length."""
+    if opposite:
+        points = points + [((a + math.pi / 3.0) % SECTOR, r)
+                           for a, r in points]
+    body = _harsh_body(points)
+    if bulge is not None:
+        p = body.corners
+        e = np.roll(p, -1, axis=0) - p
+        mids = p + 0.5 * e + bulge * np.column_stack((e[:, 1], -e[:, 0]))
+        body = _corner_body("bulged", np.stack((p, mids), 1).reshape(-1, 2))
+    _assert_least_chord_is_sampled_minimum(body)
+    golden = _golden_least_chord(body)
+    assert abs(_least_chord(body) - golden) <= 1e-14 * golden
+
+
+def test_antipodal_gap_is_exact_on_long_convex_polygons():
+    # any convex polygon, up to 1,000 times longer than wide, about a
+    # centre on the way from an edge's midpoint to the centroid, as close
+    # as 1e-6 of the way: near an edge the chord is far from its least
+    # value at the intervals' ends and midpoints, and the root search
+    # takes several Newton rounds.  The least chord can be far below the
+    # polygon's size, so it is checked to 1e-14 of that size.
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        pts = rng.normal(size=(int(rng.integers(3, 30)), 2))
+        hull = convex_hull(pts * (1.0, 10.0 ** rng.uniform(0.0, 3.0)))
+        edge = (hull + np.roll(hull, -1, axis=0))[rng.integers(len(hull))] / 2
+        centre = edge + 10.0 ** -rng.uniform(0.0, 6.0) * (hull.mean(0) - edge)
+        body = _corner_body("long", hull - centre)
+        size = np.hypot(*body.boundary.T).max()
+        assert abs(_least_chord(body) - _golden_least_chord(body)) <= 1e-14 * size
 
 
 def test_uniqueness_probe_hexagon(hexagon):

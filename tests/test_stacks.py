@@ -201,7 +201,8 @@ def test_floors_equal_one_body_at_a_time():
 
 
 def _reference_gap(body):
-    """The antipodal gap by the interleaved ray cast, one body alone."""
+    """The least of SAMPLES chords through the centre at even angles by the
+    interleaved ray cast, less sqrt(3) rho, one body alone."""
     thetas = np.arange(SAMPLES) * math.pi / SAMPLES
     r = interleaved_ray_chord_radius(body.boundary, body.polygon_angles[0],
                                      np.concatenate((thetas, thetas + math.pi)))
@@ -210,21 +211,12 @@ def _reference_gap(body):
 
 
 def test_antipodal_gaps_equal_one_body_at_a_time():
-    got = per_body(antipodal_gap, _pairs(), SAMPLES)
+    got = per_body(antipodal_gap, _pairs())
     for body, gap in zip(_pool(), got):
-        assert _bits(gap) == _bits(_reference_gap(body)), body.label
-        assert _bits(antipodal_gap(body, SAMPLES)) == _bits(gap), body.label
-
-
-@pytest.mark.parametrize("chunk", [2 * SAMPLES, 256])
-def test_antipodal_blocks_of_one_body_give_the_same_gaps(monkeypatch, chunk):
-    # the rays are cast in blocks of at most geom._CHUNK: one body's
-    # 2 x 1,024 rays a block, or an eighth of them, give every gap bit
-    # for bit
-    whole = per_body(antipodal_gap, _pairs(), SAMPLES)
-    monkeypatch.setattr(search, "_CHUNK", chunk)
-    alone = per_body(antipodal_gap, _pairs(), SAMPLES)
-    assert _bits(alone) == _bits(whole)
+        assert _bits(antipodal_gap(body)) == _bits(gap), body.label
+        # the exact least chord is at most every sampled one, but for the
+        # rounding of a sample at a corner's angle, which is an end value
+        assert gap <= _reference_gap(body) + 1e-15, body.label
 
 
 def _broken():
